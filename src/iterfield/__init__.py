@@ -26,7 +26,7 @@ from .spectral import (ConvexityClass, GdPropagationReport, NotConservativeError
                        PropagationReport, SpectrumSample, StepSizeError,
                        check_gd_propagation, check_propagation, classify,
                        model_delta_field, spectrum_at)
-from .fedavg import (ConvergenceError, CustomClient, FedAvgConfig, FedAvgTrace,
+from .fedavg import (ConvergenceError, FedAvgConfig, FedAvgTrace,
                      GlmClient, HyperparameterError, MinimizerComparison,
                      QuadraticClient, RateReport, ServerFieldInfo,
                      SurrogateUnavailableError, build_server_field,

@@ -9,7 +9,6 @@ seed; the ITERFIELD_SEED environment variable overrides config seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,8 +20,8 @@ from . import suites
 from .configs import (ConfigError, fedavg_config_from_obj, field_from_obj,
                       glm_spec_from_obj, load_json_file, load_json_text)
 from .conservatism import SamplingConfig, scan_k
-from .fields import FieldError, Iterate, Linear, PolyExact, Rotation2D, gd_map
-from .glm import NonOrthogonalError, glm_gradient_field, iterated_glm, iterated_glm_gd
+from .fields import FieldError, Linear, PolyExact, Rotation2D
+from .glm import NonOrthogonalError, closed_form_deviation
 from .polynomials import PolyField
 from .reports import canonical_json, run_manifest, write_json, write_trace_csv
 from .spectral import (NotConservativeError, StepSizeError, check_gd_propagation,
@@ -173,20 +172,9 @@ def _cmd_glm_verify(args) -> int:
             f"{spec.gram_residual:.3e}); the closed forms do not apply")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
-    grad = glm_gradient_field(spec)
     points = rng.standard_normal((args.points, spec.dimension))
     points /= np.maximum(1.0, np.linalg.norm(points, axis=1))[:, None]
-    worst = 0.0
-    for k in range(1, args.k + 1):
-        pairs = [(iterated_glm(spec, k), Iterate(grad, k))]
-        if args.gamma is not None:
-            pairs.append((iterated_glm_gd(spec, args.gamma, k),
-                          Iterate(gd_map(grad, args.gamma), k)))
-        for closed, brute in pairs:
-            for x in points:
-                ref = brute(x)
-                dev = float(np.linalg.norm(closed(x) - ref) / max(1.0, np.linalg.norm(ref)))
-                worst = max(worst, dev)
+    worst = closed_form_deviation(spec, points, args.k, args.gamma)
     passed = worst <= args.tol
     resolved = {"command": "glm-verify", "spec": spec_obj, "k": args.k,
                 "gamma": args.gamma, "points": args.points, "tol": args.tol,
@@ -373,13 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except NonOrthogonalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except FieldError as err:
+    except (ConfigError, NonOrthogonalError, FieldError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

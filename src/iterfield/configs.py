@@ -14,7 +14,6 @@ from .fields import (Affine, Compose, Constant, CoordWise1D, Field, GdMap,
                      Iterate, Linear, PolyExact, Rotation2D, Scale, ScalarMap, Sum)
 from .glm import GlmSpec, get_activation, glm_gradient_field
 from .polynomials import PolyField
-from .conservatism import SamplingConfig
 
 SCHEMA_VERSION = 1
 
@@ -125,15 +124,6 @@ def client_from_obj(obj: dict):
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {kind} client definition: {err}") from err
     raise ConfigError(f"unknown client kind {kind!r}")
-
-
-def sampling_from_obj(obj: dict | None) -> SamplingConfig:
-    if not obj:
-        return SamplingConfig()
-    return SamplingConfig(count=int(obj.get("count", 50)),
-                          radius=float(obj.get("radius", 1.0)),
-                          seed=int(obj.get("seed", 0)),
-                          kind=obj.get("kind", "ball"))
 
 
 def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAvgConfig:

@@ -9,15 +9,15 @@ never as proof.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
 
 import numpy as np
 
 from . import rationals
-from .fields import (ChainProduct, Field, Iterate, NonFiniteValueError,
-                     Rotation2D, asymmetry, jacobian)
-from .polynomials import (DEFAULT_MAX_TERMS, PolyField, asymmetry_polys)
+from .fields import (Field, Iterate, NonFiniteValueError, Rotation2D, asymmetry,
+                     walk_orbit)
+from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_polys, poly_iterates
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -53,6 +53,15 @@ def draw_samples(dimension: int, config: SamplingConfig) -> np.ndarray:
     if config.kind == "box":
         return rng.uniform(-config.radius, config.radius, size=(config.count, dimension))
     raise ValueError(f"unknown sampling kind {config.kind!r}")
+
+
+def sample_points(dimension: int, samples=None) -> np.ndarray:
+    """Points from a SamplingConfig (default when None) or an explicit array."""
+    if samples is None:
+        samples = SamplingConfig()
+    if isinstance(samples, SamplingConfig):
+        return draw_samples(dimension, samples)
+    return np.atleast_2d(np.asarray(samples, dtype=float))
 
 
 @dataclass
@@ -94,16 +103,7 @@ class Verdict:
         return out
 
 
-def check_linear(matrix, k: int) -> Verdict:
-    """Exact verdict for x -> A x: is A^k symmetric?
-
-    Entries convert to rationals exactly (floats are dyadic), so the test
-    has no tolerance at all.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    A = rationals.fraction_matrix(matrix)
-    P = rationals.mat_power(A, k)
+def _symmetry_verdict(P, k: int) -> Verdict:
     n = len(P)
     for i in range(n):
         for j in range(i + 1, n):
@@ -112,6 +112,17 @@ def check_linear(matrix, k: int) -> Verdict:
                 return Verdict("exact-no", certificate=(
                     f"power {k} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = {gap}"))
     return Verdict("exact-yes")
+
+
+def check_linear(matrix, k: int) -> Verdict:
+    """Exact verdict for x -> A x: is A^k symmetric?
+
+    Entries convert to rationals exactly (floats are dyadic), so the test
+    has no tolerance at all.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _symmetry_verdict(rationals.mat_power(rationals.fraction_matrix(matrix), k), k)
 
 
 def check_rotation(j: int, k: int) -> Verdict:
@@ -134,6 +145,37 @@ def check_poly(polyfield: PolyField, k: int, max_terms: int = DEFAULT_MAX_TERMS)
     return Verdict("exact-yes")
 
 
+def _orbit_residuals(field: Field, k_max: int, points: np.ndarray):
+    """Per k = 1..k_max: worst residual, its witness (the first strict
+    maximum) and the skip count, from one orbit walk per point.  A walk
+    failing at step j skips its point for every k >= j."""
+    worst = [-1.0] * k_max
+    witness = [None] * k_max
+    skipped = [0] * k_max
+    for point in points:
+        reached = 0
+        try:
+            for _, prefix in walk_orbit(field, point, k_max, jacobians=True):
+                residual = asymmetry(prefix)
+                if residual > worst[reached]:
+                    worst[reached], witness[reached] = residual, point
+                reached += 1
+        except NonFiniteValueError:
+            for j in range(reached, k_max):
+                skipped[j] += 1
+    return worst, witness, skipped
+
+
+def _numeric_verdict(worst: float, witness, skipped: int, total: int,
+                     threshold: float) -> Verdict:
+    if total - skipped < max(1, (total + 1) // 2):
+        raise SamplingError(f"{skipped} of {total} samples failed to evaluate")
+    if worst > threshold:
+        return Verdict("numeric-fail", residual=worst,
+                       witness=[float(v) for v in witness], skipped_samples=skipped)
+    return Verdict("numeric-pass", residual=worst, skipped_samples=skipped)
+
+
 def check_numeric(field: Field, k: int, samples=None,
                   threshold: float = DEFAULT_THRESHOLD) -> Verdict:
     """Sampled Jacobian-symmetry residuals of the k-fold iterate.
@@ -144,57 +186,30 @@ def check_numeric(field: Field, k: int, samples=None,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if samples is None:
-        samples = SamplingConfig()
-    if isinstance(samples, SamplingConfig):
-        points = draw_samples(field.dimension, samples)
-    else:
-        points = np.atleast_2d(np.asarray(samples, dtype=float))
-    iterated = Iterate(field, k)
-    worst = -1.0
-    witness = None
-    skipped = 0
-    for point in points:
-        try:
-            J = jacobian(iterated, point, ChainProduct())
-        except NonFiniteValueError:
-            skipped += 1
-            continue
-        residual = asymmetry(J)
-        if residual > worst:
-            worst = residual
-            witness = point
-    if len(points) - skipped < max(1, (len(points) + 1) // 2):
-        raise SamplingError(
-            f"{skipped} of {len(points)} samples failed to evaluate")
-    if worst > threshold:
-        return Verdict("numeric-fail", residual=worst,
-                       witness=[float(v) for v in witness], skipped_samples=skipped)
-    return Verdict("numeric-pass", residual=worst, skipped_samples=skipped)
+    points = sample_points(field.dimension, samples)
+    worst, witness, skipped = _orbit_residuals(field, k, points)
+    return _numeric_verdict(worst[-1], witness[-1], skipped[-1], len(points), threshold)
 
 
-def _exact_verdict(field: Field, k: int) -> Verdict | None:
-    if isinstance(field, Iterate):
-        return _exact_verdict(field.inner, k * field.k)
-    if isinstance(field, Rotation2D):
-        return check_rotation(field.j, k)
-    affine = field.as_affine()
+def _exact_verdicts(field: Field, k_max: int):
+    """Exact verdicts for k = 1..k_max (Iterate(V, m) on the powers of V),
+    or None.  Towers carry forward: A^k = A A^(k-1), V^k = V o V^(k-1)."""
+    inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
+    powers = range(stride, stride * k_max + 1, stride)
+    if isinstance(inner, Rotation2D):
+        return [check_rotation(inner.j, p) for p in powers]
+    affine = inner.as_affine()
     if affine is not None:
         # The Jacobian of an iterated affine map is the matrix power; the
         # offset does not affect symmetry.
         A = affine[0]
-        P = rationals.mat_power(A, k)
-        n = len(P)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if P[i][j] != P[j][i]:
-                    gap = P[i][j] - P[j][i]
-                    return Verdict("exact-no", certificate=(
-                        f"power {k} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = {gap}"))
-        return Verdict("exact-yes")
-    poly = field.as_polyfield()
+        tower = itertools.accumulate(itertools.repeat(A, powers[-1]),
+                                     lambda P, _: rationals.mat_mul(A, P))
+        return [_symmetry_verdict(P, p) for p, P in enumerate(tower, 1) if p % stride == 0]
+    poly = inner.as_polyfield()
     if poly is not None:
-        return check_poly(poly, k)
+        tower = zip(range(1, powers[-1] + 1), poly_iterates(poly))
+        return [check_poly(V, 1) for p, V in tower if p % stride == 0]
     return None
 
 
@@ -232,21 +247,19 @@ def scan_k(field: Field, k_max: int, mode: str = "auto",
 
     mode "auto" uses the exact path whenever the field is recognizably a
     rotation, an exact affine map, or an exact polynomial field, and the
-    sampled numeric path otherwise; mode "numeric" forces sampling.
+    sampled numeric path otherwise; mode "numeric" forces sampling.  Every
+    k is read off one orbit walk per sample, or one exact tower: O(k_max).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if mode not in ("auto", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    sampling_cfg = sampling or SamplingConfig()
-    points = None
     report = ConservatismReport(field.describe(), threshold, None)
-    for k in range(1, k_max + 1):
-        verdict = _exact_verdict(field, k) if mode == "auto" else None
-        if verdict is None:
-            if points is None:
-                points = draw_samples(field.dimension, sampling_cfg)
-                report.sampling = sampling_cfg
-            verdict = check_numeric(field, k, points, threshold)
-        report.entries.append((k, verdict))
+    verdicts = _exact_verdicts(field, k_max) if mode == "auto" else None
+    if verdicts is None:
+        report.sampling = sampling or SamplingConfig()
+        points = draw_samples(field.dimension, report.sampling)
+        verdicts = [_numeric_verdict(*per_k, len(points), threshold)
+                    for per_k in zip(*_orbit_residuals(field, k_max, points))]
+    report.entries.extend(enumerate(verdicts, start=1))
     return report

@@ -13,15 +13,16 @@ average is order-free, fixed order makes the floats reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Field, GdMap, Iterate, NonFiniteValueError, Sum,
-                     as_matrix, as_vector, identity_field)
+                     as_matrix, as_vector)
 from .glm import GlmSpec, glm_gradient_field, surrogate_potential
+from .spectral import model_delta_field
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6
@@ -100,35 +101,11 @@ class GlmClient:
         return self.spec.describe()
 
 
-class CustomClient:
-    """Client given directly by its gradient field; loss values unavailable."""
-
-    def __init__(self, field: Field, label: str = "custom"):
-        self.field = field
-        self.label = label
-
-    @property
-    def dimension(self) -> int:
-        return self.field.dimension
-
-    def gradient_field(self) -> Field:
-        return self.field
-
-    def describe(self) -> str:
-        return f"custom({self.field.describe()})"
-
-
-def _client_delta_field(client, gamma: float, k: int) -> Field:
-    """x -> x - (descent map)^k(x) for one client."""
-    descent = Iterate(GdMap(client.gradient_field(), gamma), k)
-    return Sum([identity_field(client.dimension), descent], weights=[1.0, -1.0])
-
-
 def build_server_field_only(clients, gamma: float, k: int) -> Field:
     dims = {c.dimension for c in clients}
     if len(dims) != 1:
         raise ValueError(f"clients disagree on dimension: {sorted(dims)}")
-    deltas = [_client_delta_field(c, gamma, k) for c in clients]
+    deltas = [model_delta_field(c.gradient_field(), gamma, k) for c in clients]
     return Sum(deltas, weights=[1.0 / len(deltas)] * len(deltas))
 
 
@@ -177,7 +154,6 @@ class FedAvgConfig:
     mode: str | None = None
     alpha: float | None = None
     beta: float | None = None
-    verify_eta1_equivalence: bool = True
 
     def __post_init__(self):
         if not self.clients:
@@ -188,6 +164,9 @@ class FedAvgConfig:
             raise ValueError("eta must be positive")
         if self.k < 1 or self.rounds < 1:
             raise ValueError("need k >= 1 and rounds >= 1")
+        dims = {c.dimension for c in self.clients}
+        if len(dims) != 1:
+            raise ValueError(f"clients disagree on dimension: {sorted(dims)}")
         self.x0 = as_vector(self.x0, self.clients[0].dimension)
 
 
@@ -244,12 +223,18 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
                 f"{err}; float condition estimate {cond:.3e}") from err
         return rationals.to_float_vector(solution), "affine-solve"
     field = build_server_field_only(clients, gamma, k)
+    return _descend(field, 1.0, x0, tol, max_iterations), "iterative"
+
+
+def _descend(field: Field, step: float, x0=None, tol: float = FIXED_POINT_TOL,
+             max_iterations: int = FIXED_POINT_CAP) -> np.ndarray:
+    """Iterate x -> x - step * field(x) from x0 (default 0) until |field(x)| <= tol."""
     x = np.zeros(field.dimension) if x0 is None else as_vector(x0, field.dimension)
     for _ in range(max_iterations):
         v = field(x)
         if float(np.linalg.norm(v)) <= tol:
-            return x, "iterative"
-        x = x - v
+            return x
+        x = x - step * v
         if float(np.linalg.norm(x)) > 1e12:
             raise ConvergenceError("fixed-point iteration diverged")
     raise ConvergenceError(
@@ -314,34 +299,41 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     instead of poisoning it.
     """
     clients = config.clients
-    server = build_server_field_only(clients, config.gamma, config.k)
     client_maps = [Iterate(GdMap(c.gradient_field(), config.gamma), config.k)
                    for c in clients]
+    weight = 1.0 / len(client_maps)
+    n = config.x0.shape[0]
     xs = [np.array(config.x0, dtype=float)]
     values = []
     note = None
     x = xs[0]
     for t in range(config.rounds):
         try:
-            v = server(x)
-            if config.eta == 1.0 and config.verify_eta1_equivalence:
-                avg = np.zeros(server.dimension)
-                for cm in client_maps:
-                    avg += cm(x)
-                avg /= len(client_maps)
+            # One evaluation of each client map feeds both the server field
+            # mean(x - y_c) and the model average mean(y_c).
+            ys = [cm(x) for cm in client_maps]
+            v = np.zeros(n)
+            for y in ys:
+                v += weight * (x - y)
+            x_next = x - config.eta * v
+            if not np.all(np.isfinite(x_next)):
+                raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
+            if config.eta == 1.0:
+                avg = np.zeros(n)
+                for y in ys:
+                    avg += y
+                avg /= len(ys)
                 gap = float(np.max(np.abs((x - v) - avg)))
                 if gap > EQUIVALENCE_TOL:
                     raise RuntimeError(
                         f"delta update and model average disagree by {gap:.3e} at round {t}")
-            x = x - config.eta * v
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
+            x = x_next
         except NonFiniteValueError as err:
             note = f"trace truncated at round {t}: {err}"
             break
         values.append(v)
         xs.append(x)
-    trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, server.dimension)),
+    trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, n)),
                         note=note)
 
     fixed_point, method = None, None
@@ -497,15 +489,7 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     else:
         fields = [c.gradient_field() for c in clients]
         avg_grad = Sum(fields, weights=[1.0 / len(fields)] * len(fields))
-        x = np.zeros(avg_grad.dimension) if x0 is None else as_vector(x0, avg_grad.dimension)
-        for _ in range(FIXED_POINT_CAP):
-            g = avg_grad(x)
-            if float(np.linalg.norm(g)) <= FIXED_POINT_TOL:
-                break
-            x = x - gamma * g
-        else:
-            raise ConvergenceError("average-loss descent did not converge")
-        x_star, method_star = x, "iterative"
+        x_star, method_star = _descend(avg_grad, gamma, x0), "iterative"
     return MinimizerComparison(np.asarray(x_s), np.asarray(x_star),
                                float(np.linalg.norm(np.asarray(x_s) - np.asarray(x_star))),
                                method_s, method_star)

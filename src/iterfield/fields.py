@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,6 +109,9 @@ class Field:
         # propagating silently, so the numpy warning is redundant noise.
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.asarray(self._eval(x), dtype=float)
+        if y.shape != x.shape:
+            raise DimensionMismatchError(
+                f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
         if not np.all(np.isfinite(y)):
             raise NonFiniteValueError(f"{self.describe()} produced a non-finite value at x={x.tolist()}")
         return y
@@ -325,23 +327,15 @@ class Iterate(Field):
         self.dimension = inner.dimension
 
     def _eval(self, x):
-        y = x
-        for i in range(self.k):
-            try:
-                y = self.inner(y)
-            except NonFiniteValueError as err:
-                if err.iterate_index is None:
-                    raise NonFiniteValueError(
-                        f"{err} (at iterate {i + 1} of {self.k})",
-                        iterate_index=i + 1) from err
-                raise
+        (y,) = walk_orbit(self, x, 1)
         return y
 
     def jacobian_analytic(self, x):
-        probe = self.inner.jacobian_analytic(x)
-        if probe is None:
+        try:
+            ((_, J),) = walk_orbit(self, x, 1, jacobians=True, base=Analytic())
+        except JacobianMethodError:
             return None
-        return _chain_jacobian(self, x, Analytic())
+        return J
 
     def as_affine(self):
         inner = self.inner.as_affine()
@@ -578,27 +572,58 @@ def _finite_difference_jacobian(field: Field, x: np.ndarray, h: float) -> np.nda
     return np.column_stack(cols)
 
 
-def _chain_jacobian(field: Iterate, x: np.ndarray,
-                    base: Analytic | CentralDifference | None) -> np.ndarray:
-    inner = field.inner
+def _step_jacobian(field: Field, x: np.ndarray,
+                   method: Analytic | CentralDifference | None) -> np.ndarray:
+    if isinstance(method, CentralDifference):
+        return _finite_difference_jacobian(field, x, method.h)
+    J = field.jacobian_analytic(x)
+    if J is None:
+        if isinstance(method, Analytic):
+            raise JacobianMethodError(
+                f"{field.describe()} has no analytic Jacobian; use central differences")
+        return _finite_difference_jacobian(field, x, DEFAULT_FD_STEP)
+    return J
 
-    def step_jacobian(pt):
-        if isinstance(base, CentralDifference):
-            return _finite_difference_jacobian(inner, pt, base.h)
-        J = inner.jacobian_analytic(pt)
-        if J is None:
-            if isinstance(base, Analytic):
-                raise JacobianMethodError(
-                    f"{inner.describe()} has no analytic Jacobian")
-            return _finite_difference_jacobian(inner, pt, DEFAULT_FD_STEP)
-        return J
 
-    total = step_jacobian(x)
-    point = x
-    for _ in range(field.k - 1):
-        point = inner(point)
-        total = step_jacobian(point) @ total
-    return total
+def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
+               base: Analytic | CentralDifference | None = None):
+    """Walk the orbit x, F(x), ..., F^k_max(x) of a field F in one pass.
+
+    Iterate(V, m) is walked as m steps of V per step of F.  Yields F^j(x)
+    for j = 1..k_max, or with ``jacobians`` the pair (J(F) at F^(j-1)(x),
+    J(F^j)(x)), accumulated per step of V as ``step @ prefix``
+    (forward-mode chain accumulation).  Step Jacobians are analytic when
+    V has one, else central differences; ``base`` forces a method as in
+    ChainProduct.  A Jacobian walk never evaluates F^k_max(x).  A
+    non-finite value raises NonFiniteValueError with the 1-based step of
+    V; what was yielded before stays valid.
+    """
+    inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
+    total = stride * k_max
+    point = as_vector(x, field.dimension)
+    step = prefix = None
+    for i in range(1, total + 1):
+        if jacobians:
+            J = _step_jacobian(inner, point, base)
+            step = J if (i - 1) % stride == 0 else J @ step
+            prefix = step if i <= stride else J @ prefix
+            if not np.isfinite(prefix).all() or (stride > 1 and not np.isfinite(step).all()):
+                raise NonFiniteValueError(
+                    f"chain Jacobian of {inner.describe()} is non-finite at iterate "
+                    f"{i} of {total}", iterate_index=i)
+            if i % stride == 0:
+                yield step, prefix
+            if i == total:
+                return
+        try:
+            point = inner(point)
+        except NonFiniteValueError as err:
+            if err.iterate_index is None:
+                raise NonFiniteValueError(
+                    f"{err} (at iterate {i} of {total})", iterate_index=i) from err
+            raise
+        if not jacobians and i % stride == 0:
+            yield point
 
 
 def jacobian(field: Field, x, method=None) -> np.ndarray:
@@ -612,18 +637,9 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
     if isinstance(method, ChainProduct):
         if not isinstance(field, Iterate):
             raise JacobianMethodError("chain-product Jacobians require an iterated field")
-        J = _chain_jacobian(field, x, method.base)
-    elif isinstance(method, CentralDifference):
-        J = _finite_difference_jacobian(field, x, method.h)
-    elif isinstance(method, Analytic):
-        J = field.jacobian_analytic(x)
-        if J is None:
-            raise JacobianMethodError(
-                f"{field.describe()} has no analytic Jacobian; use central differences")
-    elif method is None:
-        J = field.jacobian_analytic(x)
-        if J is None:
-            J = _finite_difference_jacobian(field, x, DEFAULT_FD_STEP)
+        ((_, J),) = walk_orbit(field, x, 1, jacobians=True, base=method.base)
+    elif method is None or isinstance(method, (Analytic, CentralDifference)):
+        J = _step_jacobian(field, x, method)
     else:
         raise JacobianMethodError(f"unknown Jacobian method {method!r}")
     if not np.all(np.isfinite(J)):
@@ -634,10 +650,17 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
 def asymmetry(M) -> float:
     """Normalized asymmetry residual ||M - M^T||_F / max(1, ||M||_F).
 
-    Zero exactly when M is symmetric entrywise.
+    Zero exactly when M is symmetric entrywise.  Finite for every finite
+    M: if the norms overflow, M is first scaled by its largest entry.
     """
     A = as_matrix(M)
-    gap = float(np.linalg.norm(A - A.T))
-    if gap == 0.0:
-        return 0.0
-    return gap / max(1.0, float(np.linalg.norm(A)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(np.linalg.norm(A - A.T))
+        if gap == 0.0:
+            return 0.0
+        norm = float(np.linalg.norm(A))
+    if math.isfinite(gap) and math.isfinite(norm):
+        return gap / max(1.0, norm)
+    scale = float(np.max(np.abs(A)))
+    S = A / scale
+    return float(np.linalg.norm(S - S.T)) / max(1.0 / scale, float(np.linalg.norm(S)))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Field, GdMap, NonFiniteValueError, as_vector
+from .fields import Field, GdMap, NonFiniteValueError, as_vector, walk_orbit
 from .quadrature import integrate
 
 ORTHOGONALITY_TOL = 1e-12
@@ -27,13 +27,14 @@ class NonOrthogonalError(ValueError):
     """Closed-form iterates require mutually orthogonal directions."""
 
 
-def _call_scalar(fn: Callable[[float], float], t: float, context: str) -> float:
+def _call_scalar(fn: Callable[[float], float], t: float, context: Callable[[], str]) -> float:
+    """fn(t), with overflow as NonFiniteValueError named by ``context()``."""
     try:
         value = float(fn(t))
     except OverflowError as err:
-        raise NonFiniteValueError(f"{context}: scalar overflow at t={t}") from err
+        raise NonFiniteValueError(f"{context()}: scalar overflow at t={t}") from err
     if not math.isfinite(value):
-        raise NonFiniteValueError(f"{context}: non-finite value {value} at t={t}")
+        raise NonFiniteValueError(f"{context()}: non-finite value {value} at t={t}")
     return value
 
 
@@ -215,7 +216,7 @@ class GlmGradient(Field):
         out = np.zeros(self.dimension)
         for i, z in enumerate(self.spec.directions):
             t = float(x @ z)
-            out += _call_scalar(deriv, t, f"{self.describe()} direction {i}") * z
+            out += _call_scalar(deriv, t, lambda: f"{self.describe()} direction {i}") * z
         return out
 
     def jacobian_analytic(self, x):
@@ -225,7 +226,8 @@ class GlmGradient(Field):
         J = np.zeros((self.dimension, self.dimension))
         for i, z in enumerate(self.spec.directions):
             t = float(x @ z)
-            J += _call_scalar(second, t, f"{self.describe()} curvature {i}") * np.outer(z, z)
+            curv = _call_scalar(second, t, lambda: f"{self.describe()} curvature {i}")
+            J += curv * np.outer(z, z)
         return J
 
     def describe(self):
@@ -246,11 +248,23 @@ def _phi_orbit(spec: GlmSpec, i: int, t: float, steps: int) -> float:
     w = float(spec.norms_squared()[i])
     s = t
     for j in range(steps):
-        s = w * _call_scalar(deriv, s, f"scalar map for direction {i}, step {j + 1}")
+        s = w * _call_scalar(deriv, s, lambda: f"scalar map for direction {i}, step {j + 1}")
         if not math.isfinite(s):
             raise NonFiniteValueError(
                 f"scalar map overflow for direction {i}", iterate_index=j + 1)
     return s
+
+
+def _descent_sum(deriv: Callable[[float], float], t: float, w: float, gamma: float, k: int,
+                 context: Callable[[], str]) -> float:
+    """Sum of sigma' over k steps of the scalar descent s -> s - gamma w sigma'(s) from t."""
+    s = t
+    acc = 0.0
+    for j in range(k):
+        value = _call_scalar(deriv, s, lambda: f"{context()}, step {j + 1}")
+        acc += value
+        s = s - gamma * w * value
+    return acc
 
 
 class GlmIterate(Field):
@@ -269,7 +283,7 @@ class GlmIterate(Field):
         out = np.zeros(self.dimension)
         for i, z in enumerate(self.spec.directions):
             s = _phi_orbit(self.spec, i, float(x @ z), self.k - 1)
-            out += _call_scalar(deriv, s, f"{self.describe()} direction {i}") * z
+            out += _call_scalar(deriv, s, lambda: f"{self.describe()} direction {i}") * z
         return out
 
     def jacobian_analytic(self, x):
@@ -284,9 +298,10 @@ class GlmIterate(Field):
             s = float(x @ z)
             chain = 1.0
             for _ in range(self.k - 1):
-                chain *= w * second(s)
-                s = w * deriv(s)
-            J += second(s) * chain * np.outer(z, z)
+                chain *= w * _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
+                s = w * _call_scalar(deriv, s, lambda: f"{self.describe()} direction {i}")
+            curv = _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
+            J += curv * chain * np.outer(z, z)
         return J
 
     def describe(self):
@@ -312,21 +327,14 @@ class GlmGdIterate(Field):
         self.k = int(k)
         self.dimension = spec.dimension
 
-    def _accumulated(self, i: int, t: float) -> float:
-        deriv = self.spec.activation.deriv
-        w = float(self.spec.norms_squared()[i])
-        s = t
-        acc = 0.0
-        for j in range(self.k):
-            value = _call_scalar(deriv, s, f"{self.describe()} direction {i}, step {j + 1}")
-            acc += value
-            s = s - self.gamma * w * value
-        return acc
-
     def _eval(self, x):
+        deriv = self.spec.activation.deriv
+        norms_sq = self.spec.norms_squared()
         out = np.array(x, dtype=float)
         for i, z in enumerate(self.spec.directions):
-            out -= self.gamma * self._accumulated(i, float(x @ z)) * z
+            acc = _descent_sum(deriv, float(x @ z), float(norms_sq[i]), self.gamma, self.k,
+                               lambda: f"{self.describe()} direction {i}")
+            out -= self.gamma * acc * z
         return out
 
     def jacobian_analytic(self, x):
@@ -342,10 +350,11 @@ class GlmGdIterate(Field):
             chain = 1.0
             total = 0.0
             for _ in range(self.k):
-                curv = second(s)
+                curv = _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
                 total += curv * chain
                 chain *= 1.0 - self.gamma * w * curv
-                s = s - self.gamma * w * deriv(s)
+                s = s - self.gamma * w * _call_scalar(
+                    deriv, s, lambda: f"{self.describe()} direction {i}")
             J -= self.gamma * total * np.outer(z, z)
         return J
 
@@ -363,8 +372,23 @@ def iterated_glm_gd(spec: GlmSpec, gamma: float, k: int) -> GlmGdIterate:
     return GlmGdIterate(spec, gamma, k)
 
 
-def gd_map_for(spec: GlmSpec, gamma: float) -> GdMap:
-    return GdMap(glm_gradient_field(spec), gamma)
+def closed_form_deviation(spec: GlmSpec, points, k_max: int,
+                          gamma: float | None = None) -> float:
+    """Worst relative deviation of iterated_glm (and, given gamma,
+    iterated_glm_gd) from brute-force iteration, over k <= k_max and the
+    points; one orbit walk per point gives V^1(x) .. V^k_max(x)."""
+    grad = glm_gradient_field(spec)
+    pairs = [(grad, [iterated_glm(spec, k) for k in range(1, k_max + 1)])]
+    if gamma is not None:
+        pairs.append((GdMap(grad, gamma),
+                      [iterated_glm_gd(spec, gamma, k) for k in range(1, k_max + 1)]))
+    worst = 0.0
+    for brute, closed in pairs:
+        for x in points:
+            for closed_k, ref in zip(closed, walk_orbit(brute, x, k_max)):
+                dev = float(np.linalg.norm(closed_k(x) - ref) / max(1.0, np.linalg.norm(ref)))
+                worst = max(worst, dev)
+    return worst
 
 
 def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
@@ -387,25 +411,21 @@ def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
     if mode in ("grad-iterate", "grad"):
         for i, z in enumerate(spec.directions):
             upper = float(x @ z)
-            total += integrate(lambda t, i=i: deriv(_phi_orbit(spec, i, t, k - 1)),
-                               0.0, upper)
+            total += integrate(
+                lambda t, i=i: _call_scalar(deriv, _phi_orbit(spec, i, t, k - 1),
+                                            lambda: f"potential for direction {i}"),
+                0.0, upper)
         return total
     if mode in ("gd-iterate", "gd"):
         if gamma is None or not (gamma > 0):
             raise ValueError("gd-iterate mode needs a positive gamma")
 
-        def accumulated(t: float, i: int, w: float) -> float:
-            s = t
-            acc = 0.0
-            for _ in range(k):
-                value = deriv(s)
-                acc += value
-                s = s - gamma * w * value
-            return acc
-
         for i, z in enumerate(spec.directions):
             upper = float(x @ z)
             w = float(norms_sq[i])
-            total += integrate(lambda t, i=i, w=w: accumulated(t, i, w), 0.0, upper)
+            total += integrate(
+                lambda t, i=i, w=w: _descent_sum(deriv, t, w, gamma, k,
+                                                 lambda: f"potential for direction {i}"),
+                0.0, upper)
         return total
     raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")

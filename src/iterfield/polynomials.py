@@ -13,9 +13,10 @@ form is usable for golden files.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rationals import to_fraction
 
@@ -443,15 +444,22 @@ def iterate_poly_field(field: PolyField, k: int, coord_vars: Sequence[int] | Non
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    return next(itertools.islice(poly_iterates(field, coord_vars, max_terms), k - 1, None))
+
+
+def poly_iterates(field: PolyField, coord_vars: Sequence[int] | None = None,
+                  max_terms: int = DEFAULT_MAX_TERMS) -> Iterator[PolyField]:
+    """Yield V, V o V, V o V o V, ... exactly, each composed as V o V^(k-1)
+    from the one before; the next iterate is built only when asked for."""
     coords = _resolve_coords(field, coord_vars)
     current = field.components
     identity_subs = [RationalPoly.variable(field.nvars, v) for v in range(field.nvars)]
-    for _ in range(k - 1):
+    while True:
+        yield PolyField(current)
         subs = list(identity_subs)
         for i, v in enumerate(coords):
             subs[v] = current[i]
         current = tuple(p.compose(subs, max_terms=max_terms) for p in field.components)
-    return PolyField(current)
 
 
 def jacobian_polys(field: PolyField, coord_vars: Sequence[int] | None = None) -> list[list[RationalPoly]]:

@@ -89,11 +89,6 @@ def mat_power(A, k: int):
     return result
 
 
-def is_symmetric(A) -> bool:
-    n = len(A)
-    return all(A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 class SingularMatrixError(ArithmeticError):
     pass
 

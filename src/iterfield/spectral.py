@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .conservatism import (DEFAULT_THRESHOLD, SamplingConfig, check_numeric,
-                           draw_samples)
-from .fields import Field, GdMap, Iterate, Sum, asymmetry, identity_field, jacobian
+from .conservatism import DEFAULT_THRESHOLD, sample_points
+from .fields import (Field, GdMap, Iterate, Sum, as_vector, asymmetry, identity_field,
+                     jacobian, walk_orbit)
 
 ZERO_BAND = 1e-10
 PROPAGATION_TOL = 1e-8
@@ -70,18 +70,18 @@ class ConvexityClass:
         return out
 
 
+def _eigen_interval(J: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of (J + J^T)/2."""
+    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
+    return float(eigs[0]), float(eigs[-1])
+
+
 def spectrum_at(field: Field, x, method=None) -> SpectrumSample:
     """Eigen-interval of (J + J^T)/2 at x, with the asymmetry recorded so
     callers can notice non-conservative fields."""
     J = jacobian(field, x, method)
-    sym = 0.5 * (J + J.T)
-    eigs = np.linalg.eigvalsh(sym)
     return SpectrumSample(tuple(float(v) for v in np.atleast_1d(x)),
-                          float(eigs[0]), float(eigs[-1]), asymmetry(J))
-
-
-def _spectra(field: Field, points) -> list[SpectrumSample]:
-    return [spectrum_at(field, p) for p in points]
+                          *_eigen_interval(J), asymmetry(J))
 
 
 def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -> ConvexityClass:
@@ -93,16 +93,12 @@ def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -
     +-1e-10; strictly positive pointwise minima inside the band report as
     strictly convex.
     """
-    if samples is None:
-        samples = SamplingConfig()
-    points = draw_samples(field.dimension, samples) if isinstance(samples, SamplingConfig) \
-        else np.atleast_2d(np.asarray(samples, dtype=float))
-    verdict = check_numeric(field, 1, points, threshold)
-    if not verdict.is_yes:
+    spectra = [spectrum_at(field, p) for p in sample_points(field.dimension, samples)]
+    residual = max(s.asymmetry for s in spectra)
+    if residual > threshold:
         raise NotConservativeError(
-            f"field failed the sampled gradient check (residual {verdict.residual:.3e}); "
+            f"field failed the sampled gradient check (residual {residual:.3e}); "
             "refusing to classify convexity")
-    spectra = _spectra(field, points)
     alpha_hat = min(s.lambda_min for s in spectra)
     beta_hat = max(s.lambda_max for s in spectra)
     if alpha_hat > ZERO_BAND:
@@ -160,51 +156,49 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     compare iterate spectra against bounds the single-step Jacobian never
     promised along the orbit.  For each j <= k the sampled spectrum of
     the j-fold iterate's Jacobian (a chain product along the orbit) must
-    lie in [alpha_hat^j, beta_hat^j] up to tol_factor * beta_hat^j.  Uses
-    the per-level exponent j; the report also records whether the looser
-    exponent-k interval holds, so the statement-level bound stays visible
-    without being silently adopted.
+    lie in [alpha_hat^j, beta_hat^j] up to tol_factor * m^j, where
+    m = max(|alpha_hat|, |beta_hat|).  Uses the per-level exponent j; the
+    report also records whether the looser exponent-k interval holds, so
+    the statement-level bound stays visible without being silently
+    adopted.
+
+    The paper's statement presumes a convex potential, 0 <= alpha <= beta.
+    With a negative alpha_hat, [alpha_hat^j, beta_hat^j] can come out
+    inverted, so level j is bounded by magnitude instead: [-m^j, m^j],
+    since a product of j step Jacobians of norm <= m has norm <= m^j.
 
     Iterates that fail the sampled symmetry check are a refusal, not a
     verdict: the eigenvalue-product argument needs symmetric Jacobians.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if samples is None:
-        samples = SamplingConfig()
-    points = draw_samples(f_grad.dimension, samples) if isinstance(samples, SamplingConfig) \
-        else np.atleast_2d(np.asarray(samples, dtype=float))
+    points = sample_points(f_grad.dimension, samples)
     alpha_hat = np.inf
     beta_hat = -np.inf
-    # Per sample: step Jacobians along the orbit, then prefix products.
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
     per_j_asym = [0.0] * (k + 1)
     for x in points:
-        orbit_point = np.asarray(x, dtype=float)
-        prefix = None
-        for j in range(1, k + 1):
-            step = jacobian(f_grad, orbit_point)
-            eigs = np.linalg.eigvalsh(0.5 * (step + step.T))
-            alpha_hat = min(alpha_hat, float(eigs[0]))
-            beta_hat = max(beta_hat, float(eigs[-1]))
-            prefix = step if prefix is None else step @ prefix
+        for j, (step, prefix) in enumerate(walk_orbit(f_grad, x, k, jacobians=True), start=1):
+            lo, hi = _eigen_interval(step)
+            alpha_hat, beta_hat = min(alpha_hat, lo), max(beta_hat, hi)
             per_j_asym[j] = max(per_j_asym[j], asymmetry(prefix))
-            peigs = np.linalg.eigvalsh(0.5 * (prefix + prefix.T))
-            per_j_low[j] = min(per_j_low[j], float(peigs[0]))
-            per_j_high[j] = max(per_j_high[j], float(peigs[-1]))
-            if j < k:
-                orbit_point = f_grad(orbit_point)
+            lo, hi = _eigen_interval(prefix)
+            per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
     report = PropagationReport(alpha_hat, beta_hat, k)
+    m = max(abs(alpha_hat), abs(beta_hat))
     for j in range(1, k + 1):
         if per_j_asym[j] > threshold:
             raise NotConservativeError(
                 f"iterate {j} failed the sampled gradient check "
                 f"(residual {per_j_asym[j]:.3e})")
         lo, hi = per_j_low[j], per_j_high[j]
-        tol = tol_factor * abs(beta_hat) ** j
-        low_j, high_j = alpha_hat ** j, beta_hat ** j
-        low_k, high_k = alpha_hat ** k, beta_hat ** k
+        tol = tol_factor * m ** j
+        if alpha_hat < 0:
+            low_j, high_j, low_k, high_k = -m ** j, m ** j, -m ** k, m ** k
+        else:
+            low_j, high_j = alpha_hat ** j, beta_hat ** j
+            low_k, high_k = alpha_hat ** k, beta_hat ** k
         passed = (lo >= low_j - tol) and (hi <= high_j + tol)
         passed_k = (lo >= min(low_k, low_j) - tol) and (hi <= max(high_k, high_j) + tol)
         report.levels.append(PropagationLevel(j, lo, hi, low_j, high_j, passed, passed_k))
@@ -218,21 +212,11 @@ def model_delta_field(f_grad: Field, gamma: float, j: int) -> Field:
 
 
 @dataclass
-class GdPropagationLevel:
-    j: int
-    lambda_min: float
-    lambda_max: float
-    bound_low: float
-    bound_high: float
-    passed: bool
-    passed_k_level: bool
+class GdPropagationLevel(PropagationLevel):
     critical_point_residuals: list[float]
 
     def to_dict(self):
-        return {"j": self.j, "interval": [self.lambda_min, self.lambda_max],
-                "bound": [self.bound_low, self.bound_high],
-                "pass": self.passed, "pass_k_exponent": self.passed_k_level,
-                "critical_point_residuals": self.critical_point_residuals}
+        return {**super().to_dict(), "critical_point_residuals": self.critical_point_residuals}
 
 
 @dataclass
@@ -299,22 +283,28 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
     else:
         raise ValueError(f"unknown claimed class {claimed!r}")
 
-    if samples is None:
-        samples = SamplingConfig()
-    points = draw_samples(f_grad.dimension, samples) if isinstance(samples, SamplingConfig) \
-        else np.atleast_2d(np.asarray(samples, dtype=float))
+    points = sample_points(f_grad.dimension, samples)
     for y in critical_points:
         grad_norm = float(np.linalg.norm(f_grad(y)))
         if grad_norm > CRITICAL_POINT_TOL:
             raise ValueError(
                 f"supplied point {np.asarray(y).tolist()} is not critical "
                 f"(gradient norm {grad_norm:.3e})")
+    # One descent-map walk per sample gives every delta Jacobian I - J(G^j);
+    # one walk per critical point gives every delta residual |y - G^j(y)|.
+    descent = GdMap(f_grad, gamma)
+    eye = np.eye(f_grad.dimension)
+    per_j_low = [np.inf] * (k + 1)
+    per_j_high = [-np.inf] * (k + 1)
+    for x in points:
+        for j, (_, prefix) in enumerate(walk_orbit(descent, x, k, jacobians=True), start=1):
+            lo, hi = _eigen_interval(eye - prefix)
+            per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
+    residuals = [[float(np.linalg.norm(as_vector(y) - image))
+                  for image in walk_orbit(descent, y, k)] for y in critical_points]
     report = GdPropagationReport(claimed, gamma, lam, k)
     for j in range(1, k + 1):
-        delta_field = model_delta_field(f_grad, gamma, j)
-        spectra = _spectra(delta_field, points)
-        lo = min(s.lambda_min for s in spectra)
-        hi = max(s.lambda_max for s in spectra)
+        lo, hi = per_j_low[j], per_j_high[j]
         if claimed == "convex":
             # Convex potentials give delta fields with spectra in [0, L],
             # L = 1 for gamma <= 1/beta and 2 otherwise.
@@ -326,7 +316,6 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
             low_k, high_k = 1.0 - lam ** k, 1.0 + lam ** k
         passed = (lo >= low_j - tol) and (hi <= high_j + tol)
         passed_k = (lo >= min(low_j, low_k) - tol) and (hi <= max(high_j, high_k) + tol)
-        residuals = [float(np.linalg.norm(delta_field(y))) for y in critical_points]
         report.levels.append(GdPropagationLevel(
-            j, lo, hi, low_j, high_j, passed, passed_k, residuals))
+            j, lo, hi, low_j, high_j, passed, passed_k, [r[j - 1] for r in residuals]))
     return report

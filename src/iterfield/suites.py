@@ -13,10 +13,10 @@ import numpy as np
 
 from . import fedavg as fa
 from . import polynomials as poly
-from .conservatism import SamplingConfig, check_numeric, check_poly, scan_k
-from .fields import Compose, Iterate, Linear, compose, gd_map, jacobian
-from .glm import (GlmSpec, NonOrthogonalError, glm_gradient_field, iterated_glm,
-                  iterated_glm_gd, orthogonality_check, surrogate_potential)
+from .conservatism import SamplingConfig, check_poly, scan_k
+from .fields import Iterate, Linear, compose, gd_map
+from .glm import (GlmSpec, NonOrthogonalError, closed_form_deviation, glm_gradient_field,
+                  iterated_glm, iterated_glm_gd, orthogonality_check, surrogate_potential)
 from .spectral import check_gd_propagation, check_propagation
 
 COEFF_NAMES = ("a", "b", "c", "d")
@@ -59,7 +59,7 @@ def rotation_divisibility() -> dict:
         rot = Rotation2D(j)
         exact = scan_k(rot, 12).pattern()
         exact_ok = all(exact[k] == (k % j == 0) for k in range(1, 13))
-        residuals = [check_numeric(rot, k).residual for k in range(1, 13)]
+        residuals = [v.residual for _, v in scan_k(rot, 12, mode="numeric").entries]
         numeric_ok = all(
             (residuals[k - 1] < 1e-10) if k % j == 0 else (residuals[k - 1] > 0.1)
             for k in range(1, 13))
@@ -163,8 +163,7 @@ def glm_counterexample() -> dict:
     spec = GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp")
     field = glm_gradient_field(spec)
     box = SamplingConfig(count=50, radius=1.0, seed=3, kind="box")
-    v1 = check_numeric(field, 1, box)
-    v2 = check_numeric(field, 2, box)
+    v1, v2 = (v for _, v in scan_k(field, 2, sampling=box).entries)
     passed = v1.kind == "numeric-pass" and v2.kind == "numeric-fail" and v2.residual > 0.1
     return {"name": "glm-counterexample", "passed": passed,
             "k1": v1.to_dict(), "k2": v2.to_dict(),
@@ -181,21 +180,10 @@ def glm_orthogonal(points: int = 100, k_max: int = 5, tol: float = 1e-9) -> dict
     for act in ("quadratic", "exp", "logistic"):
         for m in (1, 2, 3):
             spec = GlmSpec(_orthogonal_directions(rng, 3, m), act)
-            grad = glm_gradient_field(spec)
             samples = rng.standard_normal((points, 3))
             samples /= np.maximum(1.0, np.linalg.norm(samples, axis=1))[:, None]
-            for k in range(1, k_max + 1):
-                closed = iterated_glm(spec, k)
-                closed_gd = iterated_glm_gd(spec, gamma, k)
-                brute = Iterate(grad, k)
-                brute_gd = Iterate(gd_map(grad, gamma), k)
-                for x in samples:
-                    ref = brute(x)
-                    dev = np.linalg.norm(closed(x) - ref) / max(1.0, np.linalg.norm(ref))
-                    ref_gd = brute_gd(x)
-                    dev_gd = np.linalg.norm(closed_gd(x) - ref_gd) / max(1.0, np.linalg.norm(ref_gd))
-                    worst = max(worst, dev, dev_gd)
-                    checks += 2
+            worst = max(worst, closed_form_deviation(spec, samples, k_max, gamma))
+            checks += 2 * k_max * len(samples)
     try:
         iterated_glm(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"), 2)
         raises = False
@@ -215,7 +203,7 @@ def glm_opposite() -> dict:
     residual = orthogonality_check(directions)
     spec = GlmSpec(directions, "exp")
     field = glm_gradient_field(spec)
-    verdicts = {k: check_numeric(field, k).kind for k in range(1, 5)}
+    verdicts = {k: v.kind for k, v in scan_k(field, 4, mode="numeric").entries}
     passed = (residual == 1.0 and not spec.orthogonal
               and all(v == "numeric-pass" for v in verdicts.values()))
     return {"name": "glm-opposite", "passed": passed,

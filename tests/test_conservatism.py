@@ -6,7 +6,9 @@ import pytest
 from iterfield.conservatism import (SamplingConfig, Verdict, check_linear,
                                     check_numeric, check_poly, check_rotation,
                                     draw_samples, scan_k)
-from iterfield.fields import (Constant, Iterate, Linear, Rotation2D, Sum, compose)
+from iterfield.fields import (Callback, Constant, Iterate, Linear, NonFiniteValueError,
+                              PolyExact, Rotation2D, Sum, asymmetry, compose, gd_map,
+                              jacobian)
 from iterfield.glm import GlmSpec, glm_gradient_field
 from iterfield.polynomials import PolyField, RationalPoly
 
@@ -118,6 +120,15 @@ class TestCheckNumeric:
         verdict = check_numeric(field, 2, np.array([[0.1, 0.2], [0.3, -0.4]]))
         assert verdict.kind == "numeric-pass"
 
+    def test_overflowing_residual_still_fails(self):
+        # Entries of A^4 near 1e160 overflow a direct Frobenius norm.
+        field = Linear([[1e40, 1e39], [0.0, 1e40]])
+        assert check_numeric(field, 1).kind == "numeric-fail"
+        verdict = check_numeric(field, 4)
+        assert verdict.kind == "numeric-fail"
+        assert np.isfinite(verdict.residual) and verdict.residual > 0.1
+        assert verdict.witness is not None
+
 
 class TestScan:
     def test_pattern_extends_past_paper_range(self):
@@ -147,6 +158,16 @@ class TestScan:
         # (rotation by pi/4)^2 iterated k times is conservative iff 4 | 2k
         assert report.pattern() == {1: False, 2: True, 3: False, 4: True}
         assert all(v.exact for _, v in report.entries)
+
+    def test_exact_iterate_reads_powers_of_inner(self):
+        A = [[1, 2], [1, -1]]
+        report = scan_k(Iterate(Linear(A), 3), 4)
+        for k, verdict in report.entries:
+            assert verdict.to_dict() == check_linear(A, 3 * k).to_dict()
+        V = PolyField.gradient_of(RationalPoly(2, {(2, 1): 1}))
+        report = scan_k(Iterate(PolyExact(V), 2), 2)
+        for k, verdict in report.entries:
+            assert verdict.to_dict() == check_poly(V, 2 * k).to_dict()
 
     def test_numeric_mode_forced(self):
         report = scan_k(Linear(np.diag([1.0, 2.0])), 2, mode="numeric")
@@ -183,3 +204,75 @@ class TestSampling:
         assert Verdict("exact-yes").is_yes
         assert not Verdict("numeric-fail", residual=1.0).is_yes
         assert Verdict("numeric-pass", residual=0.0).to_dict()["residual"] == 0.0
+
+
+def _logistic():
+    return glm_gradient_field(GlmSpec([[1.0, 0.4], [0.2, 0.9]], "logistic"))
+
+
+WALK_FIELDS = {
+    "logistic-glm": _logistic,
+    "gd-map": lambda: gd_map(_logistic(), 0.4),
+    "compose-linear": lambda: compose(Linear([[1.0, 2.0], [0.0, 1.0]]), _logistic()),
+    "exp-glm-skipping": lambda: glm_gradient_field(GlmSpec([[1.5, 0.0], [0.3, 1.5]], "exp")),
+}
+
+
+def _reference_numeric(field, k, points):
+    """Worst residual, witness and skip count of J(V^k), one walk per k."""
+    worst, witness, skipped = -1.0, None, 0
+    for x in points:
+        try:
+            y, J = x, None
+            for j in range(k):
+                if j:
+                    y = field(y)
+                step = jacobian(field, y)
+                J = step if J is None else step @ J
+            if not np.all(np.isfinite(J)):
+                raise NonFiniteValueError("non-finite chain product")
+        except NonFiniteValueError:
+            skipped += 1
+            continue
+        residual = asymmetry(J)
+        if residual > worst:
+            worst, witness = residual, [float(v) for v in x]
+    return worst, witness, skipped
+
+
+def _counting_jacobian(field):
+    """field as a Callback whose analytic step Jacobians are counted."""
+    calls = []
+
+    def jac(x):
+        calls.append(1)
+        return field.jacobian_analytic(x)
+
+    return Callback(field, field.dimension, jacobian=jac), calls
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("name", sorted(WALK_FIELDS))
+    def test_scan_reads_every_k_off_one_walk(self, name):
+        field = WALK_FIELDS[name]()
+        cfg = SamplingConfig(count=50, seed=0)
+        points = draw_samples(field.dimension, cfg)
+        report = scan_k(field, 3, mode="numeric", sampling=cfg)
+        for k, verdict in report.entries:
+            assert verdict.to_dict() == check_numeric(field, k, points).to_dict()
+            worst, witness, skipped = _reference_numeric(field, k, points)
+            assert verdict.residual == worst
+            assert verdict.skipped_samples == skipped
+            assert verdict.witness == (witness if verdict.kind == "numeric-fail" else None)
+        if name == "exp-glm-skipping":
+            assert report.verdict(3).skipped_samples > 0
+
+    def test_scan_makes_one_step_jacobian_per_sample_and_step(self):
+        field, calls = _counting_jacobian(_logistic())
+        scan_k(field, 6, sampling=SamplingConfig(count=20, seed=0))
+        assert len(calls) == 20 * 6
+
+    def test_iterate_jacobian_makes_k_step_jacobians(self):
+        field, calls = _counting_jacobian(_logistic())
+        Iterate(field, 5).jacobian_analytic(np.array([0.2, -0.1]))
+        assert len(calls) == 5

@@ -5,6 +5,7 @@ import pytest
 
 from iterfield import fedavg as fa
 from iterfield.conservatism import SamplingConfig
+from iterfield.fields import Callback
 from iterfield.glm import GlmSpec, iterated_glm_gd
 
 
@@ -77,6 +78,28 @@ class TestServerField:
 
 
 class TestRunFedavg:
+    def test_config_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError):
+            fa.FedAvgConfig([fa.QuadraticClient(np.eye(2), np.zeros(2)),
+                             fa.QuadraticClient(np.eye(3), np.zeros(3))],
+                            gamma=0.5, eta=1.0, k=1, rounds=1, x0=[0.0, 0.0])
+
+    def test_each_client_map_runs_once_per_round(self):
+        class CountingClient:
+            def __init__(self, matrix):
+                self.dimension = 2
+                self.calls = []
+                inner = fa.QuadraticClient(matrix, [0.5, -0.5]).gradient_field()
+                self.field = Callback(lambda x: self.calls.append(1) or inner(x), 2)
+
+            def gradient_field(self):
+                return self.field
+
+        clients = [CountingClient(np.diag([1.0, 3.0])), CountingClient(np.diag([3.0, 1.0]))]
+        config = fa.FedAvgConfig(clients, gamma=0.25, eta=1.0, k=3, rounds=5, x0=[1.0, 2.0])
+        assert fa.run_fedavg(config).rounds_completed == 5
+        assert [len(c.calls) for c in clients] == [3 * 5, 3 * 5]
+
     def test_single_client_one_round_convergence(self):
         client = fa.QuadraticClient(np.eye(2), np.zeros(2))
         config = fa.FedAvgConfig([client], gamma=1.0, eta=1.0, k=3, rounds=4,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iterfield.fields import (Affine, Analytic, CentralDifference, ChainProduct,
+from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, ChainProduct,
                               Compose, Constant, CoordWise1D, DimensionMismatchError,
                               GdMap, Iterate, JacobianMethodError, Linear,
                               NonFiniteValueError, PolyExact, Rotation2D, Scale,
@@ -29,6 +29,11 @@ class TestEvaluation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Linear(np.eye(2))([1.0, 2.0, 3.0])
+
+    def test_output_shape_checked(self):
+        field = Callback(lambda x: np.array([x[0], x[1], 0.0]), 2)
+        with pytest.raises(DimensionMismatchError):
+            field([1.0, 2.0])
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NonFiniteValueError):
@@ -211,6 +216,13 @@ class TestAsymmetry:
         # off-diagonal gap of ((4x^3y, 4x^2y^2)) at (1,1) is 4 - 8
         assert J[0][1] - J[1][0] == pytest.approx(-4.0)
         assert asymmetry(J) > 0
+
+    def test_finite_when_norms_overflow(self):
+        B = np.array([[1.0, 2.0], [0.0, 1.0]])
+        for scale in (1e160, 1e300):
+            value = asymmetry(scale * B)
+            assert np.isfinite(value)
+            assert value == pytest.approx(asymmetry(B))
 
     def test_zero_iff_symmetric(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iterfield.conservatism import check_numeric
 from iterfield.fields import Iterate, NonFiniteValueError, gd_map, jacobian
 from iterfield.glm import (ACTIVATIONS, GlmSpec, NonOrthogonalError,
                            derivative_residual, get_activation, glm_gradient_field,
@@ -257,3 +258,26 @@ class TestSurrogatePotential:
             surrogate_potential(spec, [0.0, 0.0], 2, "sideways")
         with pytest.raises(ValueError):
             surrogate_potential(spec, [0.0, 0.0], 2, "gd-iterate")  # missing gamma
+
+
+class TestOverflowPolicy:
+    def test_closed_form_jacobian(self):
+        field = iterated_glm(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "exp"), 3)
+        with pytest.raises(NonFiniteValueError):
+            jacobian(field, [3.0, 0.0])
+
+    def test_descent_closed_form_jacobian(self):
+        field = iterated_glm_gd(GlmSpec([[1.0]], "exp"), 0.5, 1)
+        with pytest.raises(NonFiniteValueError):
+            jacobian(field, [800.0])
+
+    @pytest.mark.parametrize("mode", ["gd-iterate", "grad-iterate"])
+    def test_surrogate_potential(self, mode):
+        with pytest.raises(NonFiniteValueError):
+            surrogate_potential(GlmSpec([[1.0]], "exp"), [800.0], 1, mode, gamma=0.5)
+
+    def test_overflowing_sample_is_skipped(self):
+        field = iterated_glm(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "exp"), 3)
+        verdict = check_numeric(field, 1, [[3.0, 0.0], [0.1, 0.2], [0.2, 0.1]])
+        assert verdict.kind == "numeric-pass"
+        assert verdict.skipped_samples == 1

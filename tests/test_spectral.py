@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iterfield.conservatism import SamplingConfig
+from iterfield.conservatism import SamplingConfig, draw_samples
 from iterfield.fields import Linear, PolyExact
 from iterfield.glm import GlmSpec, glm_gradient_field
 from iterfield.polynomials import PolyField, RationalPoly
@@ -95,6 +95,14 @@ class TestPropagation:
         report = check_propagation(Linear(np.diag([0.5, 0.75])), 3)
         assert all(level.passed_k_level for level in report.levels)
 
+    def test_negative_alpha_uses_magnitude_bound(self):
+        # Squaring diag(-2, 1) gives spectrum [1, 4]; the powered interval
+        # [(-2)^2, 1^2] = [4, 1] would be inverted.
+        report = check_propagation(Linear(np.diag([-2.0, 1.0])), 2)
+        assert report.passed
+        assert [(lv.bound_low, lv.bound_high) for lv in report.levels] == [(-2.0, 2.0),
+                                                                           (-4.0, 4.0)]
+
     def test_refuses_non_conservative(self):
         field = glm_gradient_field(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
         with pytest.raises(NotConservativeError):
@@ -103,6 +111,24 @@ class TestPropagation:
 
 
 class TestGdPropagation:
+    def test_levels_match_model_delta_spectra(self):
+        from iterfield.fedavg import QuadraticClient
+        client = QuadraticClient([[2.0, 0.5], [0.5, 1.0]], [0.4, -0.3])
+        fields = [(glm_gradient_field(GlmSpec([[1.0, 0.3], [0.2, 0.9]], "logistic")), []),
+                  (client.gradient_field(), [client.center])]
+        cfg = SamplingConfig(count=20, seed=4)
+        points = draw_samples(2, cfg)
+        for field, critical in fields:
+            report = check_gd_propagation(field, 0.4, 3, cfg, claimed="convex", beta=4.0,
+                                          critical_points=critical)
+            for level in report.levels:
+                delta = model_delta_field(field, 0.4, level.j)
+                spectra = [spectrum_at(delta, p) for p in points]
+                assert level.lambda_min == min(s.lambda_min for s in spectra)
+                assert level.lambda_max == max(s.lambda_max for s in spectra)
+                assert level.critical_point_residuals == [
+                    float(np.linalg.norm(delta(y))) for y in critical]
+
     def test_quadratic_strongly_convex(self):
         field = Linear(np.diag([1.0, 3.0]))
         report = check_gd_propagation(field, 0.5, 2, claimed="strongly-convex",
