@@ -20,8 +20,8 @@ from .conservatism import (ConservatismReport, SamplingConfig, SamplingError,
 from .glm import (ACTIVATIONS, Activation, GlmGdIterate, GlmGradient, GlmIterate,
                   GlmSpec, NonOrthogonalError, activation_from_expression,
                   derivative_residual, get_activation, glm_gradient,
-                  glm_gradient_field, iterated_glm, iterated_glm_gd,
-                  orthogonality_check, surrogate_potential)
+                  iterated_glm, iterated_glm_gd, orthogonality_check,
+                  surrogate_potential)
 from .spectral import (ConvexityClass, GdPropagationReport, NotConservativeError,
                        PropagationReport, SpectrumSample, StepSizeError,
                        check_gd_propagation, check_propagation, classify,

@@ -1,9 +1,11 @@
 """Command-line interface: parse configs, dispatch, emit deterministic reports.
 
 Exit codes: 0 on success, 1 on a verified failure (an asserted expectation
-did not hold), 2 on usage or configuration errors.  All artifacts are
-written atomically and are byte-identical across reruns with the same
-seed; the ITERFIELD_SEED environment variable overrides config seeds.
+did not hold), 2 on usage or configuration errors and on library errors
+that keep a command from deciding, such as too many overflowing samples.
+All artifacts are written atomically and are byte-identical across reruns
+with the same seed; the ITERFIELD_SEED environment variable overrides
+config seeds.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import numpy as np
 
 from . import __version__
 from . import fedavg as fa
-from . import suites
+from . import quadrature, rationals, suites
 from .configs import (ConfigError, fedavg_config_from_obj, field_from_obj,
                       glm_spec_from_obj, load_json_file, load_json_text)
-from .conservatism import SamplingConfig, scan_k
+from .conservatism import SamplingConfig, SamplingError, scan_k
 from .fields import FieldError, Linear, PolyExact, Rotation2D
 from .glm import NonOrthogonalError, closed_form_deviation
-from .polynomials import PolyField
+from .polynomials import PolyField, PolynomialSizeError
 from .reports import canonical_json, run_manifest, write_json, write_trace_csv
 from .spectral import (NotConservativeError, StepSizeError, check_gd_propagation,
                        check_propagation, classify)
@@ -30,8 +32,13 @@ from .spectral import (NotConservativeError, StepSizeError, check_gd_propagation
 USAGE_ERROR = 2
 VERIFIED_FAIL = 1
 
+# Errors that keep a command from deciding: USAGE_ERROR, never VERIFIED_FAIL.
+LIBRARY_ERRORS = (ConfigError, FieldError, NonOrthogonalError, SamplingError,
+                  PolynomialSizeError, quadrature.QuadratureError, rationals.SingularMatrixError,
+                  NotConservativeError, fa.ConvergenceError, fa.SurrogateUnavailableError)
 
-def _resolve_seed(seed: int) -> int:
+
+def _resolve_seed(seed: int | None) -> int | None:
     env = os.environ.get("ITERFIELD_SEED")
     if env is not None:
         try:
@@ -227,8 +234,7 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_fedavg(args) -> int:
     obj = load_json_file(args.config)
-    env_seed = os.environ.get("ITERFIELD_SEED")
-    config = fedavg_config_from_obj(obj, seed_override=int(env_seed) if env_seed else None)
+    config = fedavg_config_from_obj(obj, seed_override=_resolve_seed(None))
     trace = fa.run_fedavg(config)
     outdir = args.outdir
     csv_path = os.path.join(outdir, "fedavg_trace.csv")
@@ -361,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, NonOrthogonalError, FieldError) as err:
+    except LIBRARY_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -12,7 +12,7 @@ import json
 from .fedavg import FedAvgConfig, GlmClient, QuadraticClient
 from .fields import (Affine, Compose, Constant, CoordWise1D, Field, GdMap,
                      Iterate, Linear, PolyExact, Rotation2D, Scale, ScalarMap, Sum)
-from .glm import GlmSpec, get_activation, glm_gradient_field
+from .glm import GlmSpec, get_activation, glm_gradient
 from .polynomials import PolyField
 
 SCHEMA_VERSION = 1
@@ -81,7 +81,7 @@ def field_from_obj(obj) -> Field:
         if variant == "rotation":
             return Rotation2D(int(_need(obj, "j", variant)))
         if variant in ("glm", "glm_gradient"):
-            return glm_gradient_field(glm_spec_from_obj(obj))
+            return glm_gradient(glm_spec_from_obj(obj))
         if variant in ("gd", "gd_map"):
             return GdMap(field_from_obj(_need(obj, "inner", variant)),
                          float(_need(obj, "gamma", variant)))

@@ -21,7 +21,7 @@ from . import rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Field, GdMap, Iterate, NonFiniteValueError, Sum,
                      as_matrix, as_vector)
-from .glm import GlmSpec, glm_gradient_field, surrogate_potential
+from .glm import GlmSpec, glm_gradient, surrogate_potential
 from .spectral import model_delta_field
 
 FIXED_POINT_TOL = 1e-12
@@ -83,7 +83,7 @@ class GlmClient:
         return self.spec.dimension
 
     def gradient_field(self) -> Field:
-        return glm_gradient_field(self.spec)
+        return glm_gradient(self.spec)
 
     def loss(self, x) -> float:
         x = as_vector(x, self.dimension)
@@ -293,10 +293,10 @@ def server_surrogate(clients, gamma: float, k: int):
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
-    With eta = 1 every round is verified (to 1e-12) against the plain
-    model-average recursion, which the delta update must reproduce
-    exactly.  A non-finite iterate truncates the trace with a diagnostic
-    instead of poisoning it.
+    With eta = 1 every round is verified against the plain model-average
+    recursion, which the delta update must reproduce to 1e-12 times
+    max(1, |model average|_inf).  A non-finite iterate truncates the trace
+    with a diagnostic instead of poisoning it.
     """
     clients = config.clients
     client_maps = [Iterate(GdMap(c.gradient_field(), config.gamma), config.k)
@@ -324,7 +324,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
                     avg += y
                 avg /= len(ys)
                 gap = float(np.max(np.abs((x - v) - avg)))
-                if gap > EQUIVALENCE_TOL:
+                if gap > EQUIVALENCE_TOL * max(1.0, float(np.max(np.abs(avg)))):
                     raise RuntimeError(
                         f"delta update and model average disagree by {gap:.3e} at round {t}")
             x = x_next

@@ -104,11 +104,18 @@ class Field:
     dimension: int
 
     def __call__(self, x) -> np.ndarray:
-        x = as_vector(x, self.dimension)
-        # Overflow policy: non-finite results raise (with context) instead of
-        # propagating silently, so the numpy warning is redundant noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.asarray(self._eval(x), dtype=float)
+        return self._evaluate(as_vector(x, self.dimension))
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The field at a point ``as_vector`` already checked; nested fields and
+        orbit walks call this.  Overflow and non-finite results raise
+        NonFiniteValueError, so numpy's overflow warnings are silenced."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.asarray(self._eval(x), dtype=float)
+        except OverflowError as err:
+            raise NonFiniteValueError(
+                f"{self.describe()} overflowed at x={x.tolist()}") from err
         if y.shape != x.shape:
             raise DimensionMismatchError(
                 f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
@@ -277,7 +284,7 @@ class GdMap(Field):
         self.dimension = inner.dimension
 
     def _eval(self, x):
-        return x - self.gamma * self.inner(x)
+        return x - self.gamma * self.inner._evaluate(x)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -379,7 +386,7 @@ class Sum(Field):
     def _eval(self, x):
         total = np.zeros(self.dimension)
         for w, f in zip(self.weights, self.fields):
-            total += w * f(x)
+            total += w * f._evaluate(x)
         return total
 
     def jacobian_analytic(self, x):
@@ -427,7 +434,7 @@ class Scale(Field):
         self.dimension = inner.dimension
 
     def _eval(self, x):
-        return self.c * self.inner(x)
+        return self.c * self.inner._evaluate(x)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -462,13 +469,13 @@ class Compose(Field):
         self.dimension = outer.dimension
 
     def _eval(self, x):
-        return self.outer(self.inner(x))
+        return self.outer._evaluate(self.inner._evaluate(x))
 
     def jacobian_analytic(self, x):
         Ji = self.inner.jacobian_analytic(x)
         if Ji is None:
             return None
-        y = self.inner(x)
+        y = self.inner._evaluate(x)
         Jo = self.outer.jacobian_analytic(y)
         if Jo is None:
             return None
@@ -576,7 +583,11 @@ def _step_jacobian(field: Field, x: np.ndarray,
                    method: Analytic | CentralDifference | None) -> np.ndarray:
     if isinstance(method, CentralDifference):
         return _finite_difference_jacobian(field, x, method.h)
-    J = field.jacobian_analytic(x)
+    try:
+        J = field.jacobian_analytic(x)
+    except OverflowError as err:
+        raise NonFiniteValueError(
+            f"Jacobian of {field.describe()} overflowed at x={x.tolist()}") from err
     if J is None:
         if isinstance(method, Analytic):
             raise JacobianMethodError(
@@ -616,7 +627,7 @@ def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
             if i == total:
                 return
         try:
-            point = inner(point)
+            point = inner._evaluate(point)
         except NonFiniteValueError as err:
             if err.iterate_index is None:
                 raise NonFiniteValueError(

@@ -27,17 +27,6 @@ class NonOrthogonalError(ValueError):
     """Closed-form iterates require mutually orthogonal directions."""
 
 
-def _call_scalar(fn: Callable[[float], float], t: float, context: Callable[[], str]) -> float:
-    """fn(t), with overflow as NonFiniteValueError named by ``context()``."""
-    try:
-        value = float(fn(t))
-    except OverflowError as err:
-        raise NonFiniteValueError(f"{context()}: scalar overflow at t={t}") from err
-    if not math.isfinite(value):
-        raise NonFiniteValueError(f"{context()}: non-finite value {value} at t={t}")
-    return value
-
-
 @dataclass(frozen=True)
 class Activation:
     """A scalar C^1 activation with its derivative.
@@ -214,9 +203,8 @@ class GlmGradient(Field):
     def _eval(self, x):
         deriv = self.spec.activation.deriv
         out = np.zeros(self.dimension)
-        for i, z in enumerate(self.spec.directions):
-            t = float(x @ z)
-            out += _call_scalar(deriv, t, lambda: f"{self.describe()} direction {i}") * z
+        for z in self.spec.directions:
+            out += deriv(float(x @ z)) * z
         return out
 
     def jacobian_analytic(self, x):
@@ -224,10 +212,8 @@ class GlmGradient(Field):
         if second is None:
             return None
         J = np.zeros((self.dimension, self.dimension))
-        for i, z in enumerate(self.spec.directions):
-            t = float(x @ z)
-            curv = _call_scalar(second, t, lambda: f"{self.describe()} curvature {i}")
-            J += curv * np.outer(z, z)
+        for z in self.spec.directions:
+            J += second(float(x @ z)) * np.outer(z, z)
         return J
 
     def describe(self):
@@ -235,36 +221,37 @@ class GlmGradient(Field):
 
 
 def glm_gradient(spec: GlmSpec) -> GlmGradient:
-    return glm_gradient_field(spec)
-
-
-def glm_gradient_field(spec: GlmSpec) -> GlmGradient:
     return GlmGradient(spec)
 
 
-def _phi_orbit(spec: GlmSpec, i: int, t: float, steps: int) -> float:
-    """Apply phi_i(t) = |z_i|^2 sigma'(t) the given number of times."""
-    deriv = spec.activation.deriv
-    w = float(spec.norms_squared()[i])
+def _scalar_orbit(deriv: Callable[[float], float], t: float, w: float, steps: int,
+                  gamma: float | None = None):
+    """Yield (s_j, sigma'(s_j)) for j = 0..steps-1 along the scalar orbit
+    s_0 = t of s -> w sigma'(s) or, given gamma, of s -> s - gamma w sigma'(s),
+    never taking the step after the last.  A non-finite sigma'(s_j) raises
+    NonFiniteValueError, and so does a non-finite point of the plain map,
+    with its step j as ``iterate_index``."""
     s = t
-    for j in range(steps):
-        s = w * _call_scalar(deriv, s, lambda: f"scalar map for direction {i}, step {j + 1}")
-        if not math.isfinite(s):
-            raise NonFiniteValueError(
-                f"scalar map overflow for direction {i}", iterate_index=j + 1)
-    return s
+    for j in range(1, steps + 1):
+        v = deriv(s)
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"sigma' is {v} at s={s}")
+        yield s, v
+        if j == steps:
+            return
+        s = w * v if gamma is None else s - gamma * w * v
+        if gamma is None and not math.isfinite(s):
+            raise NonFiniteValueError(f"scalar map overflow at step {j}", iterate_index=j)
 
 
-def _descent_sum(deriv: Callable[[float], float], t: float, w: float, gamma: float, k: int,
-                 context: Callable[[], str]) -> float:
-    """Sum of sigma' over k steps of the scalar descent s -> s - gamma w sigma'(s) from t."""
-    s = t
-    acc = 0.0
-    for j in range(k):
-        value = _call_scalar(deriv, s, lambda: f"{context()}, step {j + 1}")
-        acc += value
-        s = s - gamma * w * value
-    return acc
+def _orbit_weight(deriv: Callable[[float], float], t: float, w: float, k: int,
+                  gamma: float | None = None) -> float:
+    """A closed form's weight on one direction, and its potential's integrand:
+    sigma'(s_k-1) on the plain map, the sum of sigma'(s_j) on the descent map."""
+    if gamma is None:
+        *_, (_, v) = _scalar_orbit(deriv, t, w, k)
+        return v
+    return sum(v for _, v in _scalar_orbit(deriv, t, w, k, gamma))
 
 
 class GlmIterate(Field):
@@ -281,9 +268,8 @@ class GlmIterate(Field):
     def _eval(self, x):
         deriv = self.spec.activation.deriv
         out = np.zeros(self.dimension)
-        for i, z in enumerate(self.spec.directions):
-            s = _phi_orbit(self.spec, i, float(x @ z), self.k - 1)
-            out += _call_scalar(deriv, s, lambda: f"{self.describe()} direction {i}") * z
+        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
+            out += _orbit_weight(deriv, float(x @ z), float(w), self.k) * z
         return out
 
     def jacobian_analytic(self, x):
@@ -291,17 +277,16 @@ class GlmIterate(Field):
         if second is None:
             return None
         deriv = self.spec.activation.deriv
-        norms_sq = self.spec.norms_squared()
         J = np.zeros((self.dimension, self.dimension))
-        for i, z in enumerate(self.spec.directions):
-            w = float(norms_sq[i])
-            s = float(x @ z)
-            chain = 1.0
-            for _ in range(self.k - 1):
-                chain *= w * _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
-                s = w * _call_scalar(deriv, s, lambda: f"{self.describe()} direction {i}")
-            curv = _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
-            J += curv * chain * np.outer(z, z)
+        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
+            # chain = d s_k-1 / d s_0 = prod_{j < k-1} w sigma''(s_j); the walk
+            # stops short of s_k-1, where sigma' is not needed.
+            w = float(w)
+            s, chain = float(x @ z), 1.0
+            for s_j, v in _scalar_orbit(deriv, s, w, self.k - 1):
+                chain *= w * second(s_j)
+                s = w * v
+            J += second(s) * chain * np.outer(z, z)
         return J
 
     def describe(self):
@@ -329,12 +314,10 @@ class GlmGdIterate(Field):
 
     def _eval(self, x):
         deriv = self.spec.activation.deriv
-        norms_sq = self.spec.norms_squared()
         out = np.array(x, dtype=float)
-        for i, z in enumerate(self.spec.directions):
-            acc = _descent_sum(deriv, float(x @ z), float(norms_sq[i]), self.gamma, self.k,
-                               lambda: f"{self.describe()} direction {i}")
-            out -= self.gamma * acc * z
+        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
+            out -= self.gamma * _orbit_weight(deriv, float(x @ z), float(w), self.k,
+                                              self.gamma) * z
         return out
 
     def jacobian_analytic(self, x):
@@ -342,19 +325,14 @@ class GlmGdIterate(Field):
         if second is None:
             return None
         deriv = self.spec.activation.deriv
-        norms_sq = self.spec.norms_squared()
         J = np.eye(self.dimension)
-        for i, z in enumerate(self.spec.directions):
-            w = float(norms_sq[i])
-            s = float(x @ z)
-            chain = 1.0
-            total = 0.0
-            for _ in range(self.k):
-                curv = _call_scalar(second, s, lambda: f"{self.describe()} curvature {i}")
+        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
+            w = float(w)
+            chain, total = 1.0, 0.0
+            for s, _ in _scalar_orbit(deriv, float(x @ z), w, self.k, self.gamma):
+                curv = second(s)
                 total += curv * chain
                 chain *= 1.0 - self.gamma * w * curv
-                s = s - self.gamma * w * _call_scalar(
-                    deriv, s, lambda: f"{self.describe()} direction {i}")
             J -= self.gamma * total * np.outer(z, z)
         return J
 
@@ -377,7 +355,7 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     """Worst relative deviation of iterated_glm (and, given gamma,
     iterated_glm_gd) from brute-force iteration, over k <= k_max and the
     points; one orbit walk per point gives V^1(x) .. V^k_max(x)."""
-    grad = glm_gradient_field(spec)
+    grad = glm_gradient(spec)
     pairs = [(grad, [iterated_glm(spec, k) for k in range(1, k_max + 1)])]
     if gamma is not None:
         pairs.append((GdMap(grad, gamma),
@@ -405,27 +383,15 @@ def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
     if k < 1:
         raise ValueError("k must be >= 1")
     x = as_vector(x, spec.dimension)
+    if mode == "grad-iterate":
+        gamma = None
+    elif mode != "gd-iterate":
+        raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")
+    elif gamma is None or not (gamma > 0):
+        raise ValueError("gd-iterate mode needs a positive gamma")
     deriv = spec.activation.deriv
-    norms_sq = spec.norms_squared()
     total = 0.0
-    if mode in ("grad-iterate", "grad"):
-        for i, z in enumerate(spec.directions):
-            upper = float(x @ z)
-            total += integrate(
-                lambda t, i=i: _call_scalar(deriv, _phi_orbit(spec, i, t, k - 1),
-                                            lambda: f"potential for direction {i}"),
-                0.0, upper)
-        return total
-    if mode in ("gd-iterate", "gd"):
-        if gamma is None or not (gamma > 0):
-            raise ValueError("gd-iterate mode needs a positive gamma")
-
-        for i, z in enumerate(spec.directions):
-            upper = float(x @ z)
-            w = float(norms_sq[i])
-            total += integrate(
-                lambda t, i=i, w=w: _descent_sum(deriv, t, w, gamma, k,
-                                                 lambda: f"potential for direction {i}"),
-                0.0, upper)
-        return total
-    raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")
+    for z, w in zip(spec.directions, spec.norms_squared()):
+        total += integrate(lambda t, w=float(w): _orbit_weight(deriv, t, w, k, gamma),
+                           0.0, float(x @ z))
+    return total

@@ -15,7 +15,7 @@ from . import fedavg as fa
 from . import polynomials as poly
 from .conservatism import SamplingConfig, check_poly, scan_k
 from .fields import Iterate, Linear, compose, gd_map
-from .glm import (GlmSpec, NonOrthogonalError, closed_form_deviation, glm_gradient_field,
+from .glm import (GlmSpec, NonOrthogonalError, closed_form_deviation, glm_gradient,
                   iterated_glm, iterated_glm_gd, orthogonality_check, surrogate_potential)
 from .spectral import check_gd_propagation, check_propagation
 
@@ -161,7 +161,7 @@ def glm_counterexample() -> dict:
     """Summing the models exp(x) and exp(x+y), each with a forever-conservative
     gradient, yields a gradient field whose second iterate is not conservative."""
     spec = GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp")
-    field = glm_gradient_field(spec)
+    field = glm_gradient(spec)
     box = SamplingConfig(count=50, radius=1.0, seed=3, kind="box")
     v1, v2 = (v for _, v in scan_k(field, 2, sampling=box).entries)
     passed = v1.kind == "numeric-pass" and v2.kind == "numeric-fail" and v2.residual > 0.1
@@ -202,7 +202,7 @@ def glm_opposite() -> dict:
     directions = np.array([[1.0, 0.0], [-1.0, 0.0]])
     residual = orthogonality_check(directions)
     spec = GlmSpec(directions, "exp")
-    field = glm_gradient_field(spec)
+    field = glm_gradient(spec)
     verdicts = {k: v.kind for k, v in scan_k(field, 4, mode="numeric").entries}
     passed = (residual == 1.0 and not spec.orthogonal
               and all(v == "numeric-pass" for v in verdicts.values()))
@@ -251,9 +251,9 @@ def spectral_propagation() -> dict:
     lin = check_propagation(Linear(np.diag([0.5, 0.75])), 3)
     details["linear"] = lin.to_dict()
     spec = GlmSpec([[1.0, 0.0], [0.0, 2.0]], "quadratic")
-    glm_rep = check_propagation(glm_gradient_field(spec), 2)
+    glm_rep = check_propagation(glm_gradient(spec), 2)
     details["glm"] = glm_rep.to_dict()
-    cosh_field = glm_gradient_field(GlmSpec([[1.0], [-1.0]], "exp"))
+    cosh_field = glm_gradient(GlmSpec([[1.0], [-1.0]], "exp"))
     cosh_rep = check_propagation(cosh_field, 2, SamplingConfig(count=30, radius=1.0, seed=5))
     details["exp-pair"] = cosh_rep.to_dict()
     quad = fa.QuadraticClient(np.diag([1.0, 3.0]), [0.5, -0.25])
@@ -262,7 +262,7 @@ def spectral_propagation() -> dict:
                                   critical_points=[quad.center])
     details["gd-strongly-convex"] = gd_rep.to_dict()
     log_spec = GlmSpec(np.eye(2), "logistic")
-    conv_rep = check_gd_propagation(glm_gradient_field(log_spec), 4.0, 3,
+    conv_rep = check_gd_propagation(glm_gradient(log_spec), 4.0, 3,
                                     claimed="convex", beta=0.25)
     details["gd-convex"] = conv_rep.to_dict()
     glm_expected = glm_rep.levels[1].bound_low == 1.0 and glm_rep.levels[1].bound_high == 16.0

@@ -105,6 +105,18 @@ class TestScan:
         report = read_json(out)
         assert all(r["verdict"] == "numeric-pass" for r in report["results"])
 
+    @pytest.mark.parametrize("field", [
+        {"variant": "glm", "activation": "exp", "directions": [[6, 0], [0, 6]]},
+        {"variant": "coordwise", "functions": ["exp", "logistic"]},
+    ])
+    def test_too_many_overflowing_samples_exits_two(self, field, capsys):
+        # most orbits overflow, so the scan cannot decide: a usage-level
+        # error with one line, not a traceback that reads as a failed check
+        assert main(["scan", "--field", json.dumps(field), "--k-max", "5"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "samples failed to evaluate" in err[0]
+
     def test_expression_activation_field(self, tmp_path):
         out = str(tmp_path / "r.json")
         field = json.dumps({"variant": "glm", "activation": "t^2/2",
@@ -199,6 +211,12 @@ class TestFedavg:
         main(["fedavg", "--config", config, "--outdir", outdir])
         summary = read_json(os.path.join(outdir, "fedavg_summary.json"))
         assert summary["manifest"]["seed"] == 123
+
+    def test_bad_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, FED_CONFIG)
+        monkeypatch.setenv("ITERFIELD_SEED", "abc")
+        assert main(["fedavg", "--config", config, "--outdir", str(tmp_path)]) == 2
+        assert "ITERFIELD_SEED must be an integer" in capsys.readouterr().err
 
 
 class TestPaperSuite:

@@ -9,7 +9,7 @@ from iterfield.conservatism import (SamplingConfig, Verdict, check_linear,
 from iterfield.fields import (Callback, Constant, Iterate, Linear, NonFiniteValueError,
                               PolyExact, Rotation2D, Sum, asymmetry, compose, gd_map,
                               jacobian)
-from iterfield.glm import GlmSpec, glm_gradient_field
+from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
 
 
@@ -76,7 +76,7 @@ class TestCheckPoly:
 
 class TestCheckNumeric:
     def test_glm_counterexample(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
         box = SamplingConfig(count=50, radius=1.0, seed=3, kind="box")
         assert check_numeric(field, 1, box).kind == "numeric-pass"
         verdict = check_numeric(field, 2, box)
@@ -85,7 +85,7 @@ class TestCheckNumeric:
         assert len(verdict.witness) == 2
 
     def test_opposite_directions_pass(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0], [-1.0, 0.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [-1.0, 0.0]], "exp"))
         for k in range(1, 5):
             assert check_numeric(field, k).kind == "numeric-pass"
 
@@ -111,7 +111,7 @@ class TestCheckNumeric:
                 assert exact.is_yes == numeric.is_yes, (field.describe(), k)
 
     def test_orthogonal_model_gradient_passes(self):
-        field = glm_gradient_field(GlmSpec([[0.6, 0.0, 0.0], [0.0, 0.5, 0.0]], "exp"))
+        field = glm_gradient(GlmSpec([[0.6, 0.0, 0.0], [0.0, 0.5, 0.0]], "exp"))
         for k in range(1, 5):
             assert check_numeric(field, k).kind == "numeric-pass"
 
@@ -145,8 +145,8 @@ class TestScan:
         assert scan_k(composed, 1).verdict(1).kind == "exact-no"
 
     def test_sum_of_conservative_fields_can_fail(self):
-        parts = [glm_gradient_field(GlmSpec([[1.0, 0.0]], "exp")),
-                 glm_gradient_field(GlmSpec([[1.0, 1.0]], "exp"))]
+        parts = [glm_gradient(GlmSpec([[1.0, 0.0]], "exp")),
+                 glm_gradient(GlmSpec([[1.0, 1.0]], "exp"))]
         report = scan_k(Sum(parts), 2,
                         sampling=SamplingConfig(count=50, radius=1.0, seed=3, kind="box"))
         assert report.verdict(1).is_yes
@@ -181,7 +181,7 @@ class TestScan:
         assert "field" in data and "threshold" in data
 
     def test_numeric_verdicts_labeled_as_evidence(self):
-        field = glm_gradient_field(GlmSpec([[0.5, 0.0]], "logistic"))
+        field = glm_gradient(GlmSpec([[0.5, 0.0]], "logistic"))
         verdict = check_numeric(field, 2)
         assert "not a proof" in verdict.to_dict()["note"]
 
@@ -207,14 +207,14 @@ class TestSampling:
 
 
 def _logistic():
-    return glm_gradient_field(GlmSpec([[1.0, 0.4], [0.2, 0.9]], "logistic"))
+    return glm_gradient(GlmSpec([[1.0, 0.4], [0.2, 0.9]], "logistic"))
 
 
 WALK_FIELDS = {
     "logistic-glm": _logistic,
     "gd-map": lambda: gd_map(_logistic(), 0.4),
     "compose-linear": lambda: compose(Linear([[1.0, 2.0], [0.0, 1.0]]), _logistic()),
-    "exp-glm-skipping": lambda: glm_gradient_field(GlmSpec([[1.5, 0.0], [0.3, 1.5]], "exp")),
+    "exp-glm-skipping": lambda: glm_gradient(GlmSpec([[1.5, 0.0], [0.3, 1.5]], "exp")),
 }
 
 

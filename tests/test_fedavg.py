@@ -125,6 +125,16 @@ class TestRunFedavg:
         trace = fa.run_fedavg(config)
         assert trace.rounds_completed == 25
 
+    def test_eta_one_check_on_growing_run(self):
+        # gamma = 3 expands both local maps, so the iterates grow about
+        # 256-fold per round; the delta update and the model average still
+        # agree to rounding relative to their size
+        config = fa.FedAvgConfig(hetero_clients(), gamma=3.0, eta=1.0, k=3,
+                                 rounds=40, x0=[0.5, -0.75])
+        trace = fa.run_fedavg(config)
+        assert trace.rounds_completed == 40
+        assert np.max(np.abs(trace.xs[-1])) > 1e90
+
     def test_eta_not_one(self):
         config = fa.FedAvgConfig(hetero_clients(), gamma=0.5, eta=0.5, k=2,
                                  rounds=10, x0=[4.0, 4.0])

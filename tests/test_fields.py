@@ -9,7 +9,7 @@ from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, Cha
                               NonFiniteValueError, PolyExact, Rotation2D, Scale,
                               ScalarMap, Sum, asymmetry, compose, evaluate, gd_map,
                               identity_field, jacobian)
-from iterfield.glm import GlmSpec, glm_gradient_field
+from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
 
 
@@ -42,7 +42,7 @@ class TestEvaluation:
     def test_iterate_recursion_identity(self):
         rng = np.random.default_rng(0)
         spec = GlmSpec([[0.4, 0.0], [0.0, 0.5]], "exp")
-        field = glm_gradient_field(spec)
+        field = glm_gradient(spec)
         for k in range(2, 5):
             for _ in range(10):
                 x = rng.uniform(-1, 1, 2)
@@ -58,7 +58,7 @@ class TestEvaluation:
 
     def test_iterate_overflow_reports_index(self):
         spec = GlmSpec([[1.0]], "exp")
-        field = Iterate(glm_gradient_field(spec), 6)
+        field = Iterate(glm_gradient(spec), 6)
         with pytest.raises(NonFiniteValueError) as info:
             field([4.0])
         assert info.value.iterate_index is not None
@@ -79,7 +79,7 @@ class TestCompose:
             np.testing.assert_allclose(composed(x), expected(x), atol=0)
 
     def test_identity_law(self):
-        field = glm_gradient_field(GlmSpec([[0.5, 0.1], [0.0, 0.0]][:1], "logistic"))
+        field = glm_gradient(GlmSpec([[0.5, 0.1], [0.0, 0.0]][:1], "logistic"))
         ident = identity_field(2)
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -88,7 +88,7 @@ class TestCompose:
 
     def test_compose_agrees_with_iterate(self):
         spec = GlmSpec([[0.5, 0.0], [0.0, 0.4]], "logistic")
-        field = glm_gradient_field(spec)
+        field = glm_gradient(spec)
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.uniform(-1, 1, 2)
@@ -97,7 +97,7 @@ class TestCompose:
 
     def test_associativity(self):
         a = Linear([[0.0, 1.0], [0.5, 0.0]])
-        b = glm_gradient_field(GlmSpec([[0.3, 0.4]], "exp"))
+        b = glm_gradient(GlmSpec([[0.3, 0.4]], "exp"))
         c = Affine(0.5 * np.eye(2), [0.1, -0.2])
         left = compose(compose(a, b), c)
         right = compose(a, compose(b, c))
@@ -120,7 +120,7 @@ class TestJacobian:
             np.testing.assert_array_equal(jacobian(field, rng.standard_normal(2)), A)
 
     def test_quadratic_glm_jacobian(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0]], "quadratic"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0]], "quadratic"))
         J = jacobian(field, [3.0, -4.0], Analytic())
         np.testing.assert_array_equal(J, [[1.0, 0.0], [0.0, 0.0]])
 
@@ -133,7 +133,7 @@ class TestJacobian:
         rng = np.random.default_rng(6)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         spec = GlmSpec(Q.T, "logistic")
-        field = glm_gradient_field(spec)
+        field = glm_gradient(spec)
         for _ in range(5):
             x = rng.uniform(-1, 1, 3)
             J_fd = jacobian(field, x, CentralDifference(1e-5))
@@ -143,7 +143,7 @@ class TestJacobian:
     def test_chain_vs_central_on_iterates(self):
         rng = np.random.default_rng(7)
         spec = GlmSpec([[2.0, 0.0], [0.0, 0.9]], "logistic")
-        fields = [Linear([[1.0, 2.0], [1.0, -1.0]]), glm_gradient_field(spec)]
+        fields = [Linear([[1.0, 2.0], [1.0, -1.0]]), glm_gradient(spec)]
         for base in fields:
             for k in (2, 3):
                 iterated = Iterate(base, k)
@@ -188,7 +188,7 @@ class TestGdMap:
         np.testing.assert_array_equal(field([3.0, -1.0]), [0.0, 0.0])
 
     def test_single_coordinate_step(self):
-        grad = glm_gradient_field(GlmSpec([[1.0, 0.0]], "quadratic"))
+        grad = glm_gradient(GlmSpec([[1.0, 0.0]], "quadratic"))
         field = gd_map(grad, 0.5)
         np.testing.assert_array_equal(field([2.0, 3.0]), [1.0, 3.0])
 

@@ -6,7 +6,7 @@ import pytest
 from iterfield.conservatism import check_numeric
 from iterfield.fields import Iterate, NonFiniteValueError, gd_map, jacobian
 from iterfield.glm import (ACTIVATIONS, GlmSpec, NonOrthogonalError,
-                           derivative_residual, get_activation, glm_gradient_field,
+                           derivative_residual, get_activation, glm_gradient,
                            iterated_glm, iterated_glm_gd, orthogonality_check,
                            surrogate_potential)
 
@@ -62,7 +62,7 @@ class TestActivations:
         spec_expr = GlmSpec([[0.7, 0.0], [0.0, 0.5]], "exp(t)")
         spec_name = GlmSpec([[0.7, 0.0], [0.0, 0.5]], "exp")
         rng = np.random.default_rng(8)
-        fe, fn = glm_gradient_field(spec_expr), glm_gradient_field(spec_name)
+        fe, fn = glm_gradient(spec_expr), glm_gradient(spec_name)
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             np.testing.assert_allclose(fe(x), fn(x), rtol=1e-12)
@@ -72,7 +72,7 @@ class TestActivations:
         from iterfield.glm import Activation
         import math
         act = Activation("exp-no-second", math.exp, math.exp)
-        field = glm_gradient_field(GlmSpec([[0.5, 0.0]], act))
+        field = glm_gradient(GlmSpec([[0.5, 0.0]], act))
         assert field.jacobian_analytic(np.array([0.2, 0.0])) is None
         J = field_jacobian(field, [0.2, 0.0])
         expected = 0.25 * math.exp(0.1)
@@ -104,22 +104,22 @@ class TestOrthogonality:
 
 class TestGradientField:
     def test_single_exp_direction(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0]], "exp"))
         np.testing.assert_allclose(field([0.5, 9.0]), [np.exp(0.5), 0.0])
 
     def test_counterexample_value_at_origin(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
         np.testing.assert_allclose(field([0.0, 0.0]), [2.0, 1.0])
 
     def test_quadratic_orthonormal_is_identity(self):
-        field = glm_gradient_field(GlmSpec(np.eye(3), "quadratic"))
+        field = glm_gradient(GlmSpec(np.eye(3), "quadratic"))
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(3)
             np.testing.assert_allclose(field(x), x, atol=1e-15)
 
     def test_overflow_is_an_error_not_inf(self):
-        field = glm_gradient_field(GlmSpec([[1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0]], "exp"))
         with pytest.raises(NonFiniteValueError):
             field([1000.0])
 
@@ -130,7 +130,7 @@ class TestClosedFormIterates:
         gamma = 0.5
         for name in ("quadratic", "exp", "logistic"):
             spec = orthogonal_spec(rng, name)
-            grad = glm_gradient_field(spec)
+            grad = glm_gradient(spec)
             for k in range(1, 6):
                 closed = iterated_glm(spec, k)
                 closed_gd = iterated_glm_gd(spec, gamma, k)
@@ -153,7 +153,7 @@ class TestClosedFormIterates:
     def test_k1_equals_gradient(self):
         rng = np.random.default_rng(1)
         spec = orthogonal_spec(rng, "logistic")
-        grad = glm_gradient_field(spec)
+        grad = glm_gradient(spec)
         closed = iterated_glm(spec, 1)
         for _ in range(10):
             x = rng.standard_normal(3)
@@ -169,7 +169,7 @@ class TestClosedFormIterates:
         rng = np.random.default_rng(2)
         spec = orthogonal_spec(rng, "exp")
         closed = iterated_glm_gd(spec, 0.7, 1)
-        brute = gd_map(glm_gradient_field(spec), 0.7)
+        brute = gd_map(glm_gradient(spec), 0.7)
         for _ in range(10):
             x = rng.standard_normal(3) * 0.5
             np.testing.assert_allclose(closed(x), brute(x), atol=1e-15)

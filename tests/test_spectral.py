@@ -5,7 +5,7 @@ import pytest
 
 from iterfield.conservatism import SamplingConfig, draw_samples
 from iterfield.fields import Linear, PolyExact
-from iterfield.glm import GlmSpec, glm_gradient_field
+from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
 from iterfield.spectral import (NotConservativeError, StepSizeError,
                                 check_gd_propagation, check_propagation, classify,
@@ -19,7 +19,7 @@ class TestSpectrumAt:
         assert s.asymmetry == 0.0
 
     def test_quadratic_glm_identity_hessian(self):
-        field = glm_gradient_field(GlmSpec(np.eye(2), "quadratic"))
+        field = glm_gradient(GlmSpec(np.eye(2), "quadratic"))
         s = spectrum_at(field, [0.3, 0.4])
         assert s.lambda_min == pytest.approx(1.0)
         assert s.lambda_max == pytest.approx(1.0)
@@ -32,26 +32,26 @@ class TestSpectrumAt:
 
     def test_gradient_field_asymmetry_tiny(self):
         rng = np.random.default_rng(0)
-        field = glm_gradient_field(GlmSpec([[0.8, 0.0], [0.0, 0.5]], "logistic"))
+        field = glm_gradient(GlmSpec([[0.8, 0.0], [0.0, 0.5]], "logistic"))
         for _ in range(10):
             assert spectrum_at(field, rng.uniform(-1, 1, 2)).asymmetry < 1e-8
 
 
 class TestClassify:
     def test_strongly_convex_quadratic(self):
-        cls = classify(glm_gradient_field(GlmSpec(np.eye(2), "quadratic")))
+        cls = classify(glm_gradient(GlmSpec(np.eye(2), "quadratic")))
         assert cls.kind == "strongly-convex"
         assert cls.alpha_hat == pytest.approx(1.0)
 
     def test_logistic_wide_ball_is_convex(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0]], "logistic"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0]], "logistic"))
         cls = classify(field, SamplingConfig(count=50, radius=40.0, seed=1))
         assert cls.kind == "convex"
         assert cls.beta_hat <= 0.25 + 1e-12
 
     def test_exp_pair_strongly_convex(self):
         # 1-D model with directions +1 and -1: curvature e^x + e^-x >= 2
-        field = glm_gradient_field(GlmSpec([[1.0], [-1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0], [-1.0]], "exp"))
         cls = classify(field, SamplingConfig(count=40, radius=1.0, seed=2))
         assert cls.kind == "strongly-convex"
         assert 2.0 <= cls.alpha_hat <= 2.1
@@ -80,13 +80,13 @@ class TestPropagation:
 
     def test_glm_mixed_norms(self):
         spec = GlmSpec([[1.0, 0.0], [0.0, 2.0]], "quadratic")
-        report = check_propagation(glm_gradient_field(spec), 2)
+        report = check_propagation(glm_gradient(spec), 2)
         assert report.passed
         assert report.levels[1].bound_low == pytest.approx(1.0)
         assert report.levels[1].bound_high == pytest.approx(16.0)
 
     def test_exp_pair_orbit_calibrated(self):
-        field = glm_gradient_field(GlmSpec([[1.0], [-1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0], [-1.0]], "exp"))
         report = check_propagation(field, 2, SamplingConfig(count=30, radius=1.0, seed=5))
         assert report.passed
         assert report.alpha_hat >= 2.0
@@ -104,7 +104,7 @@ class TestPropagation:
                                                                            (-4.0, 4.0)]
 
     def test_refuses_non_conservative(self):
-        field = glm_gradient_field(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
         with pytest.raises(NotConservativeError):
             check_propagation(field, 2,
                               SamplingConfig(count=30, radius=1.0, seed=3, kind="box"))
@@ -114,7 +114,7 @@ class TestGdPropagation:
     def test_levels_match_model_delta_spectra(self):
         from iterfield.fedavg import QuadraticClient
         client = QuadraticClient([[2.0, 0.5], [0.5, 1.0]], [0.4, -0.3])
-        fields = [(glm_gradient_field(GlmSpec([[1.0, 0.3], [0.2, 0.9]], "logistic")), []),
+        fields = [(glm_gradient(GlmSpec([[1.0, 0.3], [0.2, 0.9]], "logistic")), []),
                   (client.gradient_field(), [client.center])]
         cfg = SamplingConfig(count=20, seed=4)
         points = draw_samples(2, cfg)
@@ -154,7 +154,7 @@ class TestGdPropagation:
             assert all(r <= 1e-12 for r in level.critical_point_residuals)
 
     def test_convex_one_lipschitz(self):
-        field = glm_gradient_field(GlmSpec(np.eye(2), "logistic"))
+        field = glm_gradient(GlmSpec(np.eye(2), "logistic"))
         report = check_gd_propagation(field, 4.0, 3, claimed="convex", beta=0.25)
         assert report.passed
         for level in report.levels:
@@ -162,7 +162,7 @@ class TestGdPropagation:
             assert level.lambda_min >= -1e-8
 
     def test_convex_two_lipschitz_with_larger_step(self):
-        field = glm_gradient_field(GlmSpec(np.eye(2), "logistic"))
+        field = glm_gradient(GlmSpec(np.eye(2), "logistic"))
         report = check_gd_propagation(field, 7.0, 2, claimed="convex", beta=0.25)
         assert report.passed
         assert report.levels[0].bound_high == 2.0
