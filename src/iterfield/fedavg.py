@@ -13,6 +13,8 @@ average is order-free, fixed order makes the floats reproducible.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,13 @@ class GlmClient:
     def loss(self, x) -> float:
         x = as_vector(x, self.dimension)
         act = self.spec.activation
-        return float(sum(act.fn(float(x @ z)) for z in self.spec.directions))
+        try:
+            total = float(sum(act.fn(float(x @ z)) for z in self.spec.directions))
+        except OverflowError as err:
+            raise NonFiniteValueError(f"{self.label} loss overflowed at x={x.tolist()}") from err
+        if not math.isfinite(total):
+            raise NonFiniteValueError(f"{self.label} loss is {total} at x={x.tolist()}")
+        return total
 
     def smoothness_bound(self) -> float:
         bound = self.spec.activation.curvature_bound
@@ -290,16 +298,32 @@ def server_surrogate(clients, gamma: float, k: int):
         "surrogate needs all-quadratic or all-orthogonal-model clients")
 
 
+def _lowered(field: Field) -> Field:
+    """The field as one float Affine, its exact (A, b) rounded once, so a
+    round costs one matvec instead of k nested steps; the field itself when
+    it has no affine form or an entry overflows a float."""
+    affine = field.as_affine()
+    if affine is None:
+        return field
+    try:
+        return Affine(rationals.to_float_matrix(affine[0]),
+                      rationals.to_float_vector(affine[1]))
+    except OverflowError:
+        return field
+
+
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
     With eta = 1 every round is verified against the plain model-average
     recursion, which the delta update must reproduce to 1e-12 times
     max(1, |model average|_inf).  A non-finite iterate truncates the trace
-    with a diagnostic instead of poisoning it.
+    with a diagnostic instead of poisoning it.  A client map with an exact
+    affine form runs as one float operator (see ``_lowered``), and the
+    surrogate is evaluated once per distinct iterate.
     """
     clients = config.clients
-    client_maps = [Iterate(GdMap(c.gradient_field(), config.gamma), config.k)
+    client_maps = [_lowered(Iterate(GdMap(c.gradient_field(), config.gamma), config.k))
                    for c in clients]
     weight = 1.0 / len(client_maps)
     n = config.x0.shape[0]
@@ -355,9 +379,12 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     if _surrogate_available(clients):
         with np.errstate(over="ignore", invalid="ignore"):
             f_s = server_surrogate(clients, config.gamma, config.k)
-            trace.fs = np.array([f_s(p) for p in trace.xs])
+            # Converged rounds repeat the same float point: one evaluation
+            # per distinct iterate, keyed by its bytes.
+            f_at = functools.cache(lambda key: f_s(np.frombuffer(key)))
+            trace.fs = np.array([f_at(p.tobytes()) for p in trace.xs])
             if fixed_point is not None:
-                trace.fs_star = float(f_s(fixed_point))
+                trace.fs_star = float(f_at(fixed_point.tobytes()))
     return trace
 
 

@@ -267,7 +267,10 @@ class CoordWise1D(Field):
     def potential(self, x) -> float:
         from .quadrature import integrate
         x = as_vector(x, self.dimension)
-        return sum(integrate(m.fn, 0.0, float(t)) for m, t in zip(self.maps, x))
+        total = sum(integrate(m.fn, 0.0, float(t)) for m, t in zip(self.maps, x))
+        if not math.isfinite(total):
+            raise NonFiniteValueError(f"potential of {self.describe()} is {total} at x={x.tolist()}")
+        return total
 
     def describe(self):
         return f"coordwise({[m.name for m in self.maps]})"

@@ -394,4 +394,7 @@ def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
     for z, w in zip(spec.directions, spec.norms_squared()):
         total += integrate(lambda t, w=float(w): _orbit_weight(deriv, t, w, k, gamma),
                            0.0, float(x @ z))
+    if not math.isfinite(total):
+        raise NonFiniteValueError(f"surrogate potential of {spec.describe()} is {total} "
+                                  f"at x={x.tolist()}")
     return total

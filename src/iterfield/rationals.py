@@ -3,11 +3,17 @@
 Floats convert exactly (every finite double is a dyadic rational), so a
 matrix entered as floats is treated as the exact rational matrix those
 floats represent.
+
+Products and solves run on integer numerators over one common
+denominator: one normalizing gcd per result entry instead of one per
+term, and the same Fractions as plain Fraction arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -51,13 +57,26 @@ def zeros_vector(n: int) -> list[Fraction]:
     return [Fraction(0)] * n
 
 
+def _integer_rows(rows):
+    """(N, d) with rows[i][j] = N[i][j] / d: integer numerators over the
+    least common denominator of all entries."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    NA, da = _integer_rows(A)
+    NB, db = _integer_rows(B)
+    den = da * db
+    cols = list(zip(*NB))
+    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in NA]
 
 
 def mat_vec(A, v):
-    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
+    NA, da = _integer_rows(A)
+    (nv,), dv = _integer_rows([v])
+    den = da * dv
+    return [Fraction(sum(map(mul, row, nv)), den) for row in NA]
 
 
 def mat_add(A, B):
@@ -94,21 +113,33 @@ class SingularMatrixError(ArithmeticError):
 
 
 def solve_linear(A, b) -> list[Fraction]:
-    """Exact solve of A x = b by fraction Gaussian elimination."""
+    """Exact solve of A x = b by fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 1968).
+
+    [A | b] is scaled to integers; every update divides exactly by the
+    previous pivot, so after the last column every diagonal entry is the
+    final pivot and x_i is the last column over it.  Pivots are the first
+    nonzero entry at or below the diagonal, as in plain Gaussian
+    elimination, whose entries these are up to nonzero factors: a singular
+    matrix fails at the same column.
+    """
     n = len(A)
-    aug = [[to_fraction(x) for x in row] + [to_fraction(b[i])] for i, row in enumerate(A)]
+    aug, _ = _integer_rows([[to_fraction(x) for x in row] + [to_fraction(b[i])]
+                            for i, row in enumerate(A)])
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        prow = aug[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], prow)]
+        prev = p
+    return [Fraction(aug[i][n], prev) for i in range(n)]
 
 
 def to_float_matrix(A) -> np.ndarray:

@@ -5,8 +5,8 @@ import pytest
 
 from iterfield import fedavg as fa
 from iterfield.conservatism import SamplingConfig
-from iterfield.fields import Callback
-from iterfield.glm import GlmSpec, iterated_glm_gd
+from iterfield.fields import Callback, NonFiniteValueError
+from iterfield.glm import GlmSpec, iterated_glm_gd, surrogate_potential
 
 
 def hetero_clients():
@@ -32,6 +32,15 @@ class TestClients:
         client = fa.GlmClient(GlmSpec([[1.0, 0.0]], "exp"))
         with pytest.raises(ValueError):
             client.smoothness_bound()
+
+    def test_glm_loss_overflow_raises(self):
+        client = fa.GlmClient(GlmSpec([[1.0, 0.0]], "exp"))
+        with pytest.raises(NonFiniteValueError):
+            client.loss([800.0, 0.0])
+        # each term is finite; their sum is not
+        client = fa.GlmClient(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "exp"))
+        with pytest.raises(NonFiniteValueError):
+            client.loss([709.5, 709.5])
 
 
 class TestServerField:
@@ -150,6 +159,43 @@ class TestRunFedavg:
             trace = fa.run_fedavg(config)
             reference = fa.closed_form_affine_trace(clients, config)
             assert np.max(np.abs(reference - trace.xs)) <= 1e-9
+
+    def test_lowered_quadratic_run_matches_closed_form(self):
+        # each quadratic client runs as one float operator, its exact k-step
+        # affine map rounded once
+        rng = np.random.default_rng(3)
+        clients = []
+        for _ in range(3):
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            A = Q @ np.diag(rng.uniform(1.1, 2.9, 4)) @ Q.T
+            clients.append(fa.QuadraticClient((A + A.T) / 2, rng.uniform(-2, 2, 4)))
+        for k in (1, 3, 5):
+            config = fa.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=k, rounds=200,
+                                     x0=rng.uniform(-3, 3, 4))
+            trace = fa.run_fedavg(config)
+            reference = fa.closed_form_affine_trace(clients, config)
+            assert trace.rounds_completed == 200
+            assert np.max(np.abs(reference - trace.xs)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_surrogate_evaluated_once_per_distinct_iterate(self, monkeypatch):
+        calls = []
+
+        def counting(spec, x, *args):
+            calls.append(spec)
+            return surrogate_potential(spec, x, *args)
+
+        monkeypatch.setattr(fa, "surrogate_potential", counting)
+        clients = [fa.GlmClient(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "logistic")),
+                   fa.GlmClient(GlmSpec([[-0.9, 0.0], [0.0, -1.0]], "logistic"))]
+        config = fa.FedAvgConfig(clients, gamma=4.0, eta=1.0, k=3, rounds=200,
+                                 x0=[1.0, -0.5])
+        trace = fa.run_fedavg(config)
+        points = {p.tobytes() for p in trace.xs} | {trace.fixed_point.tobytes()}
+        assert len(points) < len(trace.xs)  # the run converged and repeats its iterate
+        assert len(calls) == len(points) * len(clients)
+        f_s = fa.server_surrogate(clients, config.gamma, config.k)
+        assert trace.fs.tobytes() == np.array([f_s(p) for p in trace.xs]).tobytes()
+        assert trace.fs_star == f_s(trace.fixed_point)
 
     def test_contraction_ratios_bounded(self):
         clients = hetero_clients()

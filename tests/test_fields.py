@@ -176,6 +176,12 @@ class TestJacobian:
         value = field.potential([1.0, 2.0])
         assert value == pytest.approx(np.e - 1 + 2.0, rel=1e-10)
 
+    def test_coordwise_potential_sum_overflow_raises(self):
+        # each integral is finite; their sum is not
+        field = CoordWise1D([ScalarMap("exp", np.exp, np.exp)] * 4)
+        with pytest.raises(NonFiniteValueError):
+            field.potential([708.4] * 4)
+
     def test_poly_exact_jacobian(self):
         V = PolyExact(PolyField.gradient_of(RationalPoly(2, {(2, 1): 1})))
         J = jacobian(V, [1.0, 1.0], Analytic())

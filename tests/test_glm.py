@@ -212,6 +212,11 @@ class TestSurrogatePotential:
         assert value == pytest.approx(np.e - 1.0, rel=1e-10)
         assert surrogate_potential(spec, [0.0, 0.0], 1) == 0.0
 
+    def test_sum_overflow_raises(self):
+        # each direction's integral is finite; their sum is not
+        with pytest.raises(NonFiniteValueError):
+            surrogate_potential(GlmSpec(np.eye(4), "exp"), [708.4] * 4, 1)
+
     def test_zero_at_origin_any_spec(self):
         rng = np.random.default_rng(5)
         spec = orthogonal_spec(rng, "logistic", m=3)

@@ -1,7 +1,9 @@
-"""Property tests: the overflow policy on every evaluation path, and the
-closed-form model iterates against brute-force iteration."""
+"""Property tests: the overflow policy on every evaluation path, the
+closed-form model iterates against brute-force iteration, and the integer
+rational kernels against plain Fraction loops."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from iterfield.fields import (ChainProduct, CoordWise1D, Iterate, NonFiniteValueError,
                               ScalarMap, compose, gd_map, jacobian)
+from iterfield import rationals
 from iterfield.glm import (GlmSpec, glm_gradient, iterated_glm, iterated_glm_gd,
                            surrogate_potential)
 from iterfield.quadrature import QuadratureError
@@ -83,3 +86,98 @@ class TestClosedForms:
             assert relative_gap(closed(x), brute(x)) <= 1e-9
             assert relative_gap(jacobian(closed, x),
                                 jacobian(brute, x, ChainProduct())) <= 1e-9
+
+
+# ----- rational kernels: the plain Fraction loops they replaced are the reference -----
+
+def reference_mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def reference_mat_vec(A, v):
+    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
+
+
+def reference_solve_linear(A, b):
+    n = len(A)
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise rationals.SingularMatrixError(f"matrix is singular (no pivot in column {col})")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+ENTRIES = {
+    "integer": st.integers(-9, 9).map(Fraction),
+    "0.1-step": st.integers(-50, 50).map(lambda i: Fraction(i, 10)),
+    "float": st.floats(-4.0, 4.0, allow_nan=False).map(Fraction),
+    # denominators that do not divide one another
+    "rational": st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+}
+
+
+@st.composite
+def square_systems(draw):
+    """(A, B, v) of one size n = 1..8 and one entry kind, with zeros common
+    enough to force row swaps; about half of the A are made singular by a
+    zero column or a row that is a multiple of another."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))])
+    A, B = ([[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    v = [draw(entry) for _ in range(n)]
+    singular = draw(st.sampled_from(("none", "zero-column", "dependent-row")))
+    if singular == "zero-column":
+        j = draw(st.integers(0, n - 1))
+        for row in A:
+            row[j] = Fraction(0)
+    elif singular == "dependent-row" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(entry)
+        A[j] = [c * x for x in A[i]]
+    return A, B, v
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except rationals.SingularMatrixError as err:
+        return type(err), str(err)
+
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+class TestRationalKernels:
+    @KERNEL_SETTINGS
+    @given(square_systems())
+    def test_mat_mul(self, system):
+        A, B, _ = system
+        got = rationals.mat_mul(A, B)
+        assert got == reference_mat_mul(A, B)
+        assert all(isinstance(x, Fraction) for row in got for x in row)
+
+    @KERNEL_SETTINGS
+    @given(square_systems())
+    def test_mat_vec(self, system):
+        A, _, v = system
+        got = rationals.mat_vec(A, v)
+        assert got == reference_mat_vec(A, v)
+        assert all(isinstance(x, Fraction) for x in got)
+
+    @KERNEL_SETTINGS
+    @given(square_systems())
+    def test_solve_linear(self, system):
+        A, _, b = system
+        got = outcome(rationals.solve_linear, A, b)
+        assert got == outcome(reference_solve_linear, A, b)
+        if got[0] == "value":
+            assert rationals.mat_vec(A, got[1]) == b
