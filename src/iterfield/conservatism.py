@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import rationals
-from .fields import (Field, Iterate, NonFiniteValueError, Rotation2D, asymmetry,
+from .fields import (Field, Iterate, NonFiniteValueError, Rotation2D, _asymmetry,
                      walk_orbit)
 from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_polys, poly_iterates
 
@@ -152,17 +152,18 @@ def _orbit_residuals(field: Field, k_max: int, points: np.ndarray):
     worst = [-1.0] * k_max
     witness = [None] * k_max
     skipped = [0] * k_max
-    for point in points:
-        reached = 0
-        try:
-            for _, prefix in walk_orbit(field, point, k_max, jacobians=True):
-                residual = asymmetry(prefix)
-                if residual > worst[reached]:
-                    worst[reached], witness[reached] = residual, point
-                reached += 1
-        except NonFiniteValueError:
-            for j in range(reached, k_max):
-                skipped[j] += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for point in points:
+            reached = 0
+            try:
+                for _, prefix in walk_orbit(field, point, k_max, jacobians=True):
+                    residual = _asymmetry(prefix)
+                    if residual > worst[reached]:
+                        worst[reached], witness[reached] = residual, point
+                    reached += 1
+            except NonFiniteValueError:
+                for j in range(reached, k_max):
+                    skipped[j] += 1
     return worst, witness, skipped
 
 

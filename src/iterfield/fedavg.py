@@ -184,7 +184,7 @@ class FedAvgTrace:
 
     xs has rounds+1 entries including the start point.  dists, ratios and
     fs are None when no fixed point or surrogate is available; ratios are
-    NaN on rounds whose distance is below resolution.
+    NaN on rounds whose distance is below resolution or past float range.
     """
 
     config: FedAvgConfig
@@ -312,13 +312,27 @@ def _lowered(field: Field) -> Field:
         return field
 
 
+def _distance(p: np.ndarray, q: np.ndarray) -> float:
+    """|p - q|, rescaled by its largest entry when the sum of squares
+    overflows (as ``asymmetry`` does), so it is inf only past float range.
+    The caller silences numpy's overflow warnings."""
+    d = p - q
+    dist = float(np.linalg.norm(d))
+    if math.isinf(dist) and np.isfinite(d).all():
+        scale = float(np.max(np.abs(d)))
+        dist = scale * float(np.linalg.norm(d / scale))
+    return dist
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
     With eta = 1 every round is verified against the plain model-average
     recursion, which the delta update must reproduce to 1e-12 times
     max(1, |model average|_inf).  A non-finite iterate truncates the trace
-    with a diagnostic instead of poisoning it.  A client map with an exact
+    with a diagnostic instead of poisoning it, and numpy's overflow
+    warnings are off for the whole run.  A client map with an exact
     affine form runs as one float operator (see ``_lowered``), and the
     surrogate is evaluated once per distinct iterate.
     """
@@ -340,7 +354,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
             for y in ys:
                 v += weight * (x - y)
             x_next = x - config.eta * v
-            if not np.all(np.isfinite(x_next)):
+            if not np.isfinite(x_next).all():
                 raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
             if config.eta == 1.0:
                 avg = np.zeros(n)
@@ -369,22 +383,21 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     if fixed_point is not None:
         trace.fixed_point = fixed_point
         trace.fixed_point_method = method
-        dists = np.array([float(np.linalg.norm(p - fixed_point)) for p in trace.xs])
+        dists = np.array([_distance(p, fixed_point) for p in trace.xs])
         ratios = np.full(max(len(dists) - 1, 0), np.nan)
         for t in range(len(ratios)):
-            if dists[t] > 1e-10:
+            if 1e-10 < dists[t] < math.inf and dists[t + 1] < math.inf:
                 ratios[t] = dists[t + 1] / dists[t]
         trace.dists = dists
         trace.ratios = ratios
     if _surrogate_available(clients):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_s = server_surrogate(clients, config.gamma, config.k)
-            # Converged rounds repeat the same float point: one evaluation
-            # per distinct iterate, keyed by its bytes.
-            f_at = functools.cache(lambda key: f_s(np.frombuffer(key)))
-            trace.fs = np.array([f_at(p.tobytes()) for p in trace.xs])
-            if fixed_point is not None:
-                trace.fs_star = float(f_at(fixed_point.tobytes()))
+        f_s = server_surrogate(clients, config.gamma, config.k)
+        # Converged rounds repeat the same float point: one evaluation
+        # per distinct iterate, keyed by its bytes.
+        f_at = functools.cache(lambda key: f_s(np.frombuffer(key)))
+        trace.fs = np.array([f_at(p.tobytes()) for p in trace.xs])
+        if fixed_point is not None:
+            trace.fs_star = float(f_at(fixed_point.tobytes()))
     return trace
 
 

@@ -51,7 +51,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteValueError(f"point has non-finite entries: {v}")
     return v
 
@@ -62,7 +62,7 @@ def as_matrix(M, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if dim is not None and A.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {A.shape[0]}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteValueError("matrix has non-finite entries")
     return A
 
@@ -104,22 +104,24 @@ class Field:
     dimension: int
 
     def __call__(self, x) -> np.ndarray:
-        return self._evaluate(as_vector(x, self.dimension))
+        x = as_vector(x, self.dimension)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._evaluate(x)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         """The field at a point ``as_vector`` already checked; nested fields and
         orbit walks call this.  Overflow and non-finite results raise
-        NonFiniteValueError, so numpy's overflow warnings are silenced."""
+        NonFiniteValueError, so the public entry that leads here (a call, a
+        walker step, ``jacobian``) silences numpy's overflow warnings once."""
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = np.asarray(self._eval(x), dtype=float)
+            y = np.asarray(self._eval(x), dtype=float)
         except OverflowError as err:
             raise NonFiniteValueError(
                 f"{self.describe()} overflowed at x={x.tolist()}") from err
         if y.shape != x.shape:
             raise DimensionMismatchError(
                 f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteValueError(f"{self.describe()} produced a non-finite value at x={x.tolist()}")
         return y
 
@@ -285,6 +287,7 @@ class GdMap(Field):
         self.inner = inner
         self.gamma = float(gamma)
         self.dimension = inner.dimension
+        self._eye = np.eye(self.dimension)
 
     def _eval(self, x):
         return x - self.gamma * self.inner._evaluate(x)
@@ -293,7 +296,7 @@ class GdMap(Field):
         J = self.inner.jacobian_analytic(x)
         if J is None:
             return None
-        return np.eye(self.dimension) - self.gamma * J
+        return self._eye - self.gamma * J
 
     def as_affine(self):
         inner = self.inner.as_affine()
@@ -337,12 +340,12 @@ class Iterate(Field):
         self.dimension = inner.dimension
 
     def _eval(self, x):
-        (y,) = walk_orbit(self, x, 1)
+        (y,) = _walk(self, x, 1)
         return y
 
     def jacobian_analytic(self, x):
         try:
-            ((_, J),) = walk_orbit(self, x, 1, jacobians=True, base=Analytic())
+            ((_, J),) = _walk(self, x, 1, jacobians=True, base=Analytic())
         except JacobianMethodError:
             return None
         return J
@@ -612,32 +615,44 @@ def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
     non-finite value raises NonFiniteValueError with the 1-based step of
     V; what was yielded before stays valid.
     """
+    return _walk(field, as_vector(x, field.dimension), k_max, jacobians, base)
+
+
+def _walk(field: Field, point: np.ndarray, k_max: int, jacobians: bool = False,
+          base: Analytic | CentralDifference | None = None):
+    """walk_orbit from a point ``as_vector`` already checked.  Each step of F
+    silences numpy's overflow warnings once, and never across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
-    point = as_vector(x, field.dimension)
     step = prefix = None
-    for i in range(1, total + 1):
-        if jacobians:
-            J = _step_jacobian(inner, point, base)
-            step = J if (i - 1) % stride == 0 else J @ step
-            prefix = step if i <= stride else J @ prefix
-            if not np.isfinite(prefix).all() or (stride > 1 and not np.isfinite(step).all()):
-                raise NonFiniteValueError(
-                    f"chain Jacobian of {inner.describe()} is non-finite at iterate "
-                    f"{i} of {total}", iterate_index=i)
-            if i % stride == 0:
-                yield step, prefix
-            if i == total:
-                return
-        try:
-            point = inner._evaluate(point)
-        except NonFiniteValueError as err:
-            if err.iterate_index is None:
-                raise NonFiniteValueError(
-                    f"{err} (at iterate {i} of {total})", iterate_index=i) from err
-            raise
-        if not jacobians and i % stride == 0:
-            yield point
+    for j in range(k_max):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(j * stride + 1, (j + 1) * stride + 1):
+                if not jacobians:
+                    point = _advance(inner, point, i, total)
+                    continue
+                # V^(i-1)(x) is computed only where its Jacobian is needed
+                if i > 1:
+                    point = _advance(inner, point, i - 1, total)
+                J = _step_jacobian(inner, point, base)
+                step = J if i == j * stride + 1 else J @ step
+                prefix = step if i <= stride else J @ prefix
+                if not np.isfinite(prefix).all() or (stride > 1 and not np.isfinite(step).all()):
+                    raise NonFiniteValueError(
+                        f"chain Jacobian of {inner.describe()} is non-finite at iterate "
+                        f"{i} of {total}", iterate_index=i)
+        yield (step, prefix) if jacobians else point
+
+
+def _advance(inner: Field, point: np.ndarray, i: int, total: int) -> np.ndarray:
+    """Step i of a walk: V at V^(i-1)(x), its failure tagged with i."""
+    try:
+        return inner._evaluate(point)
+    except NonFiniteValueError as err:
+        if err.iterate_index is None:
+            raise NonFiniteValueError(
+                f"{err} (at iterate {i} of {total})", iterate_index=i) from err
+        raise
 
 
 def jacobian(field: Field, x, method=None) -> np.ndarray:
@@ -648,15 +663,16 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
     iterated fields and multiplies per-step Jacobians along the orbit.
     """
     x = as_vector(x, field.dimension)
-    if isinstance(method, ChainProduct):
-        if not isinstance(field, Iterate):
-            raise JacobianMethodError("chain-product Jacobians require an iterated field")
-        ((_, J),) = walk_orbit(field, x, 1, jacobians=True, base=method.base)
-    elif method is None or isinstance(method, (Analytic, CentralDifference)):
-        J = _step_jacobian(field, x, method)
-    else:
-        raise JacobianMethodError(f"unknown Jacobian method {method!r}")
-    if not np.all(np.isfinite(J)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(method, ChainProduct):
+            if not isinstance(field, Iterate):
+                raise JacobianMethodError("chain-product Jacobians require an iterated field")
+            ((_, J),) = _walk(field, x, 1, jacobians=True, base=method.base)
+        elif method is None or isinstance(method, (Analytic, CentralDifference)):
+            J = _step_jacobian(field, x, method)
+        else:
+            raise JacobianMethodError(f"unknown Jacobian method {method!r}")
+    if not np.isfinite(J).all():
         raise NonFiniteValueError(f"Jacobian of {field.describe()} is non-finite at x={x.tolist()}")
     return J
 
@@ -669,10 +685,20 @@ def asymmetry(M) -> float:
     """
     A = as_matrix(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = float(np.linalg.norm(A - A.T))
-        if gap == 0.0:
-            return 0.0
-        norm = float(np.linalg.norm(A))
+        return _asymmetry(A)
+
+
+def _asymmetry(A: np.ndarray) -> float:
+    """asymmetry of a finite square float matrix, unchecked; orbit walks
+    hand their chain products here.  The caller silences numpy's overflow
+    warnings.  The norms are np.linalg.norm's Frobenius norm, sqrt of the
+    dot of the flattened matrix with itself, without its dispatch."""
+    d = (A - A.T).ravel(order="K")
+    gap = math.sqrt(d.dot(d))
+    if gap == 0.0:
+        return 0.0
+    a = A.ravel(order="K")
+    norm = math.sqrt(a.dot(a))
     if math.isfinite(gap) and math.isfinite(norm):
         return gap / max(1.0, norm)
     scale = float(np.max(np.abs(A)))

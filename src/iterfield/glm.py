@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Field, GdMap, NonFiniteValueError, as_vector, walk_orbit
+from .fields import Field, GdMap, NonFiniteValueError, _walk, as_vector
 from .quadrature import integrate
 
 ORTHOGONALITY_TOL = 1e-12
@@ -154,11 +154,14 @@ class GlmSpec:
         Z = np.atleast_2d(np.asarray(directions, dtype=float))
         if Z.ndim != 2 or Z.size == 0:
             raise ValueError("directions must be a non-empty list of vectors")
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise ValueError("directions must be finite")
         if np.any(np.linalg.norm(Z, axis=1) == 0):
             raise ValueError("direction vectors must be nonzero")
         self.directions = Z
+        # |z_i|^2 and z_i z_i^T, read by every closed form and Jacobian
+        self._norms = np.sum(Z * Z, axis=1).tolist()
+        self._outers = Z[:, :, None] * Z[:, None, :]
         self.gram_residual = orthogonality_check(Z)
         if check_derivative:
             ts = np.linspace(-2.0, 2.0, 9)
@@ -180,10 +183,27 @@ class GlmSpec:
         return self.gram_residual <= ORTHOGONALITY_TOL
 
     def norms_squared(self) -> np.ndarray:
-        return np.sum(self.directions * self.directions, axis=1)
+        return np.array(self._norms)
 
     def describe(self) -> str:
         return f"glm({self.activation.name}, m={self.n_directions}, n={self.dimension})"
+
+
+def _inner_products(spec: GlmSpec, x: np.ndarray) -> list[float]:
+    """<x, z_i> for every direction, from one product."""
+    return (spec.directions @ x).tolist()
+
+
+def _combine(spec: GlmSpec, weights: list[float]) -> np.ndarray:
+    """sum_i weights_i z_i, one product; model gradients and closed forms
+    share it, so equal weights give bit-equal vectors."""
+    return np.array(weights) @ spec.directions
+
+
+def _combine_outer(spec: GlmSpec, weights: list[float]) -> np.ndarray:
+    """sum_i weights_i z_i z_i^T over the outer products stored with the
+    spec, added in order; exactly symmetric."""
+    return np.add.reduce(np.array(weights)[:, None, None] * spec._outers, axis=0)
 
 
 def _require_orthogonal(spec: GlmSpec):
@@ -202,19 +222,13 @@ class GlmGradient(Field):
 
     def _eval(self, x):
         deriv = self.spec.activation.deriv
-        out = np.zeros(self.dimension)
-        for z in self.spec.directions:
-            out += deriv(float(x @ z)) * z
-        return out
+        return _combine(self.spec, [deriv(t) for t in _inner_products(self.spec, x)])
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second
         if second is None:
             return None
-        J = np.zeros((self.dimension, self.dimension))
-        for z in self.spec.directions:
-            J += second(float(x @ z)) * np.outer(z, z)
-        return J
+        return _combine_outer(self.spec, [second(t) for t in _inner_products(self.spec, x)])
 
     def describe(self):
         return self.spec.describe()
@@ -267,27 +281,24 @@ class GlmIterate(Field):
 
     def _eval(self, x):
         deriv = self.spec.activation.deriv
-        out = np.zeros(self.dimension)
-        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
-            out += _orbit_weight(deriv, float(x @ z), float(w), self.k) * z
-        return out
+        return _combine(self.spec, [_orbit_weight(deriv, t, w, self.k) for t, w in
+                                    zip(_inner_products(self.spec, x), self.spec._norms)])
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second
         if second is None:
             return None
         deriv = self.spec.activation.deriv
-        J = np.zeros((self.dimension, self.dimension))
-        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
+        weights = []
+        for s, w in zip(_inner_products(self.spec, x), self.spec._norms):
             # chain = d s_k-1 / d s_0 = prod_{j < k-1} w sigma''(s_j); the walk
             # stops short of s_k-1, where sigma' is not needed.
-            w = float(w)
-            s, chain = float(x @ z), 1.0
+            chain = 1.0
             for s_j, v in _scalar_orbit(deriv, s, w, self.k - 1):
                 chain *= w * second(s_j)
                 s = w * v
-            J += second(s) * chain * np.outer(z, z)
-        return J
+            weights.append(second(s) * chain)
+        return _combine_outer(self.spec, weights)
 
     def describe(self):
         return f"glm-iterate(k={self.k}, {self.spec.describe()})"
@@ -311,30 +322,28 @@ class GlmGdIterate(Field):
         self.gamma = float(gamma)
         self.k = int(k)
         self.dimension = spec.dimension
+        self._eye = np.eye(self.dimension)
 
     def _eval(self, x):
         deriv = self.spec.activation.deriv
-        out = np.array(x, dtype=float)
-        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
-            out -= self.gamma * _orbit_weight(deriv, float(x @ z), float(w), self.k,
-                                              self.gamma) * z
-        return out
+        weights = [_orbit_weight(deriv, t, w, self.k, self.gamma) for t, w in
+                   zip(_inner_products(self.spec, x), self.spec._norms)]
+        return x - self.gamma * _combine(self.spec, weights)
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second
         if second is None:
             return None
         deriv = self.spec.activation.deriv
-        J = np.eye(self.dimension)
-        for z, w in zip(self.spec.directions, self.spec.norms_squared()):
-            w = float(w)
+        weights = []
+        for t, w in zip(_inner_products(self.spec, x), self.spec._norms):
             chain, total = 1.0, 0.0
-            for s, _ in _scalar_orbit(deriv, float(x @ z), w, self.k, self.gamma):
+            for s, _ in _scalar_orbit(deriv, t, w, self.k, self.gamma):
                 curv = second(s)
                 total += curv * chain
                 chain *= 1.0 - self.gamma * w * curv
-            J -= self.gamma * total * np.outer(z, z)
-        return J
+            weights.append(total)
+        return self._eye - self.gamma * _combine_outer(self.spec, weights)
 
     def describe(self):
         return f"glm-gd-iterate(k={self.k}, gamma={self.gamma}, {self.spec.describe()})"
@@ -360,12 +369,15 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     if gamma is not None:
         pairs.append((GdMap(grad, gamma),
                       [iterated_glm_gd(spec, gamma, k) for k in range(1, k_max + 1)]))
+    points = [as_vector(x, spec.dimension) for x in points]
     worst = 0.0
-    for brute, closed in pairs:
-        for x in points:
-            for closed_k, ref in zip(closed, walk_orbit(brute, x, k_max)):
-                dev = float(np.linalg.norm(closed_k(x) - ref) / max(1.0, np.linalg.norm(ref)))
-                worst = max(worst, dev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for brute, closed in pairs:
+            for x in points:
+                for closed_k, ref in zip(closed, _walk(brute, x, k_max)):
+                    dev = float(np.linalg.norm(closed_k._evaluate(x) - ref)
+                                / max(1.0, np.linalg.norm(ref)))
+                    worst = max(worst, dev)
     return worst
 
 
@@ -391,9 +403,8 @@ def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
         raise ValueError("gd-iterate mode needs a positive gamma")
     deriv = spec.activation.deriv
     total = 0.0
-    for z, w in zip(spec.directions, spec.norms_squared()):
-        total += integrate(lambda t, w=float(w): _orbit_weight(deriv, t, w, k, gamma),
-                           0.0, float(x @ z))
+    for s, w in zip(_inner_products(spec, x), spec._norms):
+        total += integrate(lambda t, w=w: _orbit_weight(deriv, t, w, k, gamma), 0.0, s)
     if not math.isfinite(total):
         raise NonFiniteValueError(f"surrogate potential of {spec.describe()} is {total} "
                                   f"at x={x.tolist()}")

@@ -10,6 +10,7 @@ NonFiniteValueError: potentials keep the fields' overflow policy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .fields import NonFiniteValueError
@@ -26,7 +27,6 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
               tol: float = ABS_TOL, limit: int = SUBINTERVAL_CAP) -> float:
     if a == b:
         return 0.0
-    from scipy.integrate import quad  # here, so commands that never integrate skip it
 
     def finite(t):
         value = fn(t)
@@ -34,7 +34,13 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
             raise NonFiniteValueError(f"integrand is {value} at t={t} on [{a}, {b}]")
         return value
 
+    from scipy.integrate import quad  # here, so commands that never integrate skip it
+
     try:
+        if abs(b - a) < sys.float_info.min:
+            # quad cannot subdivide an interval of subnormal width; the
+            # midpoint rule's error there is far below any tolerance.
+            return (b - a) * finite((a + b) / 2)
         result = quad(finite, a, b, epsabs=tol, epsrel=1e-12, limit=limit, full_output=True)
     except OverflowError as err:
         raise NonFiniteValueError(f"integrand overflowed on [{a}, {b}]") from err

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .conservatism import DEFAULT_THRESHOLD, sample_points
-from .fields import (Field, GdMap, Iterate, Sum, as_vector, asymmetry, identity_field,
-                     jacobian, walk_orbit)
+from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_vector, asymmetry,
+                     identity_field, jacobian, walk_orbit)
 
 ZERO_BAND = 1e-10
 PROPAGATION_TOL = 1e-8
@@ -178,13 +178,14 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
     per_j_asym = [0.0] * (k + 1)
-    for x in points:
-        for j, (step, prefix) in enumerate(walk_orbit(f_grad, x, k, jacobians=True), start=1):
-            lo, hi = _eigen_interval(step)
-            alpha_hat, beta_hat = min(alpha_hat, lo), max(beta_hat, hi)
-            per_j_asym[j] = max(per_j_asym[j], asymmetry(prefix))
-            lo, hi = _eigen_interval(prefix)
-            per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in points:
+            for j, (step, prefix) in enumerate(walk_orbit(f_grad, x, k, jacobians=True), start=1):
+                lo, hi = _eigen_interval(step)
+                alpha_hat, beta_hat = min(alpha_hat, lo), max(beta_hat, hi)
+                per_j_asym[j] = max(per_j_asym[j], _asymmetry(prefix))
+                lo, hi = _eigen_interval(prefix)
+                per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
     report = PropagationReport(alpha_hat, beta_hat, k)
     m = max(abs(alpha_hat), abs(beta_hat))
     for j in range(1, k + 1):

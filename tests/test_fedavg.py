@@ -144,6 +144,27 @@ class TestRunFedavg:
         assert trace.rounds_completed == 40
         assert np.max(np.abs(trace.xs[-1])) > 1e90
 
+    def test_growing_run_keeps_finite_distances(self):
+        # the iterates reach 1.4e307 before the run truncates; their distances
+        # to the fixed point overflow a plain sum of squares but not a float
+        config = fa.FedAvgConfig(hetero_clients(), gamma=3.0, eta=1.0, k=3,
+                                 rounds=2000, x0=[0.5, -0.75])
+        trace = fa.run_fedavg(config)
+        assert trace.rounds_completed == 127
+        assert np.max(np.abs(trace.xs)) > 1e307
+        assert np.isfinite(trace.dists).all()
+        assert np.isfinite(trace.ratios).all()
+        assert trace.dists[-1] > 1e307
+
+    def test_overflowing_server_update_truncates(self):
+        # both client maps stay finite; x - y overflows in the server update
+        client = fa.QuadraticClient([[1.0]], [0.0])
+        config = fa.FedAvgConfig([client], gamma=2.0, eta=1.0, k=1, rounds=3,
+                                 x0=[1.5e308])
+        trace = fa.run_fedavg(config)
+        assert trace.rounds_completed == 0
+        assert "iterate became non-finite at round 1" in trace.note
+
     def test_eta_not_one(self):
         config = fa.FedAvgConfig(hetero_clients(), gamma=0.5, eta=0.5, k=2,
                                  rounds=10, x0=[4.0, 4.0])

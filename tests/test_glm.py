@@ -1,5 +1,7 @@
 """Model gradient fields, closed-form iterates, and integral potentials."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from iterfield.glm import (ACTIVATIONS, GlmSpec, NonOrthogonalError,
                            derivative_residual, get_activation, glm_gradient,
                            iterated_glm, iterated_glm_gd, orthogonality_check,
                            surrogate_potential)
+from iterfield.quadrature import integrate
 
 
 def orthogonal_spec(rng, activation, m=2, n=3, low=0.3, high=0.6):
@@ -256,6 +259,16 @@ class TestSurrogatePotential:
                 grad_fd[j] = (surrogate_potential(spec, x + e, k, "gd-iterate", gamma)
                               - surrogate_potential(spec, x - e, k, "gd-iterate", gamma)) / (2 * h)
             np.testing.assert_allclose(x - gamma * grad_fd, closed(x), atol=1e-8)
+
+    def test_subnormal_interval(self):
+        # x @ z is 1.78e-308, an interval too narrow for adaptive quadrature;
+        # the gd-iterate weight there is sigma'(0) + sigma'(-gamma |z|^2)
+        spec = GlmSpec([[0.8, 0.0], [0.0, 1.3]], "exp")
+        x = [2.2250738585072014e-308, 0.0]
+        value = surrogate_potential(spec, x, 2, "gd-iterate", gamma=0.4)
+        expected = 0.8 * x[0] * (1.0 + math.exp(-0.4 * 0.64))
+        assert math.isclose(value, expected, rel_tol=1e-12)
+        assert integrate(math.cos, 0.0, 1e-310) == 1e-310
 
     def test_bad_mode(self):
         spec = GlmSpec([[1.0, 0.0]], "exp")

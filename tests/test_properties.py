@@ -1,6 +1,7 @@
 """Property tests: the overflow policy on every evaluation path, the
-closed-form model iterates against brute-force iteration, and the integer
-rational kernels against plain Fraction loops."""
+closed-form model iterates against brute-force iteration, the integer
+rational kernels against plain Fraction loops, exact verdicts against
+sampled ones, and the polynomial text form."""
 
 import math
 from fractions import Fraction
@@ -9,11 +10,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterfield.fields import (ChainProduct, CoordWise1D, Iterate, NonFiniteValueError,
-                              ScalarMap, compose, gd_map, jacobian)
+from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingConfig, scan_k
+from iterfield.fields import (Affine, ChainProduct, CoordWise1D, Iterate, Linear,
+                              NonFiniteValueError, ScalarMap, compose, gd_map, jacobian)
 from iterfield import rationals
 from iterfield.glm import (GlmSpec, glm_gradient, iterated_glm, iterated_glm_gd,
                            surrogate_potential)
+from iterfield.polynomials import RationalPoly, parse_poly
 from iterfield.quadrature import QuadratureError
 
 ACTIVATIONS = ("exp", "logistic", "quadratic")
@@ -86,6 +89,57 @@ class TestClosedForms:
             assert relative_gap(closed(x), brute(x)) <= 1e-9
             assert relative_gap(jacobian(closed, x),
                                 jacobian(brute, x, ChainProduct())) <= 1e-9
+
+
+# ----- model products: the per-direction loops they replaced are the reference -----
+
+def loop_gradient(spec, x):
+    out = np.zeros(spec.dimension)
+    for z in spec.directions:
+        out += spec.activation.deriv(float(x @ z)) * z
+    return out
+
+
+def loop_gradient_jacobian(spec, x):
+    J = np.zeros((spec.dimension, spec.dimension))
+    for z in spec.directions:
+        J += spec.activation.second(float(x @ z)) * np.outer(z, z)
+    return J
+
+
+def loop_closed_form(spec, x, k, gamma=None):
+    """iterated_glm (or, given gamma, iterated_glm_gd) one direction at a time."""
+    deriv = spec.activation.deriv
+    out = np.array(x, dtype=float) if gamma is not None else np.zeros(spec.dimension)
+    for z in spec.directions:
+        w, s, total = float(z @ z), float(x @ z), 0.0
+        for _ in range(k):
+            v = deriv(s)
+            total += v
+            s = w * v if gamma is None else s - gamma * w * v
+        out += v * z if gamma is None else -gamma * total * z
+    return out
+
+
+class TestModelProducts:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ACTIVATIONS), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_match_per_direction_loops(self, seed, activation, m, k):
+        # one Z @ x and one product per output move the last digits only
+        rng = np.random.default_rng(seed)
+        n = 3
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spec = GlmSpec(Q[:, :m].T * rng.uniform(0.2, 0.7, m)[:, None], activation)
+        x = rng.uniform(-1.0, 1.0, n)
+        grad = glm_gradient(spec)
+        J = jacobian(grad, x)
+        assert np.array_equal(J, J.T)
+        assert relative_gap(J, loop_gradient_jacobian(spec, x)) <= 1e-13
+        assert relative_gap(grad(x), loop_gradient(spec, x)) <= 1e-13
+        assert relative_gap(iterated_glm(spec, k)(x), loop_closed_form(spec, x, k)) <= 1e-12
+        assert relative_gap(iterated_glm_gd(spec, 0.4, k)(x),
+                            loop_closed_form(spec, x, k, 0.4)) <= 1e-12
 
 
 # ----- rational kernels: the plain Fraction loops they replaced are the reference -----
@@ -181,3 +235,49 @@ class TestRationalKernels:
         assert got == outcome(reference_solve_linear, A, b)
         if got[0] == "value":
             assert rationals.mat_vec(A, got[1]) == b
+
+
+# ----- exact verdicts against sampled ones -----
+
+@st.composite
+def small_affine_fields(draw):
+    """Linear or Affine fields with integer entries in [-3, 3], n = 1-3."""
+    n = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3)
+    A = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return Linear(A)
+    return Affine(A, draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+class TestExactAgreesWithNumeric:
+    @SETTINGS
+    @given(small_affine_fields(), st.integers(1, 5))
+    def test_linear_and_affine(self, field, k_max):
+        # entries of A^k stay below 2^53, so the chain products are exact;
+        # a residual within 100x of the threshold could read either way
+        exact = scan_k(field, k_max)
+        numeric = scan_k(field, k_max, mode="numeric",
+                         sampling=SamplingConfig(count=5, seed=0))
+        for (k, e), (_, v) in zip(exact.entries, numeric.entries, strict=True):
+            assert e.exact and not v.exact
+            if DEFAULT_THRESHOLD / 100 < v.residual < DEFAULT_THRESHOLD * 100:
+                continue
+            assert e.is_yes == v.is_yes, (k, e, v)
+
+
+# ----- the polynomial text form -----
+
+@st.composite
+def rational_polys(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    return RationalPoly(nvars, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+class TestPolyText:
+    @SETTINGS
+    @given(rational_polys())
+    def test_parse_inverts_render(self, p):
+        assert parse_poly(p.to_text(), p.nvars) == p
