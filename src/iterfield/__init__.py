@@ -21,7 +21,7 @@ from .glm import (ACTIVATIONS, Activation, GlmGdIterate, GlmGradient, GlmIterate
                   GlmSpec, NonOrthogonalError, activation_from_expression,
                   derivative_residual, get_activation, glm_gradient,
                   iterated_glm, iterated_glm_gd, orthogonality_check,
-                  surrogate_potential)
+                  surrogate_potential, surrogate_potentials)
 from .spectral import (ConvexityClass, GdPropagationReport, NotConservativeError,
                        PropagationReport, SpectrumSample, StepSizeError,
                        check_gd_propagation, check_propagation, classify,
@@ -32,4 +32,4 @@ from .fedavg import (ConvergenceError, FedAvgConfig, FedAvgTrace,
                      SurrogateUnavailableError, build_server_field,
                      closed_form_affine_trace, compare_minimizers,
                      oracle_fixed_point, run_fedavg, server_surrogate, verify_rate)
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError, integrate, integrate_batch

@@ -13,7 +13,6 @@ average is order-free, fixed order makes the floats reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from . import rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Field, GdMap, Iterate, NonFiniteValueError, Sum,
                      as_matrix, as_vector)
-from .glm import GlmSpec, glm_gradient, surrogate_potential
+from .glm import GlmSpec, glm_gradient, surrogate_potentials
 from .spectral import model_delta_field
 
 FIXED_POINT_TOL = 1e-12
@@ -203,13 +202,32 @@ class FedAvgTrace:
         return self.xs.shape[0] - 1
 
 
-def _affine_server_parts(clients, gamma: float, k: int):
-    """(M, v) with V_s(x) = M x + v, exact rationals; quadratic clients only."""
-    field = build_server_field_only(clients, gamma, k)
-    affine = field.as_affine()
-    if affine is None:
+def _client_maps(clients, gamma: float, k: int) -> list[Field]:
+    """Each client's k local descent steps as one field."""
+    return [Iterate(GdMap(c.gradient_field(), gamma), k) for c in clients]
+
+
+def _affine_server_parts(clients, gamma: float, k: int, forms=None):
+    """(M, v) with V_s(x) = M x + v, exact rationals; quadratic clients only.
+
+    Built from each client's exact k-step form G_c(x) = A_c x + b_c
+    (``forms``, when the caller has them): V_s averages x - G_c(x) with the
+    weights of ``build_server_field_only``'s Sum (1 and -1 inside a
+    client's delta, 1.0/m across clients, each the Fraction of its float),
+    so M and v are the rationals ``Sum.as_affine`` gives.
+    """
+    if forms is None:
+        forms = [m.as_affine() for m in _client_maps(clients, gamma, k)]
+    if any(form is None for form in forms):
         raise SurrogateUnavailableError("server field is not affine")
-    return affine
+    n = clients[0].dimension
+    weight = rationals.to_fraction(1.0 / len(forms))
+    M, v = rationals.zeros_matrix(n), rationals.zeros_vector(n)
+    for A, b in forms:
+        delta = rationals.mat_add(rationals.identity(n), rationals.mat_scale(-1, A))
+        M = rationals.mat_add(M, rationals.mat_scale(weight, delta))
+        v = rationals.vec_add(v, rationals.vec_scale(-weight, b))
+    return M, v
 
 
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
@@ -221,8 +239,15 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     else is refined iteratively with the unit-step server recursion until
     the field norm drops below tol.  Returns (point, method).
     """
+    return _fixed_point(clients, gamma, k, x0, tol, max_iterations)
+
+
+def _fixed_point(clients, gamma: float, k: int, x0=None, tol: float = FIXED_POINT_TOL,
+                 max_iterations: int = FIXED_POINT_CAP, forms=None):
+    """``oracle_fixed_point``, reusing the clients' exact k-step forms when
+    the caller has built them."""
     if all(isinstance(c, QuadraticClient) for c in clients):
-        M, v = _affine_server_parts(clients, gamma, k)
+        M, v = _affine_server_parts(clients, gamma, k, forms)
         try:
             solution = rationals.solve_linear(M, [-x for x in v])
         except rationals.SingularMatrixError as err:
@@ -260,6 +285,18 @@ def _oracle_eligible(clients) -> bool:
                for c in clients)
 
 
+def _points_or_one(batch):
+    """f over the rows of an (N, n) array, or at one point as a float, from
+    a function of (N, n) arrays."""
+    def f(x):
+        X = np.asarray(x, dtype=float)
+        if X.ndim == 1:
+            return float(batch(X[None, :])[0])
+        return batch(X)
+
+    return f
+
+
 def server_surrogate(clients, gamma: float, k: int):
     """Scalar function f_s with grad f_s equal to the server field.
 
@@ -267,6 +304,8 @@ def server_surrogate(clients, gamma: float, k: int):
     per client with B the k-th descent-matrix power; orthogonal model
     clients integrate their per-direction scalar recursions.  Constants
     are fixed so each client's term vanishes where its own delta does.
+    f_s takes one point, giving a float, or an (N, n) array of points,
+    giving N values; a point's value is the same either way.
     """
     if all(isinstance(c, QuadraticClient) for c in clients):
         parts = []
@@ -276,33 +315,31 @@ def server_surrogate(clients, gamma: float, k: int):
             parts.append((np.eye(n) - B, c.center))
 
         def f_quad(x):
-            x = np.asarray(x, dtype=float)
             total = 0.0
             for (Q, b) in parts:
                 d = x - b
                 total += 0.5 * float(d @ Q @ d)
             return total / len(parts)
 
-        return f_quad
+        return _points_or_one(lambda X: np.array([f_quad(x) for x in X]))
     if all(isinstance(c, GlmClient) and c.spec.orthogonal for c in clients):
         specs = [c.spec for c in clients]
 
-        def f_glm(x):
+        def f_glm(X):
             total = 0.0
             for spec in specs:
-                total += gamma * surrogate_potential(spec, x, k, "gd-iterate", gamma)
+                total = total + gamma * surrogate_potentials(spec, X, k, "gd-iterate", gamma)
             return total / len(specs)
 
-        return f_glm
+        return _points_or_one(f_glm)
     raise SurrogateUnavailableError(
         "surrogate needs all-quadratic or all-orthogonal-model clients")
 
 
-def _lowered(field: Field) -> Field:
-    """The field as one float Affine, its exact (A, b) rounded once, so a
-    round costs one matvec instead of k nested steps; the field itself when
-    it has no affine form or an entry overflows a float."""
-    affine = field.as_affine()
+def _lowered(field: Field, affine) -> Field:
+    """The field as one float Affine, its exact form (A, b) rounded once, so
+    a round costs one matvec instead of k nested steps; the field itself
+    when it has no affine form (None) or an entry overflows a float."""
     if affine is None:
         return field
     try:
@@ -333,12 +370,14 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     max(1, |model average|_inf).  A non-finite iterate truncates the trace
     with a diagnostic instead of poisoning it, and numpy's overflow
     warnings are off for the whole run.  A client map with an exact
-    affine form runs as one float operator (see ``_lowered``), and the
-    surrogate is evaluated once per distinct iterate.
+    affine form runs as one float operator (see ``_lowered``); the same
+    exact forms give the fixed point's affine solve.  The surrogate is
+    evaluated in one call over the distinct iterates and the fixed point.
     """
     clients = config.clients
-    client_maps = [_lowered(Iterate(GdMap(c.gradient_field(), config.gamma), config.k))
-                   for c in clients]
+    maps = _client_maps(clients, config.gamma, config.k)
+    forms = [m.as_affine() for m in maps]
+    client_maps = [_lowered(m, form) for m, form in zip(maps, forms)]
     weight = 1.0 / len(client_maps)
     n = config.x0.shape[0]
     xs = [np.array(config.x0, dtype=float)]
@@ -377,7 +416,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     fixed_point, method = None, None
     if _oracle_eligible(clients):
         try:
-            fixed_point, method = oracle_fixed_point(clients, config.gamma, config.k)
+            fixed_point, method = _fixed_point(clients, config.gamma, config.k, forms=forms)
         except (ConvergenceError, NonFiniteValueError, rationals.SingularMatrixError):
             fixed_point, method = None, None
     if fixed_point is not None:
@@ -392,12 +431,17 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
         trace.ratios = ratios
     if _surrogate_available(clients):
         f_s = server_surrogate(clients, config.gamma, config.k)
-        # Converged rounds repeat the same float point: one evaluation
-        # per distinct iterate, keyed by its bytes.
-        f_at = functools.cache(lambda key: f_s(np.frombuffer(key)))
-        trace.fs = np.array([f_at(p.tobytes()) for p in trace.xs])
+        # Converged rounds repeat the same float point: each distinct
+        # point, keyed by its bytes, is evaluated once.
+        points = list(trace.xs) + ([] if fixed_point is None else [fixed_point])
+        index = {}
+        for p in points:
+            index.setdefault(p.tobytes(), len(index))
+        values = f_s(np.array([np.frombuffer(key) for key in index]))
+        fs = values[[index[p.tobytes()] for p in points]]
+        trace.fs = fs[:len(trace.xs)]
         if fixed_point is not None:
-            trace.fs_star = float(f_at(fixed_point.tobytes()))
+            trace.fs_star = float(fs[-1])
     return trace
 
 

@@ -56,6 +56,20 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_points(points, dim: int) -> np.ndarray:
+    """An (N, dim) array of finite points, one per row; an empty sequence
+    gives N = 0."""
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
+        X = X.reshape(0, dim)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatchError(f"expected points of dimension {dim}, got shape {X.shape}")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise NonFiniteValueError(f"point has non-finite entries: {X[np.argmax(bad)]}")
+    return X
+
+
 def as_matrix(M, dim: int | None = None) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Field, GdMap, NonFiniteValueError, _walk, as_vector
-from .quadrature import integrate
+from .fields import Field, NonFiniteValueError, as_points, as_vector
+from .quadrature import integrate_batch
 
 ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
@@ -34,7 +34,9 @@ class Activation:
     ``second`` (the second derivative) is optional; without it, Jacobians
     of model gradient fields fall back to central differences.
     ``curvature_bound`` is sup |second| when finite, used to derive
-    smoothness constants.
+    smoothness constants.  ``deriv_array`` is sigma' applied elementwise
+    to a numpy array, for the batched closed forms and potentials;
+    without it, ``derivs`` calls ``deriv`` once per entry.
     """
 
     name: str
@@ -42,6 +44,20 @@ class Activation:
     deriv: Callable[[float], float]
     second: Callable[[float], float] | None = None
     curvature_bound: float | None = None
+    deriv_array: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def derivs(self, t: np.ndarray) -> np.ndarray:
+        """sigma' at every entry of t; a scalar ``deriv`` that overflows
+        gives inf there, which the orbit kernel reports."""
+        if self.deriv_array is not None:
+            return self.deriv_array(t)
+        out = np.empty(t.shape)
+        for i, s in enumerate(t.flat):
+            try:
+                out.flat[i] = self.deriv(float(s))
+            except OverflowError:
+                out.flat[i] = math.inf
+        return out
 
 
 def derivative_residual(activation: Activation, ts: Sequence[float], h: float = 1e-6) -> float:
@@ -60,6 +76,12 @@ def _logistic_sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
+def _logistic_sigmoid_array(t: np.ndarray) -> np.ndarray:
+    """The two branches of ``_logistic_sigmoid`` elementwise."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _logistic_loss(t: float) -> float:
     # log(1 + e^t), stable for large |t|
     if t > 0:
@@ -74,11 +96,12 @@ def _logistic_curvature(t: float) -> float:
 
 ACTIVATIONS: dict[str, Activation] = {
     "quadratic": Activation(
-        "quadratic", lambda t: 0.5 * t * t, lambda t: t, lambda t: 1.0, 1.0),
+        "quadratic", lambda t: 0.5 * t * t, lambda t: t, lambda t: 1.0, 1.0, np.positive),
     "exp": Activation(
-        "exp", math.exp, math.exp, math.exp, None),
+        "exp", math.exp, math.exp, math.exp, None, np.exp),
     "logistic": Activation(
-        "logistic", _logistic_loss, _logistic_sigmoid, _logistic_curvature, 0.25),
+        "logistic", _logistic_loss, _logistic_sigmoid, _logistic_curvature, 0.25,
+        _logistic_sigmoid_array),
 }
 _ALIASES = {"logistic-loss": "logistic", "logistic_loss": "logistic"}
 
@@ -104,12 +127,17 @@ def activation_from_expression(expression: str) -> Activation:
     first = sympy.diff(expr, t)
     second = sympy.diff(expr, t, 2)
     # The math module backend raises OverflowError instead of returning inf,
-    # matching the overflow-is-an-error policy.
+    # matching the overflow-is-an-error policy; the numpy form returns inf
+    # or nan there, which the orbit kernel reports.  A constant derivative
+    # lambdifies to a scalar, broadcast to the input's shape.
+    first_array = sympy.lambdify(t, first, "numpy")
     return Activation(expression,
                       sympy.lambdify(t, expr, "math"),
                       sympy.lambdify(t, first, "math"),
                       sympy.lambdify(t, second, "math"),
-                      None)
+                      None,
+                      lambda ts: np.broadcast_to(np.asarray(first_array(ts), dtype=float),
+                                                 np.shape(ts)))
 
 
 def get_activation(name: str) -> Activation:
@@ -268,6 +296,39 @@ def _orbit_weight(deriv: Callable[[float], float], t: float, w: float, k: int,
     return sum(v for _, v in _scalar_orbit(deriv, t, w, k, gamma))
 
 
+def _orbit_rows(derivs: Callable[[np.ndarray], np.ndarray], t: np.ndarray, w, steps: int,
+                gamma: float | None = None):
+    """``_scalar_orbit`` elementwise over an array t of starting points,
+    with w broadcasting against t: yields the arrays (s_j, sigma'(s_j)) for
+    j = 0..steps-1 with the same checks and ``iterate_index``, naming the
+    first entry that fails.  The caller holds an errstate."""
+    s = t
+    for j in range(1, steps + 1):
+        v = derivs(s)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteValueError(f"sigma' is {v.flat[i]} at s={s.flat[i]}")
+        yield s, v
+        if j == steps:
+            return
+        s = w * v if gamma is None else s - gamma * w * v
+        if gamma is None and not np.isfinite(s).all():
+            raise NonFiniteValueError(f"scalar map overflow at step {j}", iterate_index=j)
+
+
+def _orbit_weights(derivs: Callable[[np.ndarray], np.ndarray], t: np.ndarray, w, k: int,
+                   gamma: float | None = None) -> np.ndarray:
+    """``_orbit_weight`` elementwise over an array of starting points."""
+    if gamma is None:
+        *_, (_, v) = _orbit_rows(derivs, t, w, k)
+        return v
+    total = 0.0
+    for _, v in _orbit_rows(derivs, t, w, k, gamma):
+        total = total + v
+    return total
+
+
 class GlmIterate(Field):
     """Closed form of the k-fold self-composition of an orthogonal model gradient."""
 
@@ -359,26 +420,88 @@ def iterated_glm_gd(spec: GlmSpec, gamma: float, k: int) -> GlmGdIterate:
     return GlmGdIterate(spec, gamma, k)
 
 
+def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B added term by term in index order, so that each row of the
+    result depends on its own row of A alone; BLAS blocks the rows of a
+    product differently for different row counts."""
+    out = A[:, :1] * B[0]
+    for i in range(1, B.shape[0]):
+        out = out + A[:, i:i + 1] * B[i]
+    return out
+
+
 def closed_form_deviation(spec: GlmSpec, points, k_max: int,
                           gamma: float | None = None) -> float:
     """Worst relative deviation of iterated_glm (and, given gamma,
     iterated_glm_gd) from brute-force iteration, over k <= k_max and the
-    points; one orbit walk per point gives V^1(x) .. V^k_max(x)."""
-    grad = glm_gradient(spec)
-    pairs = [(grad, [iterated_glm(spec, k) for k in range(1, k_max + 1)])]
-    if gamma is not None:
-        pairs.append((GdMap(grad, gamma),
-                      [iterated_glm_gd(spec, gamma, k) for k in range(1, k_max + 1)]))
-    points = [as_vector(x, spec.dimension) for x in points]
+    points.  All points go together: one (N, n) walk of the gradient (or
+    of its descent map) gives V^1 .. V^k_max at every point, and one walk
+    of the scalar orbits gives every closed form's weights."""
+    _require_orthogonal(spec)
+    if gamma is not None and not (gamma > 0):
+        raise ValueError("step size gamma must be positive")
+    X = as_points(points, spec.dimension)
+    if X.shape[0] == 0:
+        return 0.0
+    Z, w, derivs = spec.directions, np.array(spec._norms), spec.activation.derivs
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for brute, closed in pairs:
-            for x in points:
-                for closed_k, ref in zip(closed, _walk(brute, x, k_max)):
-                    dev = float(np.linalg.norm(closed_k._evaluate(x) - ref)
-                                / max(1.0, np.linalg.norm(ref)))
-                    worst = max(worst, dev)
+        T = _row_products(X, Z.T)
+        for step in (None,) if gamma is None else (None, gamma):
+            brute, total = X, 0.0
+            for j, (_, v) in enumerate(_orbit_rows(derivs, T, w, k_max, step), start=1):
+                grad = _row_products(derivs(_row_products(brute, Z.T)), Z)
+                brute = grad if step is None else brute - step * grad
+                if step is None:
+                    closed = _row_products(v, Z)
+                else:
+                    total = total + v
+                    closed = X - step * _row_products(total, Z)
+                if not (np.isfinite(brute).all() and np.isfinite(closed).all()):
+                    raise NonFiniteValueError(
+                        f"{spec.describe()} overflowed at iterate {j} of {k_max}",
+                        iterate_index=j)
+                dev = (np.linalg.norm(closed - brute, axis=1)
+                       / np.maximum(1.0, np.linalg.norm(brute, axis=1)))
+                worst = max(worst, float(np.max(dev)))
     return worst
+
+
+def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterate",
+                         gamma: float | None = None) -> np.ndarray:
+    """``surrogate_potential`` at every row of an (N, n) array of points.
+
+    Every (point, direction) integral goes into one ``integrate_batch``
+    call, whose integrand walks all their scalar orbits at once; a
+    point's value is bit-identical to its value computed alone.
+    """
+    _require_orthogonal(spec)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode == "grad-iterate":
+        gamma = None
+    elif mode != "gd-iterate":
+        raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")
+    elif gamma is None or not (gamma > 0):
+        raise ValueError("gd-iterate mode needs a positive gamma")
+    X = as_points(points, spec.dimension)
+    derivs = spec.activation.derivs
+    w = np.tile(spec._norms, X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = _row_products(X, spec.directions.T)
+        integrals = integrate_batch(
+            lambda t, rows: _orbit_weights(derivs, t, w[rows][:, None], k, gamma),
+            np.zeros(T.size), T.ravel()).reshape(T.shape)
+        # directions added in order, as one point's potential always was
+        total = np.zeros(X.shape[0])
+        for column in integrals.T:
+            total = total + column
+    bad = ~np.isfinite(total)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteValueError(f"surrogate potential of {spec.describe()} is {total[i]} "
+                                  f"at x={X[i].tolist()}")
+    return total
 
 
 def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
@@ -389,23 +512,8 @@ def surrogate_potential(spec: GlmSpec, x, k: int, mode: str = "grad-iterate",
     iterate of the model's gradient field.  mode "gd-iterate": returns the
     potential H with x - gamma * grad H equal to the k-fold
     gradient-descent map.  Both integrate per-direction scalar functions
-    from 0, fixing the additive constant by potential(0) = 0.
+    from 0, fixing the additive constant by potential(0) = 0.  The one-point
+    case of ``surrogate_potentials``.
     """
-    _require_orthogonal(spec)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     x = as_vector(x, spec.dimension)
-    if mode == "grad-iterate":
-        gamma = None
-    elif mode != "gd-iterate":
-        raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")
-    elif gamma is None or not (gamma > 0):
-        raise ValueError("gd-iterate mode needs a positive gamma")
-    deriv = spec.activation.deriv
-    total = 0.0
-    for s, w in zip(_inner_products(spec, x), spec._norms):
-        total += integrate(lambda t, w=w: _orbit_weight(deriv, t, w, k, gamma), 0.0, s)
-    if not math.isfinite(total):
-        raise NonFiniteValueError(f"surrogate potential of {spec.describe()} is {total} "
-                                  f"at x={x.tolist()}")
-    return total
+    return float(surrogate_potentials(spec, x[None, :], k, mode, gamma)[0])

@@ -16,7 +16,7 @@ from . import polynomials as poly
 from .conservatism import SamplingConfig, check_poly, scan_k
 from .fields import Iterate, Linear, compose, gd_map
 from .glm import (GlmSpec, NonOrthogonalError, closed_form_deviation, glm_gradient,
-                  iterated_glm, iterated_glm_gd, orthogonality_check, surrogate_potential)
+                  iterated_glm, iterated_glm_gd, orthogonality_check, surrogate_potentials)
 from .spectral import check_gd_propagation, check_propagation
 
 COEFF_NAMES = ("a", "b", "c", "d")
@@ -218,21 +218,22 @@ def surrogate_gradient(points: int = 50, k_max: int = 4, tol: float = 1e-6) -> d
     gamma = 0.4
     h = 1e-6
     worst = 0.0
+    steps = h * np.eye(3)
     for act in ("quadratic", "exp", "logistic"):
         spec = GlmSpec(_orthogonal_directions(rng, 3, 2), act)
         for k in range(1, k_max + 1):
             closed = iterated_glm(spec, k)
             closed_gd = iterated_glm_gd(spec, gamma, k)
+            xs = []
             for _ in range(points // k_max):
                 x = rng.standard_normal(3)
-                x /= max(1.0, float(np.linalg.norm(x)))
-                for mode, target in (("grad-iterate", None), ("gd-iterate", gamma)):
-                    grad_fd = np.zeros(3)
-                    for j in range(3):
-                        e = np.zeros(3)
-                        e[j] = h
-                        grad_fd[j] = (surrogate_potential(spec, x + e, k, mode, gamma)
-                                      - surrogate_potential(spec, x - e, k, mode, gamma)) / (2 * h)
+                xs.append(x / max(1.0, float(np.linalg.norm(x))))
+            # every point's +h and -h stencil in one batch of potentials
+            X = np.array(xs)[:, None, :]
+            stencil = np.concatenate([X + steps, X - steps]).reshape(-1, 3)
+            for mode in ("grad-iterate", "gd-iterate"):
+                plus, minus = surrogate_potentials(spec, stencil, k, mode, gamma).reshape(2, -1, 3)
+                for x, grad_fd in zip(xs, (plus - minus) / (2 * h)):
                     if mode == "grad-iterate":
                         ref = closed(x)
                     else:

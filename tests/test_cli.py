@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -270,3 +272,23 @@ class TestDeterminism:
             main(["paper-suite", "linear-pattern", "--outdir", str(outdir)])
             blobs.append((outdir / "linear-pattern.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from iterfield.cli import main
+for entry in ("surrogate-gradient", "fedavg-convex", "glm-orthogonal"):
+    assert main(["paper-suite", entry, "--outdir", {outdir!r}]) == 0, entry
+assert "scipy" not in sys.modules
+"""
+
+
+def test_potentials_and_closed_forms_run_without_scipy(tmp_path):
+    # the integrator is numpy only; a fresh process shows what got imported
+    script = NO_SCIPY_SCRIPT.format(src=SRC, outdir=str(tmp_path))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -6,7 +6,7 @@ import pytest
 from iterfield import fedavg as fa
 from iterfield.conservatism import SamplingConfig
 from iterfield.fields import Callback, NonFiniteValueError
-from iterfield.glm import GlmSpec, iterated_glm_gd, surrogate_potential
+from iterfield.glm import GlmSpec, iterated_glm_gd, surrogate_potentials
 
 
 def hetero_clients():
@@ -198,14 +198,36 @@ class TestRunFedavg:
             assert trace.rounds_completed == 200
             assert np.max(np.abs(reference - trace.xs)) <= 1e-12 * np.max(np.abs(reference))
 
+    def test_exact_client_forms_built_once_per_run(self, monkeypatch):
+        # lowering and the fixed point's affine solve share each client's
+        # exact k-step form
+        builds = []
+        original = fa.Iterate.as_affine
+
+        def counting(self):
+            builds.append(self)
+            return original(self)
+
+        monkeypatch.setattr(fa.Iterate, "as_affine", counting)
+        clients = hetero_clients() + [fa.QuadraticClient([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.7])]
+        config = fa.FedAvgConfig(clients, gamma=0.4, eta=1.0, k=3, rounds=20, x0=[2.0, -1.0])
+        trace = fa.run_fedavg(config)
+        assert len(builds) == len(clients)
+        assert trace.fixed_point_method == "affine-solve"
+        # the same rationals as the server field's own Sum.as_affine
+        point, _ = fa.oracle_fixed_point(clients, 0.4, 3)
+        assert trace.fixed_point.tobytes() == point.tobytes()
+        M, v = fa.build_server_field_only(clients, 0.4, 3).as_affine()
+        assert fa._affine_server_parts(clients, 0.4, 3) == (M, v)
+
     def test_surrogate_evaluated_once_per_distinct_iterate(self, monkeypatch):
-        calls = []
+        points_per_call = []
 
-        def counting(spec, x, *args):
-            calls.append(spec)
-            return surrogate_potential(spec, x, *args)
+        def counting(spec, points, *args):
+            points_per_call.append(len(points))
+            return surrogate_potentials(spec, points, *args)
 
-        monkeypatch.setattr(fa, "surrogate_potential", counting)
+        monkeypatch.setattr(fa, "surrogate_potentials", counting)
         clients = [fa.GlmClient(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "logistic")),
                    fa.GlmClient(GlmSpec([[-0.9, 0.0], [0.0, -1.0]], "logistic"))]
         config = fa.FedAvgConfig(clients, gamma=4.0, eta=1.0, k=3, rounds=200,
@@ -213,7 +235,8 @@ class TestRunFedavg:
         trace = fa.run_fedavg(config)
         points = {p.tobytes() for p in trace.xs} | {trace.fixed_point.tobytes()}
         assert len(points) < len(trace.xs)  # the run converged and repeats its iterate
-        assert len(calls) == len(points) * len(clients)
+        # one batch per client, holding each distinct point once
+        assert points_per_call == [len(points)] * len(clients)
         f_s = fa.server_surrogate(clients, config.gamma, config.k)
         assert trace.fs.tobytes() == np.array([f_s(p) for p in trace.xs]).tobytes()
         assert trace.fs_star == f_s(trace.fixed_point)

@@ -7,10 +7,10 @@ import pytest
 
 from iterfield.conservatism import check_numeric
 from iterfield.fields import Iterate, NonFiniteValueError, gd_map, jacobian
-from iterfield.glm import (ACTIVATIONS, GlmSpec, NonOrthogonalError,
+from iterfield.glm import (ACTIVATIONS, Activation, GlmSpec, NonOrthogonalError,
                            derivative_residual, get_activation, glm_gradient,
                            iterated_glm, iterated_glm_gd, orthogonality_check,
-                           surrogate_potential)
+                           surrogate_potential, surrogate_potentials)
 from iterfield.quadrature import integrate
 
 
@@ -269,6 +269,29 @@ class TestSurrogatePotential:
         expected = 0.8 * x[0] * (1.0 + math.exp(-0.4 * 0.64))
         assert math.isclose(value, expected, rel_tol=1e-12)
         assert integrate(math.cos, 0.0, 1e-310) == 1e-310
+
+    def test_array_derivatives(self):
+        # the array forms of sigma' agree with the scalar ones entry by entry
+        ts = np.concatenate([np.linspace(-40.0, 40.0, 81), [-0.0, 0.0, 1e-300, -745.0]])
+        # "3*t" has a constant derivative, which lambdify leaves a scalar
+        for name in ("quadratic", "exp", "logistic", "log(1+exp(t))", "t^2/2 + t", "3*t"):
+            act = get_activation(name)
+            got = act.derivs(ts)
+            want = np.array([act.deriv(float(t)) for t in ts])
+            assert got.shape == ts.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+
+    def test_scalar_only_activation(self):
+        # an activation given without an array derivative is evaluated entry
+        # by entry, and its overflow still raises
+        scalar_exp = Activation("exp-scalar", math.exp, math.exp)
+        points = [[0.3, -0.2], [1.0, 0.5]]
+        directions = [[0.8, 0.0], [0.0, 1.3]]
+        np.testing.assert_allclose(surrogate_potentials(GlmSpec(directions, scalar_exp), points, 2),
+                                   surrogate_potentials(GlmSpec(directions, "exp"), points, 2),
+                                   rtol=1e-14)
+        with pytest.raises(NonFiniteValueError):
+            surrogate_potentials(GlmSpec([[1.0]], scalar_exp), [[800.0]], 1)
 
     def test_bad_mode(self):
         spec = GlmSpec([[1.0, 0.0]], "exp")

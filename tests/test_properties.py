@@ -1,5 +1,6 @@
 """Property tests: the overflow policy on every evaluation path, the
-closed-form model iterates against brute-force iteration, the integer
+closed-form model iterates against brute-force iteration, batched
+potentials and closed-form checks against one point at a time, the integer
 rational kernels against plain Fraction loops, exact verdicts against
 sampled ones, and the polynomial text form."""
 
@@ -14,8 +15,8 @@ from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingConfig, scan_k
 from iterfield.fields import (Affine, ChainProduct, CoordWise1D, Iterate, Linear,
                               NonFiniteValueError, ScalarMap, compose, gd_map, jacobian)
 from iterfield import rationals
-from iterfield.glm import (GlmSpec, glm_gradient, iterated_glm, iterated_glm_gd,
-                           surrogate_potential)
+from iterfield.glm import (GlmSpec, closed_form_deviation, glm_gradient, iterated_glm,
+                           iterated_glm_gd, surrogate_potential, surrogate_potentials)
 from iterfield.polynomials import RationalPoly, parse_poly
 from iterfield.quadrature import QuadratureError
 
@@ -57,8 +58,8 @@ class TestOverflowPolicy:
     @SETTINGS
     @given(st.sampled_from(ACTIVATIONS), st.integers(1, 3), WIDE, WIDE)
     def test_potentials(self, activation, k, a, b):
-        # QuadratureError is the integrator refusing an interval it cannot
-        # resolve (such as one of subnormal width), not an overflow
+        # QuadratureError is the integrator refusing an interval that would
+        # need more than its 10^4-subinterval cap, not an overflow
         x = [a, b]
         spec, coordwise, _ = wide_fields(activation, k)
         finite_or_nonfinite_error(lambda: surrogate_potential(spec, x, k), (QuadratureError,))
@@ -89,6 +90,60 @@ class TestClosedForms:
             assert relative_gap(closed(x), brute(x)) <= 1e-9
             assert relative_gap(jacobian(closed, x),
                                 jacobian(brute, x, ChainProduct())) <= 1e-9
+
+
+# ----- batches: one point at a time is the reference -----
+
+def random_orthogonal_spec(rng, activation, m, n=3):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return GlmSpec(Q[:, :m].T * rng.uniform(0.2, 0.7, m)[:, None], activation)
+
+
+def loop_closed_form_deviation(spec, points, k_max, gamma=None):
+    """closed_form_deviation one point and one k at a time, through the
+    per-point closed forms and brute-force iteration."""
+    grad = glm_gradient(spec)
+    pairs = [(grad, lambda k: iterated_glm(spec, k))]
+    if gamma is not None:
+        pairs.append((gd_map(grad, gamma), lambda k: iterated_glm_gd(spec, gamma, k)))
+    worst = 0.0
+    for brute, closed in pairs:
+        for x in points:
+            ref = x
+            for k in range(1, k_max + 1):
+                ref = brute(ref)
+                dev = np.linalg.norm(closed(k)(x) - ref) / max(1.0, np.linalg.norm(ref))
+                worst = max(worst, float(dev))
+    return worst
+
+
+class TestBatches:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ACTIVATIONS), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from(("grad-iterate", "gd-iterate")),
+           st.integers(1, 8))
+    def test_potential_in_a_batch_is_its_potential_alone(self, seed, activation, m, k,
+                                                         mode, count):
+        rng = np.random.default_rng(seed)
+        spec = random_orthogonal_spec(rng, activation, m)
+        points = rng.uniform(-1.0, 1.0, (count, 3))
+        batch = surrogate_potentials(spec, points, k, mode, 0.4)
+        alone = np.array([surrogate_potential(spec, x, k, mode, 0.4) for x in points])
+        assert batch.tobytes() == alone.tobytes()
+        assert surrogate_potentials(spec, points[::-1], k, mode, 0.4).tobytes() \
+            == batch[::-1].tobytes()
+
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ACTIVATIONS), st.integers(1, 3),
+           st.integers(1, 5), st.one_of(st.none(), st.floats(0.05, 1.0)), st.integers(1, 12))
+    def test_closed_form_deviation_matches_point_loop(self, seed, activation, m, k_max,
+                                                      gamma, count):
+        rng = np.random.default_rng(seed)
+        spec = random_orthogonal_spec(rng, activation, m)
+        points = rng.standard_normal((count, 3))
+        points /= np.maximum(1.0, np.linalg.norm(points, axis=1))[:, None]
+        got = closed_form_deviation(spec, points, k_max, gamma)
+        assert abs(got - loop_closed_form_deviation(spec, points, k_max, gamma)) <= 1e-15
 
 
 # ----- model products: the per-direction loops they replaced are the reference -----
