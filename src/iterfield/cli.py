@@ -11,6 +11,7 @@ config seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -362,9 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs far more than a parse,
+    and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except LIBRARY_ERRORS as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,15 +45,33 @@ class ConvergenceError(RuntimeError):
 
 
 class QuadraticClient:
-    """Loss 0.5 (x - b)^T A (x - b) with symmetric positive semi-definite A."""
+    """Loss 0.5 (x - b)^T A (x - b) with symmetric positive semi-definite A.
+
+    The client keeps read-only copies of A and b, so the exact descent forms
+    it memoises (``descent_form``) stay valid and the caller's arrays are
+    never shared.
+    """
 
     def __init__(self, matrix, center, label: str = ""):
         A = as_matrix(matrix)
         if float(np.max(np.abs(A - A.T))) > 1e-12:
             raise ValueError("quadratic client matrix must be symmetric")
-        self.matrix = A
-        self.center = as_vector(center, A.shape[0])
+        self.matrix = A.copy()
+        self.center = as_vector(center, A.shape[0]).copy()
+        self.matrix.flags.writeable = False
+        self.center.flags.writeable = False
         self.label = label or f"quadratic({A.shape[0]}d)"
+        self._forms = {}
+
+    def descent_form(self, gamma: float, k: int):
+        """Exact rational (A_k, b_k) with k descent steps of step gamma
+        equal to x -> A_k x + b_k: ``Iterate.as_affine`` of the client map,
+        built on the first request for (gamma, k) and kept, as tuples."""
+        key = (float(gamma), int(k))
+        if key not in self._forms:
+            A, b = _client_map(self, gamma, k).as_affine()
+            self._forms[key] = tuple(map(tuple, A)), tuple(b)
+        return self._forms[key]
 
     @property
     def dimension(self) -> int:
@@ -202,32 +221,43 @@ class FedAvgTrace:
         return self.xs.shape[0] - 1
 
 
-def _client_maps(clients, gamma: float, k: int) -> list[Field]:
-    """Each client's k local descent steps as one field."""
-    return [Iterate(GdMap(c.gradient_field(), gamma), k) for c in clients]
+def _client_map(client, gamma: float, k: int) -> Field:
+    """The client's k local descent steps as one field."""
+    return Iterate(GdMap(client.gradient_field(), gamma), k)
 
 
-def _affine_server_parts(clients, gamma: float, k: int, forms=None):
+def _server_system(clients, gamma: float, k: int):
+    """(P, r, d) with the server field V_s(x) = w (P x - r) / d exactly,
+    w = 1.0/m as a Fraction; quadratic clients only.
+
+    The clients' exact k-step forms G_c(x) = A_c x + b_c (kept on each
+    client, see ``QuadraticClient.descent_form``) are summed in integer
+    numerators over one denominator, sum A_c = N / d and sum b_c = r / d;
+    then P = m d I - N, with no Fraction made.
+    """
+    if not all(isinstance(c, QuadraticClient) for c in clients):
+        raise SurrogateUnavailableError("server field is not affine")
+    S, d = rationals.sum_numerators(
+        [A + (b,) for A, b in (c.descent_form(gamma, k) for c in clients)])
+    m, n = len(clients), len(S) - 1
+    P = [[(m * d if i == j else 0) - s for j, s in enumerate(row)] for i, row in enumerate(S[:n])]
+    return P, S[n], d
+
+
+def _affine_server_parts(clients, gamma: float, k: int):
     """(M, v) with V_s(x) = M x + v, exact rationals; quadratic clients only.
 
-    Built from each client's exact k-step form G_c(x) = A_c x + b_c
-    (``forms``, when the caller has them): V_s averages x - G_c(x) with the
-    weights of ``build_server_field_only``'s Sum (1 and -1 inside a
-    client's delta, 1.0/m across clients, each the Fraction of its float),
-    so M and v are the rationals ``Sum.as_affine`` gives.
+    V_s averages x - G_c(x) with the weights of ``build_server_field_only``'s
+    Sum (1 and -1 inside a client's delta, w = 1.0/m across clients, each
+    the Fraction of its float), so M = w (m I - sum A_c) and
+    v = -w sum b_c are the rationals ``Sum.as_affine`` gives, made from
+    ``_server_system`` with one Fraction per entry.
     """
-    if forms is None:
-        forms = [m.as_affine() for m in _client_maps(clients, gamma, k)]
-    if any(form is None for form in forms):
-        raise SurrogateUnavailableError("server field is not affine")
-    n = clients[0].dimension
-    weight = rationals.to_fraction(1.0 / len(forms))
-    M, v = rationals.zeros_matrix(n), rationals.zeros_vector(n)
-    for A, b in forms:
-        delta = rationals.mat_add(rationals.identity(n), rationals.mat_scale(-1, A))
-        M = rationals.mat_add(M, rationals.mat_scale(weight, delta))
-        v = rationals.vec_add(v, rationals.vec_scale(-weight, b))
-    return M, v
+    P, r, d = _server_system(clients, gamma, k)
+    w = rationals.to_fraction(1.0 / len(clients))
+    den = w.denominator * d
+    return ([[Fraction(w.numerator * p, den) for p in row] for row in P],
+            [Fraction(-w.numerator * x, den) for x in r])
 
 
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
@@ -235,22 +265,18 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
                        max_iterations: int = FIXED_POINT_CAP):
     """Zero of the server field.
 
-    All-quadratic clients get the exact affine solve of M x = -v; anything
-    else is refined iteratively with the unit-step server recursion until
-    the field norm drops below tol.  Returns (point, method).
+    All-quadratic clients get the exact affine solve of M x = -v, posed as
+    P x = r on ``_server_system``'s integers (the same equations scaled by
+    d / w, so the same solution); anything else is refined iteratively with
+    the unit-step server recursion until the field norm drops below tol.
+    Returns (point, method).
     """
-    return _fixed_point(clients, gamma, k, x0, tol, max_iterations)
-
-
-def _fixed_point(clients, gamma: float, k: int, x0=None, tol: float = FIXED_POINT_TOL,
-                 max_iterations: int = FIXED_POINT_CAP, forms=None):
-    """``oracle_fixed_point``, reusing the clients' exact k-step forms when
-    the caller has built them."""
     if all(isinstance(c, QuadraticClient) for c in clients):
-        M, v = _affine_server_parts(clients, gamma, k, forms)
+        P, r, _ = _server_system(clients, gamma, k)
         try:
-            solution = rationals.solve_linear(M, [-x for x in v])
+            solution = rationals.solve_linear(P, r)
         except rationals.SingularMatrixError as err:
+            M, _ = _affine_server_parts(clients, gamma, k)
             cond = float(np.linalg.cond(rationals.to_float_matrix(M)))
             raise rationals.SingularMatrixError(
                 f"{err}; float condition estimate {cond:.3e}") from err
@@ -314,14 +340,14 @@ def server_surrogate(clients, gamma: float, k: int):
             B = np.linalg.matrix_power(np.eye(n) - gamma * c.matrix, k)
             parts.append((np.eye(n) - B, c.center))
 
-        def f_quad(x):
-            total = 0.0
+        def f_quad(X):
+            total = np.zeros(X.shape[0])
             for (Q, b) in parts:
-                d = x - b
-                total += 0.5 * float(d @ Q @ d)
+                D = X - b
+                total = total + 0.5 * np.einsum("ij,ij->i", D @ Q, D)
             return total / len(parts)
 
-        return _points_or_one(lambda X: np.array([f_quad(x) for x in X]))
+        return _points_or_one(f_quad)
     if all(isinstance(c, GlmClient) and c.spec.orthogonal for c in clients):
         specs = [c.spec for c in clients]
 
@@ -336,17 +362,14 @@ def server_surrogate(clients, gamma: float, k: int):
         "surrogate needs all-quadratic or all-orthogonal-model clients")
 
 
-def _lowered(field: Field, affine) -> Field:
-    """The field as one float Affine, its exact form (A, b) rounded once, so
-    a round costs one matvec instead of k nested steps; the field itself
-    when it has no affine form (None) or an entry overflows a float."""
-    if affine is None:
-        return field
+def _lowered(form):
+    """A quadratic client's exact k-step form (A, b) rounded once to floats,
+    so its k local steps cost one product; None when an entry overflows a
+    float, and the client then walks its k steps."""
     try:
-        return Affine(rationals.to_float_matrix(affine[0]),
-                      rationals.to_float_vector(affine[1]))
+        return rationals.to_float_matrix(form[0]), rationals.to_float_vector(form[1])
     except OverflowError:
-        return field
+        return None
 
 
 def _distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -365,43 +388,74 @@ def _distance(p: np.ndarray, q: np.ndarray) -> float:
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
-    With eta = 1 every round is verified against the plain model-average
-    recursion, which the delta update must reproduce to 1e-12 times
-    max(1, |model average|_inf).  A non-finite iterate truncates the trace
-    with a diagnostic instead of poisoning it, and numpy's overflow
-    warnings are off for the whole run.  A client map with an exact
-    affine form runs as one float operator (see ``_lowered``); the same
-    exact forms give the fixed point's affine solve.  The surrogate is
-    evaluated in one call over the distinct iterates and the fixed point.
+    Every quadratic client's exact k-step form, kept on the client (see
+    ``QuadraticClient.descent_form``) and rounded once (``_lowered``), is
+    one block of a stacked (s n, n) operator, so one product per round gives
+    all their models.  Any other client, and a quadratic one whose form
+    overflows a float, walks its k descent steps.  With eta = 1 every round
+    is verified against the plain model-average recursion, which the delta
+    update must reproduce to 1e-12 times max(1, |model average|_inf).  A
+    non-finite model or iterate truncates the trace with a diagnostic
+    instead of poisoning it, and numpy's overflow warnings are off for the
+    whole run.  The fixed point's affine solve reads the same exact forms.
+    The surrogate is evaluated in one call over the distinct iterates and
+    the fixed point.
     """
     clients = config.clients
-    maps = _client_maps(clients, config.gamma, config.k)
-    forms = [m.as_affine() for m in maps]
-    client_maps = [_lowered(m, form) for m, form in zip(maps, forms)]
-    weight = 1.0 / len(client_maps)
-    n = config.x0.shape[0]
+    m, n = len(clients), config.x0.shape[0]
+    lowered, walks = {}, []
+    for i, c in enumerate(clients):
+        form = (_lowered(c.descent_form(config.gamma, config.k))
+                if isinstance(c, QuadraticClient) else None)
+        if form is None:
+            walks.append((i, _client_map(c, config.gamma, config.k)))
+        else:
+            lowered[i] = form
+    stacked = list(lowered)
+    A = np.concatenate([lowered[i][0] for i in stacked]) if stacked else np.zeros((0, n))
+    b = np.concatenate([lowered[i][1] for i in stacked]) if stacked else np.zeros(0)
+
+    def models(x):
+        """Every client's model at x, one row per client.  As when every
+        client walked, the first client in index order whose model is
+        non-finite raises, and no later client walks."""
+        rows = (A @ x + b).reshape(-1, n)
+        first_bad = m
+        if not np.isfinite(rows).all():
+            first_bad = stacked[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        ys = rows
+        if walks:
+            ys = np.empty((m, n))
+            ys[stacked] = rows
+            for i, walk in walks:
+                if i > first_bad:
+                    break
+                ys[i] = walk(x)
+        if first_bad < m:
+            raise NonFiniteValueError(f"{Affine(*lowered[first_bad]).describe()} produced "
+                                      f"a non-finite value at x={x.tolist()}")
+        return ys
+
+    weight = 1.0 / m
     xs = [np.array(config.x0, dtype=float)]
     values = []
     note = None
     x = xs[0]
     for t in range(config.rounds):
         try:
-            # One evaluation of each client map feeds both the server field
-            # mean(x - y_c) and the model average mean(y_c).
-            ys = [cm(x) for cm in client_maps]
-            v = np.zeros(n)
-            for y in ys:
-                v += weight * (x - y)
+            # One evaluation of the client models feeds both the server
+            # field mean(x - y_c) and the model average mean(y_c); cumsum
+            # adds the rows in client order, where sum may pair them.
+            ys = models(x)
+            v = (weight * (x - ys)).cumsum(axis=0)[-1]
             x_next = x - config.eta * v
             if not np.isfinite(x_next).all():
                 raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
             if config.eta == 1.0:
-                avg = np.zeros(n)
-                for y in ys:
-                    avg += y
-                avg /= len(ys)
-                gap = float(np.max(np.abs((x - v) - avg)))
-                if gap > EQUIVALENCE_TOL * max(1.0, float(np.max(np.abs(avg)))):
+                # x_next is x - v here
+                avg = ys.cumsum(axis=0)[-1] / m
+                gap = float(np.abs(x_next - avg).max())
+                if gap > EQUIVALENCE_TOL * max(1.0, float(np.abs(avg).max())):
                     raise RuntimeError(
                         f"delta update and model average disagree by {gap:.3e} at round {t}")
             x = x_next
@@ -416,7 +470,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     fixed_point, method = None, None
     if _oracle_eligible(clients):
         try:
-            fixed_point, method = _fixed_point(clients, config.gamma, config.k, forms=forms)
+            fixed_point, method = oracle_fixed_point(clients, config.gamma, config.k)
         except (ConvergenceError, NonFiniteValueError, rationals.SingularMatrixError):
             fixed_point, method = None, None
     if fixed_point is not None:
@@ -560,15 +614,13 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     """
     x_s, method_s = oracle_fixed_point(clients, gamma, k, x0=x0)
     if all(isinstance(c, QuadraticClient) for c in clients):
-        n = clients[0].dimension
-        A_sum = rationals.zeros_matrix(n)
-        rhs = rationals.zeros_vector(n)
+        # sum A_c x = sum A_c b_c, both sides summed over one denominator
+        forms = []
         for c in clients:
             A = rationals.fraction_matrix(c.matrix)
-            b = rationals.fraction_vector(c.center)
-            A_sum = rationals.mat_add(A_sum, A)
-            rhs = rationals.vec_add(rhs, rationals.mat_vec(A, b))
-        x_star = rationals.to_float_vector(rationals.solve_linear(A_sum, rhs))
+            forms.append(A + [rationals.mat_vec(A, rationals.fraction_vector(c.center))])
+        S, _ = rationals.sum_numerators(forms)
+        x_star = rationals.to_float_vector(rationals.solve_linear(S[:-1], S[-1]))
         method_star = "affine-solve"
     else:
         fields = [c.gradient_field() for c in clients]

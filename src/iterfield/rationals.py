@@ -64,6 +64,18 @@ def _integer_rows(rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
+def sum_numerators(matrices):
+    """(S, d) with S / d the entrywise sum of same-shape rational matrices:
+    integer numerators over the least common denominator, no Fraction made."""
+    parts = [_integer_rows(rows) for rows in matrices]
+    den = math.lcm(*(d for _, d in parts))
+    total = [[0] * len(row) for row in parts[0][0]]
+    for rows, d in parts:
+        scale = den // d
+        total = [[s + scale * x for s, x in zip(srow, row)] for srow, row in zip(total, rows)]
+    return total, den
+
+
 def mat_mul(A, B):
     NA, da = _integer_rows(A)
     NB, db = _integer_rows(B)

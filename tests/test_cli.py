@@ -292,3 +292,26 @@ def test_potentials_and_closed_forms_run_without_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    from iterfield import cli
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        outdir = str(tmp_path)
+        assert main(["paper-suite", "nilpotent", "--outdir", outdir]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--linear", "[[1]]"])
+        assert info.value.code == 2
+        assert main(["paper-suite", "nilpotent", "--outdir", outdir]) == 0
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

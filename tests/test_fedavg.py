@@ -414,3 +414,131 @@ class TestCompareMinimizers:
                    fa.GlmClient(GlmSpec([[-1.0, 0.0], [0.0, -1.0]], "logistic"))]
         result = fa.compare_minimizers(clients, 4.0, 1)
         assert result.distance <= 1e-8
+
+
+def spd_clients(rng, m, n):
+    clients = []
+    for _ in range(m):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = Q @ np.diag(rng.uniform(1.1, 2.9, n)) @ Q.T
+        clients.append(fa.QuadraticClient((A + A.T) / 2, rng.uniform(-2, 2, n)))
+    return clients
+
+
+class TestStackedRounds:
+    def test_mixed_clients_walk_their_maps_every_round(self):
+        # quadratic clients share the stacked product; each Callback client
+        # still takes its k descent steps every round
+        calls = [[], []]
+
+        def counted(j, inner):
+            return Callback(lambda x: calls[j].append(1) or inner(x), 2)
+
+        q = [fa.QuadraticClient([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.7]),
+             fa.QuadraticClient([[1.0, 0.0], [0.0, 3.0]], [-1.0, 0.5])]
+
+        class WalkingClient:
+            dimension = 2
+
+            def __init__(self, j, quadratic):
+                self.field = counted(j, quadratic.gradient_field())
+
+            def gradient_field(self):
+                return self.field
+
+        clients = [q[0], WalkingClient(0, q[1]), q[1], WalkingClient(1, q[0])]
+        config = fa.FedAvgConfig(clients, gamma=0.25, eta=1.0, k=3, rounds=5, x0=[1.0, 2.0])
+        trace = fa.run_fedavg(config)
+        assert trace.rounds_completed == 5
+        assert [len(c) for c in calls] == [3 * 5, 3 * 5]
+        # the walking clients are the quadratics in the other order, so the
+        # run matches the all-quadratic one
+        quadratic = fa.run_fedavg(fa.FedAvgConfig([q[0], q[1], q[1], q[0]], gamma=0.25,
+                                                  eta=1.0, k=3, rounds=5, x0=[1.0, 2.0]))
+        assert np.max(np.abs(trace.xs - quadratic.xs)) <= 1e-12 * np.max(np.abs(quadratic.xs))
+
+    def test_non_finite_stacked_model_stops_the_round_in_client_order(self):
+        # the quadratic's model -2x overflows at once: a walking client
+        # before it runs, one after it does not, as when every client walked
+        calls = []
+
+        class WalkingClient:
+            dimension = 1
+
+            def gradient_field(self):
+                return Callback(lambda x: calls.append(1) or np.zeros(1), 1)
+
+        quadratic = fa.QuadraticClient([[1.0]], [0.0])
+        for clients, expected_calls in [([WalkingClient(), quadratic], 1),
+                                        ([quadratic, WalkingClient()], 0)]:
+            calls.clear()
+            trace = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=3.0, eta=1.0, k=1, rounds=3,
+                                                  x0=[1e308]))
+            assert trace.rounds_completed == 0
+            assert trace.note == ("trace truncated at round 0: affine([[-2.0]], [0.0]) "
+                                  "produced a non-finite value at x=[1e+308]")
+            assert len(calls) == expected_calls
+
+    def test_exact_forms_built_once_per_client_across_consumers(self, monkeypatch):
+        builds = []
+        original = fa.Iterate.as_affine
+
+        def counting(self):
+            builds.append(self)
+            return original(self)
+
+        monkeypatch.setattr(fa.Iterate, "as_affine", counting)
+        clients = spd_clients(np.random.default_rng(5), 3, 3)
+        config = fa.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=4, rounds=30, x0=[1.0, -1.0, 2.0])
+        trace = fa.run_fedavg(config)
+        closed = fa.closed_form_affine_trace(clients, config)
+        point, method = fa.oracle_fixed_point(clients, 0.5, 4)
+        comparison = fa.compare_minimizers(clients, 0.5, 4)
+        assert len(builds) == len(clients)
+        assert method == comparison.surrogate_method == trace.fixed_point_method == "affine-solve"
+        assert (point.tobytes() == trace.fixed_point.tobytes()
+                == comparison.surrogate_minimizer.tobytes())
+        assert np.max(np.abs(closed - trace.xs)) <= 1e-12 * np.max(np.abs(closed))
+        # another (gamma, k) is another form
+        fa.oracle_fixed_point(clients, 0.5, 2)
+        assert len(builds) == 2 * len(clients)
+
+    def test_integer_server_parts_equal_sum_as_affine(self):
+        rng = np.random.default_rng(8)
+        for m in range(1, 11):
+            clients = spd_clients(rng, m, 3)
+            k = 1 + m % 3
+            M, v = fa.build_server_field_only(clients, 0.4, k).as_affine()
+            assert fa._affine_server_parts(clients, 0.4, k) == (M, v)
+
+    def test_client_arrays_are_read_only_copies(self):
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        b = np.array([0.3, -0.7])
+        client = fa.QuadraticClient(A, b)
+        with pytest.raises(ValueError):
+            client.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            client.center[0] = 5.0
+        A[0, 0] = 9.0
+        b[0] = 9.0
+        assert client.matrix[0, 0] == 2.0 and client.center[0] == 0.3
+        assert A.flags.writeable and b.flags.writeable
+
+    def test_batched_quadratic_surrogate_matches_per_point_form(self):
+        rng = np.random.default_rng(4)
+        for m, n, k in [(1, 1, 1), (2, 3, 2), (4, 5, 3), (3, 10, 5)]:
+            clients = spd_clients(rng, m, n)
+            f_s = fa.server_surrogate(clients, 0.5, k)
+            X = rng.uniform(-3, 3, (7, n))
+            expected = []
+            for x in X:
+                total = 0.0
+                for c in clients:
+                    B = np.linalg.matrix_power(np.eye(n) - 0.5 * c.matrix, k)
+                    d = x - c.center
+                    total += 0.5 * float(d @ (np.eye(n) - B) @ d)
+                expected.append(total / m)
+            expected = np.array(expected)
+            assert np.all(np.abs(f_s(X) - expected) <= 1e-15 * np.abs(expected))
+            one = f_s(X[2])
+            assert isinstance(one, float) and one == f_s(X)[2]

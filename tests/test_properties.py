@@ -2,7 +2,8 @@
 closed-form model iterates against brute-force iteration, batched
 potentials and closed-form checks against one point at a time, the integer
 rational kernels against plain Fraction loops, exact verdicts against
-sampled ones, and the polynomial text form."""
+sampled ones, the polynomial text form, and stacked FedAvg rounds against
+a per-client round loop."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingConfig, scan_k
-from iterfield.fields import (Affine, ChainProduct, CoordWise1D, Iterate, Linear,
+from iterfield.fedavg import FedAvgConfig, QuadraticClient, run_fedavg
+from iterfield.fields import (Affine, ChainProduct, CoordWise1D, GdMap, Iterate, Linear,
                               NonFiniteValueError, ScalarMap, compose, gd_map, jacobian)
 from iterfield import rationals
 from iterfield.glm import (GlmSpec, closed_form_deviation, glm_gradient, iterated_glm,
@@ -336,3 +338,77 @@ class TestPolyText:
     @given(rational_polys())
     def test_parse_inverts_render(self, p):
         assert parse_poly(p.to_text(), p.nvars) == p
+
+
+# ----- stacked FedAvg rounds against a per-client round loop -----
+
+@st.composite
+def quadratic_configs(draw):
+    """All-quadratic FedAvg runs: m = 1-6 clients, n = 1-5, k = 1-5, float
+    SPD matrices or small-integer PSD ones (B B^T, entries of B in [-2, 2]);
+    the larger steps make some runs overflow."""
+    m, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = []
+    for _ in range(m):
+        if integer:
+            B = rng.integers(-2, 3, (n, n))
+            clients.append(QuadraticClient(B @ B.T, rng.integers(-3, 4, n)))
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            A = Q @ np.diag(rng.uniform(0.1, 3.0, n)) @ Q.T
+            clients.append(QuadraticClient((A + A.T) / 2, rng.uniform(-2, 2, n)))
+    gamma = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0, 1.5, 4.0]))
+    eta = draw(st.sampled_from([1.0, 0.5, 1.5]))
+    return FedAvgConfig(clients, gamma=gamma, eta=eta, k=k, rounds=200,
+                        x0=rng.uniform(-3, 3, n))
+
+
+def per_client_rounds(config):
+    """Server iterates from one map per client, evaluated client by client:
+    its exact k-step form rounded once (its k-step walk when an entry
+    overflows a float), outputs accumulated in client order.  Returns the
+    iterates and what ended the run early: "model" or "iterate" when one
+    became non-finite, else None."""
+    maps = []
+    for c in config.clients:
+        walk = Iterate(GdMap(c.gradient_field(), config.gamma), config.k)
+        A, b = walk.as_affine()
+        try:
+            maps.append(Affine(rationals.to_float_matrix(A), rationals.to_float_vector(b)))
+        except OverflowError:
+            maps.append(walk)
+    m = len(maps)
+    xs = [config.x0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.rounds):
+            x = xs[-1]
+            try:
+                ys = [f(x) for f in maps]
+            except NonFiniteValueError:
+                return np.array(xs), "model"
+            v = np.zeros_like(x)
+            for y in ys:
+                v += (1.0 / m) * (x - y)
+            x_next = x - config.eta * v
+            if not np.isfinite(x_next).all():
+                return np.array(xs), "iterate"
+            xs.append(x_next)
+    return np.array(xs), None
+
+
+class TestStackedFedAvg:
+    @SETTINGS
+    @given(quadratic_configs())
+    def test_matches_per_client_rounds(self, config):
+        trace = run_fedavg(config)
+        reference, stop = per_client_rounds(config)
+        assert trace.rounds_completed == len(reference) - 1
+        if stop is None:
+            assert trace.note is None
+        else:
+            assert ("produced a non-finite value" if stop == "model"
+                    else "iterate became non-finite") in trace.note
+        gap = np.abs(trace.xs - reference).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(reference).max(axis=1)))
