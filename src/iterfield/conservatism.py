@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,12 +104,14 @@ class Verdict:
         return out
 
 
-def _symmetry_verdict(P, k: int) -> Verdict:
+def _symmetry_verdict(P, den: int, k: int) -> Verdict:
+    """Is the k-th power P / den symmetric?  Compares integer numerators;
+    a Fraction is made only for the certificate's gap."""
     n = len(P)
     for i in range(n):
         for j in range(i + 1, n):
             if P[i][j] != P[j][i]:
-                gap = P[i][j] - P[j][i]
+                gap = Fraction(P[i][j] - P[j][i], den)
                 return Verdict("exact-no", certificate=(
                     f"power {k} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = {gap}"))
     return Verdict("exact-yes")
@@ -122,7 +125,7 @@ def check_linear(matrix, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _symmetry_verdict(rationals.mat_power(rationals.fraction_matrix(matrix), k), k)
+    return _symmetry_verdict(*rationals.power(*rationals.numerators(matrix), k), k)
 
 
 def check_rotation(j: int, k: int) -> Verdict:
@@ -199,14 +202,15 @@ def _exact_verdicts(field: Field, k_max: int):
     powers = range(stride, stride * k_max + 1, stride)
     if isinstance(inner, Rotation2D):
         return [check_rotation(inner.j, p) for p in powers]
-    affine = inner.as_affine()
+    affine = inner._affine_form()
     if affine is not None:
         # The Jacobian of an iterated affine map is the matrix power; the
-        # offset does not affect symmetry.
-        A = affine[0]
-        tower = itertools.accumulate(itertools.repeat(A, powers[-1]),
-                                     lambda P, _: rationals.mat_mul(A, P))
-        return [_symmetry_verdict(P, p) for p, P in enumerate(tower, 1) if p % stride == 0]
+        # offset does not affect symmetry.  A^p is N^p / d^p.
+        N, _, d = rationals.affine_split(affine)
+        tower = itertools.accumulate(itertools.repeat(N, powers[-1] - 1),
+                                     lambda P, _: rationals.product(N, P), initial=N)
+        return [_symmetry_verdict(P, d ** p, p) for p, P in enumerate(tower, 1)
+                if p % stride == 0]
     poly = inner.as_polyfield()
     if poly is not None:
         tower = zip(range(1, powers[-1] + 1), poly_iterates(poly))

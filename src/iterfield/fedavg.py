@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 import numpy as np
 
 from . import rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
-from .fields import (Affine, Field, GdMap, Iterate, NonFiniteValueError, Sum,
-                     as_matrix, as_vector)
+from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
+                     Sum, as_matrix, as_vector)
 from .glm import GlmSpec, glm_gradient, surrogate_potentials
 from .spectral import model_delta_field
 
@@ -237,27 +238,28 @@ def _server_system(clients, gamma: float, k: int):
     """
     if not all(isinstance(c, QuadraticClient) for c in clients):
         raise SurrogateUnavailableError("server field is not affine")
-    S, d = rationals.sum_numerators(
-        [A + (b,) for A, b in (c.descent_form(gamma, k) for c in clients)])
-    m, n = len(clients), len(S) - 1
-    P = [[(m * d if i == j else 0) - s for j, s in enumerate(row)] for i, row in enumerate(S[:n])]
-    return P, S[n], d
+    N, r, d = rationals.affine_split(rationals.affine_combination(
+        [(1, rationals.affine_numerators(*c.descent_form(gamma, k))) for c in clients]))
+    m = len(clients)
+    return [[(m * d if i == j else 0) - s for j, s in enumerate(row)]
+            for i, row in enumerate(N)], r, d
 
 
-def _affine_server_parts(clients, gamma: float, k: int):
-    """(M, v) with V_s(x) = M x + v, exact rationals; quadratic clients only.
+def _affine_server_parts(clients, gamma: float, k: int, entry=Fraction):
+    """(M, v) with V_s(x) = M x + v; quadratic clients only.
 
     V_s averages x - G_c(x) with the weights of ``build_server_field_only``'s
     Sum (1 and -1 inside a client's delta, w = 1.0/m across clients, each
-    the Fraction of its float), so M = w (m I - sum A_c) and
-    v = -w sum b_c are the rationals ``Sum.as_affine`` gives, made from
-    ``_server_system`` with one Fraction per entry.
+    the exact value of its float), so M = w (m I - sum A_c) and
+    v = -w sum b_c are the rationals ``Sum.as_affine`` gives.  Each entry
+    is ``entry(numerator, denominator)`` from ``_server_system``'s
+    integers: the Fraction, or with ``operator.truediv`` the float
+    nearest it (int / int is correctly rounded, as float(Fraction) is).
     """
     P, r, d = _server_system(clients, gamma, k)
-    w = rationals.to_fraction(1.0 / len(clients))
-    den = w.denominator * d
-    return ([[Fraction(w.numerator * p, den) for p in row] for row in P],
-            [Fraction(-w.numerator * x, den) for x in r])
+    wn, wd = rationals.ratio(1.0 / len(clients))
+    den = wd * d
+    return [[entry(wn * p, den) for p in row] for row in P], [entry(-wn * x, den) for x in r]
 
 
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
@@ -276,8 +278,10 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
         try:
             solution = rationals.solve_linear(P, r)
         except rationals.SingularMatrixError as err:
-            M, _ = _affine_server_parts(clients, gamma, k)
-            cond = float(np.linalg.cond(rationals.to_float_matrix(M)))
+            # M is P scaled by w / d, with the same condition number; P is
+            # scaled by its largest entry, so no entry overflows a float
+            top = max(abs(x) for row in P for x in row)
+            cond = float(np.linalg.cond([[x / top for x in row] for row in P])) if top else math.inf
             raise rationals.SingularMatrixError(
                 f"{err}; float condition estimate {cond:.3e}") from err
         return rationals.to_float_vector(solution), "affine-solve"
@@ -372,16 +376,18 @@ def _lowered(form):
         return None
 
 
-def _distance(p: np.ndarray, q: np.ndarray) -> float:
-    """|p - q|, rescaled by its largest entry when the sum of squares
-    overflows (as ``asymmetry`` does), so it is inf only past float range.
-    The caller silences numpy's overflow warnings."""
-    d = p - q
-    dist = float(np.linalg.norm(d))
-    if math.isinf(dist) and np.isfinite(d).all():
-        scale = float(np.max(np.abs(d)))
-        dist = scale * float(np.linalg.norm(d / scale))
-    return dist
+def _distances(X: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|x - p| for every row x of X, as ``np.linalg.norm`` gives it (the
+    square root of the row's dot with itself).  A finite row whose sum of
+    squares overflows is rescaled by its largest entry (as ``asymmetry``
+    does), so a distance is inf only past float range.  The caller
+    silences numpy's overflow warnings."""
+    D = X - p
+    dists = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(np.isinf(dists) & np.isfinite(D).all(axis=1)):
+        scale = np.max(np.abs(D[i]))
+        dists[i] = scale * np.linalg.norm(D[i] / scale)
+    return dists
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -476,13 +482,11 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     if fixed_point is not None:
         trace.fixed_point = fixed_point
         trace.fixed_point_method = method
-        dists = np.array([_distance(p, fixed_point) for p in trace.xs])
-        ratios = np.full(max(len(dists) - 1, 0), np.nan)
-        for t in range(len(ratios)):
-            if 1e-10 < dists[t] < math.inf and dists[t + 1] < math.inf:
-                ratios[t] = dists[t + 1] / dists[t]
+        dists = _distances(trace.xs, fixed_point)
+        before, after = dists[:-1], dists[1:]
         trace.dists = dists
-        trace.ratios = ratios
+        trace.ratios = np.divide(after, before, out=np.full(len(before), np.nan),
+                                 where=(1e-10 < before) & (before < math.inf) & (after < math.inf))
     if _surrogate_available(clients):
         f_s = server_surrogate(clients, config.gamma, config.k)
         # Converged rounds repeat the same float point: each distinct
@@ -505,8 +509,7 @@ def closed_form_affine_trace(clients, config: FedAvgConfig) -> np.ndarray:
     Float reference for all-quadratic configurations; used to cross-check
     the simulated trace.
     """
-    M, v = _affine_server_parts(clients, config.gamma, config.k)
-    Mf, vf = rationals.to_float_matrix(M), rationals.to_float_vector(v)
+    Mf, vf = map(np.array, _affine_server_parts(clients, config.gamma, config.k, truediv))
     n = Mf.shape[0]
     step = np.eye(n) - config.eta * Mf
     xs = [np.array(config.x0, dtype=float)]
@@ -614,13 +617,12 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     """
     x_s, method_s = oracle_fixed_point(clients, gamma, k, x0=x0)
     if all(isinstance(c, QuadraticClient) for c in clients):
-        # sum A_c x = sum A_c b_c, both sides summed over one denominator
-        forms = []
-        for c in clients:
-            A = rationals.fraction_matrix(c.matrix)
-            forms.append(A + [rationals.mat_vec(A, rationals.fraction_vector(c.center))])
-        S, _ = rationals.sum_numerators(forms)
-        x_star = rationals.to_float_vector(rationals.solve_linear(S[:-1], S[-1]))
+        # the average gradient sum A_c (x - b_c), exactly, is zero at x*
+        n = clients[0].dimension
+        S, v, _ = rationals.affine_split(Sum(
+            [Compose(Linear(c.matrix), Affine(np.eye(n), -c.center)) for c in clients]
+        )._affine_form())
+        x_star = rationals.to_float_vector(rationals.solve_linear(S, [-x for x in v]))
         method_star = "affine-solve"
     else:
         fields = [c.gradient_field() for c in clients]

@@ -148,6 +148,12 @@ class Field:
 
     def as_affine(self):
         """Exact rational (A, b) with field(x) = A x + b, or None."""
+        form = self._affine_form()
+        return None if form is None else rationals.affine_parts(form)
+
+    def _affine_form(self):
+        """The exact affine map in ``rationals``' augmented integer form
+        [[A, b], [0, 1]] over one denominator, or None."""
         return None
 
     def as_polyfield(self) -> PolyField | None:
@@ -169,9 +175,8 @@ class Constant(Field):
     def jacobian_analytic(self, x):
         return np.zeros((self.dimension, self.dimension))
 
-    def as_affine(self):
-        n = self.dimension
-        return rationals.zeros_matrix(n), rationals.fraction_vector(self.value)
+    def _affine_form(self):
+        return rationals.affine_numerators(np.zeros((self.dimension,) * 2), self.value)
 
     def as_polyfield(self):
         n = self.dimension
@@ -192,8 +197,8 @@ class Linear(Field):
     def jacobian_analytic(self, x):
         return self.matrix.copy()
 
-    def as_affine(self):
-        return rationals.fraction_matrix(self.matrix), rationals.zeros_vector(self.dimension)
+    def _affine_form(self):
+        return rationals.affine_numerators(self.matrix, np.zeros(self.dimension))
 
     def as_polyfield(self):
         return PolyField.linear(self.matrix)
@@ -214,8 +219,8 @@ class Affine(Field):
     def jacobian_analytic(self, x):
         return self.matrix.copy()
 
-    def as_affine(self):
-        return rationals.fraction_matrix(self.matrix), rationals.fraction_vector(self.offset)
+    def _affine_form(self):
+        return rationals.affine_numerators(self.matrix, self.offset)
 
     def as_polyfield(self):
         return PolyField.linear(self.matrix, self.offset)
@@ -312,15 +317,12 @@ class GdMap(Field):
             return None
         return self._eye - self.gamma * J
 
-    def as_affine(self):
-        inner = self.inner.as_affine()
+    def _affine_form(self):
+        inner = self.inner._affine_form()
         if inner is None:
             return None
-        A, b = inner
-        g = rationals.to_fraction(self.gamma)
-        n = self.dimension
-        return (rationals.mat_add(rationals.identity(n), rationals.mat_scale(-g, A)),
-                rationals.vec_scale(-g, b))
+        identity = rationals.affine_numerators(self._eye, np.zeros(self.dimension))
+        return rationals.affine_combination([(1, identity), (-self.gamma, inner)])
 
     def as_polyfield(self):
         inner = self.inner.as_polyfield()
@@ -364,16 +366,9 @@ class Iterate(Field):
             return None
         return J
 
-    def as_affine(self):
-        inner = self.inner.as_affine()
-        if inner is None:
-            return None
-        A, b = inner
-        Ak, bk = A, b
-        for _ in range(self.k - 1):
-            bk = rationals.vec_add(rationals.mat_vec(A, bk), b)
-            Ak = rationals.mat_mul(A, Ak)
-        return Ak, bk
+    def _affine_form(self):
+        inner = self.inner._affine_form()
+        return None if inner is None else rationals.power(*inner, self.k)
 
     def as_polyfield(self):
         from .polynomials import iterate_poly_field
@@ -418,18 +413,14 @@ class Sum(Field):
             total += w * J
         return total
 
-    def as_affine(self):
-        n = self.dimension
-        A = rationals.zeros_matrix(n)
-        b = rationals.zeros_vector(n)
+    def _affine_form(self):
+        parts = []
         for w, f in zip(self.weights, self.fields):
-            part = f.as_affine()
+            part = f._affine_form()
             if part is None:
                 return None
-            wf = rationals.to_fraction(w)
-            A = rationals.mat_add(A, rationals.mat_scale(wf, part[0]))
-            b = rationals.vec_add(b, rationals.vec_scale(wf, part[1]))
-        return A, b
+            parts.append((w, part))
+        return rationals.affine_combination(parts)
 
     def as_polyfield(self):
         n = self.dimension
@@ -460,12 +451,9 @@ class Scale(Field):
         J = self.inner.jacobian_analytic(x)
         return None if J is None else self.c * J
 
-    def as_affine(self):
-        part = self.inner.as_affine()
-        if part is None:
-            return None
-        cf = rationals.to_fraction(self.c)
-        return rationals.mat_scale(cf, part[0]), rationals.vec_scale(cf, part[1])
+    def _affine_form(self):
+        part = self.inner._affine_form()
+        return None if part is None else rationals.affine_combination([(self.c, part)])
 
     def as_polyfield(self):
         part = self.inner.as_polyfield()
@@ -501,17 +489,15 @@ class Compose(Field):
             return None
         return Jo @ Ji
 
-    def as_affine(self):
-        o, i = self.outer.as_affine(), self.inner.as_affine()
-        if o is None or i is None:
-            return None
-        (Ao, bo), (Ai, bi) = o, i
-        return (rationals.mat_mul(Ao, Ai),
-                rationals.vec_add(rationals.mat_vec(Ao, bi), bo))
+    def _affine_form(self):
+        i = self.inner._affine_form()
+        o = None if i is None else self.outer._affine_form()
+        return None if o is None else rationals.affine_compose(o, i)
 
     def as_polyfield(self):
-        o, i = self.outer.as_polyfield(), self.inner.as_polyfield()
-        if o is None or i is None:
+        i = self.inner.as_polyfield()
+        o = None if i is None else self.outer.as_polyfield()
+        if o is None:
             return None
         return PolyField([p.compose(list(i.components)) for p in o.components])
 

@@ -386,15 +386,13 @@ class PolyField:
         """The affine field x -> A x + b as exact polynomials."""
         rows = [list(row) for row in matrix]
         n = len(rows)
+        units = [tuple(int(j == t) for t in range(n)) for j in range(n)]
         comps = []
-        for i in range(n):
-            p = RationalPoly.zero(n)
-            for j in range(n):
-                p = p + RationalPoly.monomial(n, to_fraction(rows[i][j]),
-                                              [int(j == t) for t in range(n)])
+        for i, row in enumerate(rows):
+            terms = dict(zip(units, row))
             if offset is not None:
-                p = p + RationalPoly.constant(n, to_fraction(offset[i]))
-            comps.append(p)
+                terms[(0,) * n] = offset[i]
+            comps.append(RationalPoly(n, terms))
         return cls(comps)
 
     @classmethod

@@ -1,12 +1,19 @@
-"""Exact rational vectors and matrices built on fractions.Fraction.
+"""Exact rational vectors and matrices in one scaled-integer form.
 
-Floats convert exactly (every finite double is a dyadic rational), so a
-matrix entered as floats is treated as the exact rational matrix those
-floats represent.
+Floats convert exactly (every finite double is a dyadic rational, read
+with ``float.as_integer_ratio``), so a matrix entered as floats is
+treated as the exact rational matrix those floats represent.
 
-Products and solves run on integer numerators over one common
-denominator: one normalizing gcd per result entry instead of one per
-term, and the same Fractions as plain Fraction arithmetic.
+Every exact computation runs on integer numerators over one positive
+common denominator: a matrix is a pair (N, d) with entries N[i][j] / d.
+Int, Fraction and float entries enter this form directly (``numerators``),
+products, powers, solves and weighted sums stay in it, and a Fraction is
+made only for each entry of a public result (``mat_mul``, ``mat_vec``,
+``mat_power``, ``solve_linear``, ``affine_parts``): one normalizing gcd
+per output entry, and the same Fractions as plain Fraction arithmetic.
+An affine map x -> A x + b is the augmented (n+1)x(n+1) matrix
+[[A, b], [0, 1]] in this form, so composition is one product, iteration
+is a power, and scaling and summing are integer combinations.
 """
 
 from __future__ import annotations
@@ -18,106 +25,108 @@ from operator import mul
 import numpy as np
 
 
-def to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if not np.isfinite(f):
-            raise ValueError(f"cannot convert non-finite value {f!r} to a rational")
-        return Fraction(f)
+def ratio(value) -> tuple[int, int]:
+    """(p, q) with value = p / q exactly and q > 0, from an int, a float,
+    a Fraction or a numeric string."""
+    if isinstance(value, np.integer):
+        return int(value), 1
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot convert {type(value).__name__} to a rational")
+        value = Fraction(value)
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"cannot convert {type(value).__name__} to a rational") from None
+    except (OverflowError, ValueError):
+        raise ValueError(f"cannot convert non-finite value {float(value)!r} to a rational") from None
 
 
-def fraction_vector(v) -> list[Fraction]:
-    return [to_fraction(x) for x in v]
+def to_fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(*ratio(value))
 
 
-def fraction_matrix(M) -> list[list[Fraction]]:
-    rows = [[to_fraction(x) for x in row] for row in M]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+def numerators(rows):
+    """(N, d) with rows[i][j] = N[i][j] / d, d the least common denominator."""
+    pairs = [[ratio(x) for x in row] for row in rows]
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in pairs], den
+
+
+def product(A, B):
+    """The integer matrix product A B."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def power(N, d: int, k: int):
+    """(P, d^k) with P / d^k = (N / d)^k, by repeated squaring."""
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    if any(len(row) != len(N) for row in N):
         raise ValueError("matrix must be square")
-    return rows
+    n, result = len(N), None
+    while k:
+        if k & 1:
+            result = (N, d) if result is None else (product(result[0], N), result[1] * d)
+        k >>= 1
+        if k:
+            N, d = product(N, N), d * d
+    return result or ([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def affine_numerators(A, b):
+    """The augmented form of x -> A x + b, from arrays of exact entries."""
+    N, d = numerators(np.column_stack([A, b]).tolist())
+    N.append([0] * len(N) + [d])
+    return N, d
 
 
-def zeros_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def zeros_vector(n: int) -> list[Fraction]:
-    return [Fraction(0)] * n
-
-
-def _integer_rows(rows):
-    """(N, d) with rows[i][j] = N[i][j] / d: integer numerators over the
-    least common denominator of all entries."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def sum_numerators(matrices):
-    """(S, d) with S / d the entrywise sum of same-shape rational matrices:
-    integer numerators over the least common denominator, no Fraction made."""
-    parts = [_integer_rows(rows) for rows in matrices]
-    den = math.lcm(*(d for _, d in parts))
-    total = [[0] * len(row) for row in parts[0][0]]
-    for rows, d in parts:
-        scale = den // d
-        total = [[s + scale * x for s, x in zip(srow, row)] for srow, row in zip(total, rows)]
+def affine_combination(terms):
+    """The augmented form of sum_i w_i F_i, from pairs (w_i, form of F_i)
+    with exact weights w_i: one integer scale per form, over the least
+    common denominator."""
+    parts = [(ratio(w), N, d) for w, (N, d) in terms]
+    den = math.lcm(*(q * d for (_, q), _, d in parts))
+    n = len(parts[0][1]) - 1
+    total = [[0] * (n + 1) for _ in range(n)]
+    for (p, q), N, d in parts:
+        s = p * (den // (q * d))
+        total = [[t + s * x for t, x in zip(trow, row)] for trow, row in zip(total, N)]
+    total.append([0] * n + [den])
     return total, den
 
 
+def affine_compose(outer, inner):
+    """The augmented form of outer after inner."""
+    return product(outer[0], inner[0]), outer[1] * inner[1]
+
+
+def affine_split(form):
+    """(A, b, d): the numerators of x -> A x + b over d."""
+    N, d = form
+    n = len(N) - 1
+    return [row[:n] for row in N[:n]], [row[n] for row in N[:n]], d
+
+
+def affine_parts(form):
+    """Exact rational (A, b) of an augmented form, one Fraction per entry."""
+    A, b, d = affine_split(form)
+    return [[Fraction(x, d) for x in row] for row in A], [Fraction(x, d) for x in b]
+
+
 def mat_mul(A, B):
-    NA, da = _integer_rows(A)
-    NB, db = _integer_rows(B)
+    NA, da = numerators(A)
+    NB, db = numerators(B)
     den = da * db
-    cols = list(zip(*NB))
-    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in NA]
+    return [[Fraction(x, den) for x in row] for row in product(NA, NB)]
 
 
 def mat_vec(A, v):
-    NA, da = _integer_rows(A)
-    (nv,), dv = _integer_rows([v])
-    den = da * dv
-    return [Fraction(sum(map(mul, row, nv)), den) for row in NA]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c: Fraction, A):
-    return [[c * x for x in row] for row in A]
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_scale(c: Fraction, v):
-    return [c * x for x in v]
+    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def mat_power(A, k: int):
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    result = identity(len(A))
-    base = A
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
+    P, den = power(*numerators(A), k)
+    return [[Fraction(x, den) for x in row] for row in P]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -136,8 +145,7 @@ def solve_linear(A, b) -> list[Fraction]:
     matrix fails at the same column.
     """
     n = len(A)
-    aug, _ = _integer_rows([[to_fraction(x) for x in row] + [to_fraction(b[i])]
-                            for i, row in enumerate(A)])
+    aug, _ = numerators([list(row) + [b[i]] for i, row in enumerate(A)])
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
