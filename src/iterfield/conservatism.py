@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rationals
-from .fields import (Field, Iterate, NonFiniteValueError, Rotation2D, _asymmetry,
-                     walk_orbit)
+from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
 from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_polys, poly_iterates
 
 DEFAULT_THRESHOLD = 1e-8
@@ -113,7 +112,8 @@ def _symmetry_verdict(P, den: int, k: int) -> Verdict:
             if P[i][j] != P[j][i]:
                 gap = Fraction(P[i][j] - P[j][i], den)
                 return Verdict("exact-no", certificate=(
-                    f"power {k} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = {gap}"))
+                    f"power {k} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = "
+                    f"{rationals.fraction_text(gap)}"))
     return Verdict("exact-yes")
 
 
@@ -150,23 +150,21 @@ def check_poly(polyfield: PolyField, k: int, max_terms: int = DEFAULT_MAX_TERMS)
 
 def _orbit_residuals(field: Field, k_max: int, points: np.ndarray):
     """Per k = 1..k_max: worst residual, its witness (the first strict
-    maximum) and the skip count, from one orbit walk per point.  A walk
-    failing at step j skips its point for every k >= j."""
+    maximum, in point order) and the skip count, from one walk of all the
+    points.  A point whose walk fails at step j, or that is not finite, is
+    skipped for every k >= j."""
     worst = [-1.0] * k_max
     witness = [None] * k_max
     skipped = [0] * k_max
+    rows = np.flatnonzero(np.isfinite(points).all(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for point in points:
-            reached = 0
-            try:
-                for _, prefix in walk_orbit(field, point, k_max, jacobians=True):
-                    residual = _asymmetry(prefix)
-                    if residual > worst[reached]:
-                        worst[reached], witness[reached] = residual, point
-                    reached += 1
-            except NonFiniteValueError:
-                for j in range(reached, k_max):
-                    skipped[j] += 1
+        walk = walk_rows(field, points[rows], k_max, jacobians=True)
+        for j, (live, _, prefix) in enumerate(walk):
+            skipped[j] = len(points) - len(live)
+            if len(live):
+                residuals = _asymmetry(prefix)
+                r = int(np.argmax(residuals))
+                worst[j], witness[j] = float(residuals[r]), points[rows[live[r]]]
     return worst, witness, skipped
 
 

@@ -436,7 +436,9 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
             for i, walk in walks:
                 if i > first_bad:
                     break
-                ys[i] = walk(x)
+                # x is a finite point of the right dimension: skip the
+                # public entry's checks
+                ys[i] = walk._evaluate(x)
         if first_bad < m:
             raise NonFiniteValueError(f"{Affine(*lowered[first_bad]).describe()} produced "
                                       f"a non-finite value at x={x.tolist()}")

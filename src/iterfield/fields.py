@@ -123,21 +123,50 @@ class Field:
             return self._evaluate(x)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """The field at a point ``as_vector`` already checked; nested fields and
-        orbit walks call this.  Overflow and non-finite results raise
-        NonFiniteValueError, so the public entry that leads here (a call, a
-        walker step, ``jacobian``) silences numpy's overflow warnings once."""
-        try:
-            y = np.asarray(self._eval(x), dtype=float)
-        except OverflowError as err:
-            raise NonFiniteValueError(
-                f"{self.describe()} overflowed at x={x.tolist()}") from err
-        if y.shape != x.shape:
-            raise DimensionMismatchError(
-                f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
-        if not np.isfinite(y).all():
-            raise NonFiniteValueError(f"{self.describe()} produced a non-finite value at x={x.tolist()}")
-        return y
+        """The field at a point ``as_vector`` already checked: the one-row
+        case of ``_evaluate_rows``, raising where that gives a NaN row."""
+        return self._evaluate_rows(x[None, :], strict=True)[0]
+
+    def _evaluate_rows(self, X: np.ndarray, strict: bool = False) -> np.ndarray:
+        """The field at every row of an (N, n) array of checked points; orbit
+        walks and nested fields call this.  A row whose value overflows or
+        is not finite comes back all NaN.  With ``strict`` (one row) it
+        raises NonFiniteValueError instead, from the innermost field that
+        failed.  A row's value never depends on the other rows.  The public
+        entry that leads here silences numpy's overflow warnings once."""
+        Y = self._rows(X, strict)
+        if not _all_finite(Y):
+            bad = ~np.isfinite(Y).all(axis=1)
+            if strict:
+                raise NonFiniteValueError(f"{self.describe()} produced a non-finite value "
+                                          f"at x={X[np.argmax(bad)].tolist()}")
+            Y[bad] = np.nan
+        return Y
+
+    def _rows(self, X: np.ndarray, strict: bool) -> np.ndarray:
+        """Raw values at every row, for ``_evaluate_rows`` to check.  This
+        generic form calls ``_eval`` once per row; a row whose call
+        overflows or raises NonFiniteValueError is NaN unless ``strict``."""
+        Y = np.empty(X.shape)
+        for r, x in enumerate(X):
+            try:
+                y = np.asarray(self._eval(x), dtype=float)
+            except OverflowError as err:
+                if strict:
+                    raise self._overflowed(x) from err
+                y = np.full(x.shape, np.nan)
+            except NonFiniteValueError:
+                if strict:
+                    raise
+                y = np.full(x.shape, np.nan)
+            if y.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
+            Y[r] = y
+        return Y
+
+    def _overflowed(self, x: np.ndarray) -> NonFiniteValueError:
+        return NonFiniteValueError(f"{self.describe()} overflowed at x={x.tolist()}")
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -145,6 +174,13 @@ class Field:
     def jacobian_analytic(self, x: np.ndarray) -> np.ndarray | None:
         """Exact Jacobian at x, or None when the variant has no analytic form."""
         return None
+
+    def _jacobian_rows(self, X: np.ndarray, base, strict: bool):
+        """(J, failed): the step Jacobian at every row of X, one leaf
+        Jacobian call per row, stacked (N, n, n); ``failed`` marks the rows
+        whose Jacobian raised NonFiniteValueError (it is raised with
+        ``strict``), or is None when none did."""
+        return _stack_rows(X, lambda r, x: _step_jacobian(self, x, base), strict)
 
     def as_affine(self):
         """Exact rational (A, b) with field(x) = A x + b, or None."""
@@ -169,8 +205,8 @@ class Constant(Field):
         self.value = as_vector(value)
         self.dimension = self.value.shape[0]
 
-    def _eval(self, x):
-        return self.value.copy()
+    def _rows(self, X, strict):
+        return np.tile(self.value, (X.shape[0], 1))
 
     def jacobian_analytic(self, x):
         return np.zeros((self.dimension, self.dimension))
@@ -191,8 +227,8 @@ class Linear(Field):
         self.matrix = as_matrix(matrix)
         self.dimension = self.matrix.shape[0]
 
-    def _eval(self, x):
-        return self.matrix @ x
+    def _rows(self, X, strict):
+        return _row_times(X, self.matrix.T)
 
     def jacobian_analytic(self, x):
         return self.matrix.copy()
@@ -213,8 +249,8 @@ class Affine(Field):
         self.dimension = self.matrix.shape[0]
         self.offset = as_vector(offset, self.dimension)
 
-    def _eval(self, x):
-        return self.matrix @ x + self.offset
+    def _rows(self, X, strict):
+        return _row_times(X, self.matrix.T) + self.offset
 
     def jacobian_analytic(self, x):
         return self.matrix.copy()
@@ -245,8 +281,8 @@ class Rotation2D(Field):
         c, s = math.cos(theta), math.sin(theta)
         self.matrix = np.array([[c, s], [-s, c]])
 
-    def _eval(self, x):
-        return self.matrix @ x
+    def _rows(self, X, strict):
+        return _row_times(X, self.matrix.T)
 
     def jacobian_analytic(self, x):
         return self.matrix.copy()
@@ -308,8 +344,8 @@ class GdMap(Field):
         self.dimension = inner.dimension
         self._eye = np.eye(self.dimension)
 
-    def _eval(self, x):
-        return x - self.gamma * self.inner._evaluate(x)
+    def _rows(self, X, strict):
+        return X - self.gamma * self.inner._evaluate_rows(X, strict)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -355,16 +391,22 @@ class Iterate(Field):
         self.k = k
         self.dimension = inner.dimension
 
-    def _eval(self, x):
-        (y,) = _walk(self, x, 1)
-        return y
+    def _evaluate_rows(self, X, strict=False):
+        # the walk has checked every step, and leaves out the rows that failed
+        live, Y = next(_walk_rows(self, X, 1, strict=strict))
+        if len(live) == X.shape[0]:
+            return Y
+        out = np.full(X.shape, np.nan)
+        out[live] = Y
+        return out
 
     def jacobian_analytic(self, x):
         try:
-            ((_, J),) = _walk(self, x, 1, jacobians=True, base=Analytic())
+            ((_, _, J),) = _walk_rows(self, x[None, :], 1, jacobians=True, base=Analytic(),
+                                      strict=True)
         except JacobianMethodError:
             return None
-        return J
+        return J[0]
 
     def _affine_form(self):
         inner = self.inner._affine_form()
@@ -398,10 +440,10 @@ class Sum(Field):
             if len(self.weights) != len(self.fields):
                 raise ValueError("need one weight per field")
 
-    def _eval(self, x):
-        total = np.zeros(self.dimension)
+    def _rows(self, X, strict):
+        total = np.zeros(X.shape)
         for w, f in zip(self.weights, self.fields):
-            total += w * f._evaluate(x)
+            total += w * f._evaluate_rows(X, strict)
         return total
 
     def jacobian_analytic(self, x):
@@ -444,8 +486,8 @@ class Scale(Field):
         self.inner = inner
         self.dimension = inner.dimension
 
-    def _eval(self, x):
-        return self.c * self.inner._evaluate(x)
+    def _rows(self, X, strict):
+        return self.c * self.inner._evaluate_rows(X, strict)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -476,18 +518,36 @@ class Compose(Field):
         self.inner = inner
         self.dimension = outer.dimension
 
-    def _eval(self, x):
-        return self.outer._evaluate(self.inner._evaluate(x))
+    def _rows(self, X, strict):
+        Y = self.inner._evaluate_rows(X, strict)
+        ok = ~np.isnan(Y[:, 0])
+        if ok.all():
+            return self.outer._evaluate_rows(Y, strict)
+        Y[ok] = self.outer._evaluate_rows(Y[ok], strict)
+        return Y
 
-    def jacobian_analytic(self, x):
+    def jacobian_analytic(self, x, inner_value=None):
+        """J(outer)(inner(x)) @ J(inner)(x); an orbit walk passes inner(x)
+        from its batched evaluation (NaN where it failed) so it is not
+        evaluated again."""
         Ji = self.inner.jacobian_analytic(x)
         if Ji is None:
             return None
-        y = self.inner._evaluate(x)
-        Jo = self.outer.jacobian_analytic(y)
+        if inner_value is None:
+            inner_value = self.inner._evaluate(x)
+        elif np.isnan(inner_value[0]):
+            raise NonFiniteValueError(f"{self.inner.describe()} failed at x={x.tolist()}")
+        Jo = self.outer.jacobian_analytic(inner_value)
         if Jo is None:
             return None
         return Jo @ Ji
+
+    def _jacobian_rows(self, X, base, strict):
+        if strict or isinstance(base, CentralDifference):
+            return super()._jacobian_rows(X, base, strict)
+        Y = self.inner._evaluate_rows(X)
+        return _stack_rows(X, lambda r, x: _step_jacobian(
+            self, x, base, lambda x: self.jacobian_analytic(x, Y[r])), strict)
 
     def _affine_form(self):
         i = self.inner._affine_form()
@@ -575,6 +635,21 @@ def gd_map(f_grad: Field, gamma: float) -> GdMap:
     return GdMap(f_grad, gamma)
 
 
+def _all_finite(A: np.ndarray) -> bool:
+    """np.isfinite(A).all() without the method dispatch, which dominates at
+    the sizes a one-point walk uses."""
+    return np.logical_and.reduce(np.isfinite(A), axis=None)
+
+
+def _row_times(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """x @ B for every row x of X.  numpy's stacked product works matrix by
+    matrix, so each row is bit-equal to x @ B alone (and, for B = A.T, to
+    A @ x), which is what one row takes."""
+    if X.shape[0] == 1:
+        return X @ B
+    return np.matmul(X[:, None, :], B)[:, 0, :]
+
+
 def _finite_difference_jacobian(field: Field, x: np.ndarray, h: float) -> np.ndarray:
     n = field.dimension
     cols = []
@@ -586,11 +661,15 @@ def _finite_difference_jacobian(field: Field, x: np.ndarray, h: float) -> np.nda
 
 
 def _step_jacobian(field: Field, x: np.ndarray,
-                   method: Analytic | CentralDifference | None) -> np.ndarray:
+                   method: Analytic | CentralDifference | None,
+                   analytic: Callable[[np.ndarray], np.ndarray | None] | None = None
+                   ) -> np.ndarray:
+    """J(field)(x) by ``method``; ``analytic`` stands in for the field's
+    ``jacobian_analytic``."""
     if isinstance(method, CentralDifference):
         return _finite_difference_jacobian(field, x, method.h)
     try:
-        J = field.jacobian_analytic(x)
+        J = (analytic or field.jacobian_analytic)(x)
     except OverflowError as err:
         raise NonFiniteValueError(
             f"Jacobian of {field.describe()} overflowed at x={x.tolist()}") from err
@@ -600,6 +679,23 @@ def _step_jacobian(field: Field, x: np.ndarray,
                 f"{field.describe()} has no analytic Jacobian; use central differences")
         return _finite_difference_jacobian(field, x, DEFAULT_FD_STEP)
     return J
+
+
+def _stack_rows(X: np.ndarray, jacobian_at, strict: bool):
+    """``Field._jacobian_rows`` from ``jacobian_at(r, x)`` for each row."""
+    n = X.shape[1]
+    J = np.empty((X.shape[0], n, n))
+    failed = None
+    for r, x in enumerate(X):
+        try:
+            J[r] = jacobian_at(r, x)
+        except NonFiniteValueError:
+            if strict:
+                raise
+            if failed is None:
+                failed = np.zeros(X.shape[0], dtype=bool)
+            failed[r] = True
+    return J, failed
 
 
 def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
@@ -613,41 +709,101 @@ def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
     V has one, else central differences; ``base`` forces a method as in
     ChainProduct.  A Jacobian walk never evaluates F^k_max(x).  A
     non-finite value raises NonFiniteValueError with the 1-based step of
-    V; what was yielded before stays valid.
+    V; what was yielded before stays valid.  The one-row case of
+    ``walk_rows``.
     """
-    return _walk(field, as_vector(x, field.dimension), k_max, jacobians, base)
+    steps = _walk_rows(field, as_vector(x, field.dimension)[None, :], k_max, jacobians, base,
+                       strict=True)
+    if jacobians:
+        return ((step[0], prefix[0]) for _, step, prefix in steps)
+    return (Y[0] for _, Y in steps)
 
 
-def _walk(field: Field, point: np.ndarray, k_max: int, jacobians: bool = False,
-          base: Analytic | CentralDifference | None = None):
-    """walk_orbit from a point ``as_vector`` already checked.  Each step of F
-    silences numpy's overflow warnings once, and never across a yield."""
+def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
+              base: Analytic | CentralDifference | None = None):
+    """Walk the orbits of every row of an (N, n) array of points together.
+
+    Yields, for j = 1..k_max, ``(live, Y)`` with Y[r] = F^j of row live[r],
+    or with ``jacobians`` ``(live, step, prefix)``: the stacked pairs of
+    ``walk_orbit``.  ``live`` holds the indices of the rows still walking,
+    in order.  A row whose value or chain Jacobian is not finite leaves
+    ``live`` at the step where its own ``walk_orbit`` would have raised,
+    and stays out; ``raise_dropped`` raises that error.  Each step makes
+    one batched value evaluation, one leaf Jacobian call per live row (as
+    ``walk_orbit`` does), and one stacked chain product.
+    """
+    return _walk_rows(field, as_points(points, field.dimension), k_max, jacobians, base)
+
+
+def raise_dropped(field: Field, points, live, k_max: int, jacobians: bool = False):
+    """Raise the error of the first row a ``walk_rows`` walk dropped, from
+    that row's own ``walk_orbit``: what walking the rows one after another
+    would have raised.  Does nothing when every row stayed live."""
+    X = as_points(points, field.dimension)
+    if len(live) == X.shape[0]:
+        return
+    missing = np.flatnonzero(np.asarray(live) != np.arange(len(live)))
+    first = int(missing[0]) if missing.size else len(live)
+    for _ in walk_orbit(field, X[first], k_max, jacobians):
+        pass
+    raise NonFiniteValueError(f"the orbit of {X[first].tolist()} under {field.describe()} "
+                              "failed only when walked with other points")
+
+
+def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
+               base: Analytic | CentralDifference | None = None, strict: bool = False):
+    """walk_rows on checked points.  With ``strict`` (one row) a failing
+    row raises its error, tagged with the step of V, instead of leaving.
+    Each step of F silences numpy's overflow warnings once, and never
+    across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
+    live = np.arange(X.shape[0])
     step = prefix = None
     for j in range(k_max):
+        if not len(live):
+            empty = np.empty((0, X.shape[1], X.shape[1]))
+            yield (live, empty, empty) if jacobians else (live, X)
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(j * stride + 1, (j + 1) * stride + 1):
-                if not jacobians:
-                    point = _advance(inner, point, i, total)
-                    continue
                 # V^(i-1)(x) is computed only where its Jacobian is needed
-                if i > 1:
-                    point = _advance(inner, point, i - 1, total)
-                J = _step_jacobian(inner, point, base)
+                if not jacobians or i > 1:
+                    X, keep = _advance_rows(inner, X, i - 1 if jacobians else i, total, strict)
+                    if keep is not None:
+                        live, X = live[keep], X[keep]
+                        if jacobians:
+                            step, prefix = step[keep], prefix[keep]
+                if not jacobians:
+                    continue
+                J, failed = inner._jacobian_rows(X, base, strict)
                 step = J if i == j * stride + 1 else J @ step
                 prefix = step if i <= stride else J @ prefix
-                if not np.isfinite(prefix).all() or (stride > 1 and not np.isfinite(step).all()):
+                if failed is None and _all_finite(prefix) and (stride == 1 or _all_finite(step)):
+                    continue
+                bad = ~np.isfinite(prefix).all(axis=(1, 2))
+                if stride > 1:
+                    bad |= ~np.isfinite(step).all(axis=(1, 2))
+                if strict and bad.any():
                     raise NonFiniteValueError(
                         f"chain Jacobian of {inner.describe()} is non-finite at iterate "
                         f"{i} of {total}", iterate_index=i)
-        yield (step, prefix) if jacobians else point
+                if failed is not None:
+                    bad |= failed
+                keep = ~bad
+                live, X, step, prefix = live[keep], X[keep], step[keep], prefix[keep]
+        yield (live, step, prefix) if jacobians else (live, X)
 
 
-def _advance(inner: Field, point: np.ndarray, i: int, total: int) -> np.ndarray:
-    """Step i of a walk: V at V^(i-1)(x), its failure tagged with i."""
+def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
+    """Step i of a walk: (V at every row, the rows to keep or None when all
+    stay); with ``strict`` a failure raises, tagged with i."""
+    if not strict:
+        Y = inner._evaluate_rows(X)
+        bad = np.isnan(Y[:, 0])
+        return (Y, ~bad) if bad.any() else (Y, None)
     try:
-        return inner._evaluate(point)
+        return inner._evaluate_rows(X, strict=True), None
     except NonFiniteValueError as err:
         if err.iterate_index is None:
             raise NonFiniteValueError(
@@ -667,7 +823,9 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
         if isinstance(method, ChainProduct):
             if not isinstance(field, Iterate):
                 raise JacobianMethodError("chain-product Jacobians require an iterated field")
-            ((_, J),) = _walk(field, x, 1, jacobians=True, base=method.base)
+            ((_, _, J),) = _walk_rows(field, x[None, :], 1, jacobians=True, base=method.base,
+                                      strict=True)
+            J = J[0]
         elif method is None or isinstance(method, (Analytic, CentralDifference)):
             J = _step_jacobian(field, x, method)
         else:
@@ -685,22 +843,24 @@ def asymmetry(M) -> float:
     """
     A = as_matrix(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _asymmetry(A)
+        return float(_asymmetry(A[None])[0])
 
 
-def _asymmetry(A: np.ndarray) -> float:
-    """asymmetry of a finite square float matrix, unchecked; orbit walks
-    hand their chain products here.  The caller silences numpy's overflow
-    warnings.  The norms are np.linalg.norm's Frobenius norm, sqrt of the
-    dot of the flattened matrix with itself, without its dispatch."""
-    d = (A - A.T).ravel(order="K")
-    gap = math.sqrt(d.dot(d))
-    if gap == 0.0:
-        return 0.0
-    a = A.ravel(order="K")
-    norm = math.sqrt(a.dot(a))
-    if math.isfinite(gap) and math.isfinite(norm):
-        return gap / max(1.0, norm)
-    scale = float(np.max(np.abs(A)))
-    S = A / scale
-    return float(np.linalg.norm(S - S.T)) / max(1.0 / scale, float(np.linalg.norm(S)))
+def _asymmetry(A: np.ndarray) -> np.ndarray:
+    """asymmetry of every matrix in a finite (N, n, n) float stack,
+    unchecked; orbit walks hand their chain products here.  The caller
+    silences numpy's overflow warnings.  The norms are np.linalg.norm's
+    Frobenius norm, the square root of the flattened matrix's dot with
+    itself, taken as one stacked product, so each entry is bit-equal to
+    the matrix's residual alone."""
+    N, n, _ = A.shape
+    D = (A - A.transpose(0, 2, 1)).reshape(N, n * n)
+    F = A.reshape(N, n * n)
+    gap = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    norm = np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
+    out = np.where(gap == 0.0, 0.0, gap / np.maximum(1.0, norm))
+    for r in np.flatnonzero(~(np.isfinite(gap) & np.isfinite(norm))):
+        scale = float(np.max(np.abs(A[r])))
+        S = A[r] / scale
+        out[r] = float(np.linalg.norm(S - S.T)) / max(1.0 / scale, float(np.linalg.norm(S)))
+    return out

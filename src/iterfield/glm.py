@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Field, NonFiniteValueError, as_points, as_vector
+from .fields import (Field, GdMap, NonFiniteValueError, _row_times, as_points, as_vector,
+                     walk_rows)
 from .quadrature import integrate_batch
 
 ORTHOGONALITY_TOL = 1e-12
@@ -51,13 +52,23 @@ class Activation:
         gives inf there, which the orbit kernel reports."""
         if self.deriv_array is not None:
             return self.deriv_array(t)
-        out = np.empty(t.shape)
-        for i, s in enumerate(t.flat):
-            try:
-                out.flat[i] = self.deriv(float(s))
-            except OverflowError:
-                out.flat[i] = math.inf
-        return out
+        return _entrywise(self.deriv, t)
+
+
+def _entrywise(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """fn at every entry of t, one scalar call each; an entry whose call
+    overflows is inf."""
+    try:
+        return np.array([fn(s) for s in t.ravel().tolist()], dtype=float).reshape(t.shape)
+    except OverflowError:
+        pass
+    out = np.empty(t.shape)
+    for i, s in enumerate(t.flat):
+        try:
+            out.flat[i] = fn(float(s))
+        except OverflowError:
+            out.flat[i] = math.inf
+    return out
 
 
 def derivative_residual(activation: Activation, ts: Sequence[float], h: float = 1e-6) -> float:
@@ -223,8 +234,9 @@ def _inner_products(spec: GlmSpec, x: np.ndarray) -> list[float]:
 
 
 def _combine(spec: GlmSpec, weights: list[float]) -> np.ndarray:
-    """sum_i weights_i z_i, one product; model gradients and closed forms
-    share it, so equal weights give bit-equal vectors."""
+    """sum_i weights_i z_i, one product for the closed forms; the model
+    gradient's stacked rows give the same bits, so equal weights give
+    bit-equal vectors."""
     return np.array(weights) @ spec.directions
 
 
@@ -247,10 +259,24 @@ class GlmGradient(Field):
     def __init__(self, spec: GlmSpec):
         self.spec = spec
         self.dimension = spec.dimension
+        self._Z, self._ZT = spec.directions, spec.directions.T
+        self._deriv = spec.activation.deriv
 
-    def _eval(self, x):
-        deriv = self.spec.activation.deriv
-        return _combine(self.spec, [deriv(t) for t in _inner_products(self.spec, x)])
+    def _rows(self, X, strict):
+        """One stacked product for the inner products, the scalar sigma'
+        per entry (numpy's exp rounds differently from math's), and one
+        stacked product for the sums of directions: each row is bit-equal
+        to the gradient at that point alone."""
+        if not len(X):
+            return np.empty(X.shape)
+        T = _row_times(X, self._ZT)
+        try:
+            V = np.array([list(map(self._deriv, row)) for row in T.tolist()])
+        except OverflowError as err:
+            if strict:
+                raise self._overflowed(X[0]) from err
+            V = _entrywise(self._deriv, T)
+        return _row_times(V, self._Z)
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second
@@ -434,9 +460,9 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
                           gamma: float | None = None) -> float:
     """Worst relative deviation of iterated_glm (and, given gamma,
     iterated_glm_gd) from brute-force iteration, over k <= k_max and the
-    points.  All points go together: one (N, n) walk of the gradient (or
-    of its descent map) gives V^1 .. V^k_max at every point, and one walk
-    of the scalar orbits gives every closed form's weights."""
+    points.  All points go together: one ``walk_rows`` walk of the
+    gradient (or of its descent map) gives V^1 .. V^k_max at every point,
+    and one walk of the scalar orbits gives every closed form's weights."""
     _require_orthogonal(spec)
     if gamma is not None and not (gamma > 0):
         raise ValueError("step size gamma must be positive")
@@ -448,16 +474,16 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     with np.errstate(over="ignore", invalid="ignore"):
         T = _row_products(X, Z.T)
         for step in (None,) if gamma is None else (None, gamma):
-            brute, total = X, 0.0
-            for j, (_, v) in enumerate(_orbit_rows(derivs, T, w, k_max, step), start=1):
-                grad = _row_products(derivs(_row_products(brute, Z.T)), Z)
-                brute = grad if step is None else brute - step * grad
+            field = GlmGradient(spec) if step is None else GdMap(GlmGradient(spec), step)
+            total = 0.0
+            orbits = zip(_orbit_rows(derivs, T, w, k_max, step), walk_rows(field, X, k_max))
+            for j, ((_, v), (live, brute)) in enumerate(orbits, start=1):
                 if step is None:
                     closed = _row_products(v, Z)
                 else:
                     total = total + v
                     closed = X - step * _row_products(total, Z)
-                if not (np.isfinite(brute).all() and np.isfinite(closed).all()):
+                if len(live) < X.shape[0] or not np.isfinite(closed).all():
                     raise NonFiniteValueError(
                         f"{spec.describe()} overflowed at iterate {j} of {k_max}",
                         iterate_index=j)

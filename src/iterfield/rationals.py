@@ -25,6 +25,35 @@ from operator import mul
 import numpy as np
 
 
+# Decimal digits per chunk when writing a long integer: below the smallest
+# int-to-str limit Python allows (640), so ``fraction_text`` never hits it.
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an integer of any length, converted in chunks."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(n) + "".join(reversed(chunks))
+
+
+def fraction_text(q: Fraction) -> str:
+    """str(q), without the process's int-to-str digit limit: exact
+    certificates can have gaps of many thousand digits."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
 def ratio(value) -> tuple[int, int]:
     """(p, q) with value = p / q exactly and q > 0, from an int, a float,
     a Fraction or a numeric string."""

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .conservatism import DEFAULT_THRESHOLD, sample_points
-from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_vector, asymmetry,
-                     identity_field, jacobian, walk_orbit)
+from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_points, as_vector,
+                     identity_field, jacobian, raise_dropped, walk_rows)
 
 ZERO_BAND = 1e-10
 PROPAGATION_TOL = 1e-8
@@ -70,18 +70,31 @@ class ConvexityClass:
         return out
 
 
-def _eigen_interval(J: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of (J + J^T)/2."""
-    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
-    return float(eigs[0]), float(eigs[-1])
+def _eigen_intervals(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of (J + J^T)/2 for every matrix of
+    an (N, n, n) stack, from one stacked ``eigvalsh`` (bit-equal to one
+    call per matrix)."""
+    eigs = np.linalg.eigvalsh(0.5 * (J + J.transpose(0, 2, 1)))
+    return eigs[:, 0], eigs[:, -1]
+
+
+def _spectra(field: Field, points, method=None) -> list[SpectrumSample]:
+    """``spectrum_at`` at every point: one Jacobian per point, then one
+    stacked eigen-interval and asymmetry reduction."""
+    n = field.dimension
+    X = as_points(points, n)
+    J = np.array([jacobian(field, x, method) for x in X]).reshape(-1, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _asymmetry(J).tolist()
+    lows, highs = (v.tolist() for v in _eigen_intervals(J))
+    return [SpectrumSample(tuple(x), lo, hi, res)
+            for x, lo, hi, res in zip(X.tolist(), lows, highs, residuals)]
 
 
 def spectrum_at(field: Field, x, method=None) -> SpectrumSample:
     """Eigen-interval of (J + J^T)/2 at x, with the asymmetry recorded so
     callers can notice non-conservative fields."""
-    J = jacobian(field, x, method)
-    return SpectrumSample(tuple(float(v) for v in np.atleast_1d(x)),
-                          *_eigen_interval(J), asymmetry(J))
+    return _spectra(field, as_vector(x, field.dimension)[None, :], method)[0]
 
 
 def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -> ConvexityClass:
@@ -93,7 +106,7 @@ def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -
     +-1e-10; strictly positive pointwise minima inside the band report as
     strictly convex.
     """
-    spectra = [spectrum_at(field, p) for p in sample_points(field.dimension, samples)]
+    spectra = _spectra(field, sample_points(field.dimension, samples))
     residual = max(s.asymmetry for s in spectra)
     if residual > threshold:
         raise NotConservativeError(
@@ -173,19 +186,25 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     if k < 1:
         raise ValueError("k must be >= 1")
     points = sample_points(f_grad.dimension, samples)
-    alpha_hat = np.inf
-    beta_hat = -np.inf
+    step_low, step_high = [], []
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
     per_j_asym = [0.0] * (k + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in points:
-            for j, (step, prefix) in enumerate(walk_orbit(f_grad, x, k, jacobians=True), start=1):
-                lo, hi = _eigen_interval(step)
-                alpha_hat, beta_hat = min(alpha_hat, lo), max(beta_hat, hi)
-                per_j_asym[j] = max(per_j_asym[j], _asymmetry(prefix))
-                lo, hi = _eigen_interval(prefix)
-                per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
+        walk = walk_rows(f_grad, points, k, jacobians=True)
+        for j, (live, step, prefix) in enumerate(walk, start=1):
+            lows, highs = _eigen_intervals(step)
+            step_low.append(lows)
+            step_high.append(highs)
+            per_j_asym[j] = max([0.0, *_asymmetry(prefix).tolist()])
+            lows, highs = _eigen_intervals(prefix)
+            per_j_low[j] = min([np.inf, *lows.tolist()])
+            per_j_high[j] = max([-np.inf, *highs.tolist()])
+    raise_dropped(f_grad, points, live, k, jacobians=True)
+    # the step spectra in point order, as a loop over the points meets them,
+    # so that a tie between 0.0 and -0.0 resolves the same way
+    alpha_hat = min([np.inf, *np.column_stack(step_low).ravel().tolist()])
+    beta_hat = max([-np.inf, *np.column_stack(step_high).ravel().tolist()])
     report = PropagationReport(alpha_hat, beta_hat, k)
     m = max(abs(alpha_hat), abs(beta_hat))
     for j in range(1, k + 1):
@@ -297,12 +316,19 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
     eye = np.eye(f_grad.dimension)
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
-    for x in points:
-        for j, (_, prefix) in enumerate(walk_orbit(descent, x, k, jacobians=True), start=1):
-            lo, hi = _eigen_interval(eye - prefix)
-            per_j_low[j], per_j_high[j] = min(per_j_low[j], lo), max(per_j_high[j], hi)
-    residuals = [[float(np.linalg.norm(as_vector(y) - image))
-                  for image in walk_orbit(descent, y, k)] for y in critical_points]
+    for j, (live, _, prefix) in enumerate(walk_rows(descent, points, k, jacobians=True),
+                                          start=1):
+        lows, highs = _eigen_intervals(eye - prefix)
+        per_j_low[j] = min([np.inf, *lows.tolist()])
+        per_j_high[j] = max([-np.inf, *highs.tolist()])
+    raise_dropped(descent, points, live, k, jacobians=True)
+    Y = as_points(critical_points, f_grad.dimension)
+    residuals = np.empty((k, Y.shape[0]))
+    for j, (live, images) in enumerate(walk_rows(descent, Y, k)):
+        D = Y[live] - images
+        residuals[j, live] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    raise_dropped(descent, Y, live, k)
+    residuals = residuals.T.tolist()
     report = GdPropagationReport(claimed, gamma, lam, k)
     for j in range(1, k + 1):
         lo, hi = per_j_low[j], per_j_high[j]

@@ -3,6 +3,7 @@ on random combinator trees, exact scan verdicts and certificates against a
 per-k reference power, and the FedAvg pieces that read the same integer
 forms (the singular solve past float range, the oracle distances)."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -104,6 +105,40 @@ def ref_power(A, p):
     return P
 
 
+def ref_decimal(n):
+    """str(n) for an integer of any length: split in halves by a power of
+    ten until each piece is short enough for str."""
+    if n < 0:
+        return "-" + ref_decimal(-n)
+    if n < 10 ** 1000:
+        return str(n)
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** half)
+    return ref_decimal(high) + ref_decimal(low).zfill(half)
+
+
+def ref_fraction_text(q):
+    """str(q), past Python's int-to-str digit limit."""
+    if q.denominator == 1:
+        return ref_decimal(q.numerator)
+    return f"{ref_decimal(q.numerator)}/{ref_decimal(q.denominator)}"
+
+
+def parse_fraction(text):
+    """Fraction(text), reading long digit strings 500 digits at a time."""
+    def integer(digits):
+        sign = -1 if digits.startswith("-") else 1
+        digits = digits.lstrip("-")
+        value = 0
+        for start in range(0, len(digits), 500):
+            chunk = digits[start:start + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+
+    num, _, den = text.partition("/")
+    return Fraction(integer(num), integer(den) if den else 1)
+
+
 def ref_scan_results(A, stride, k_max):
     """The exact scan's result dicts for the field whose Jacobian is A,
     iterated ``stride`` times per k: A^p computed afresh for every
@@ -119,7 +154,7 @@ def ref_scan_results(A, stride, k_max):
             i, j = gaps[0]
             entry = {"k": k, "verdict": "exact-no", "certificate": (
                 f"power {p} entry ({i + 1},{j + 1}) minus ({j + 1},{i + 1}) = "
-                f"{P[i][j] - P[j][i]}")}
+                f"{ref_fraction_text(P[i][j] - P[j][i])}")}
         results.append(entry)
     return results
 
@@ -251,9 +286,9 @@ class TestExactScanTower:
     @settings(max_examples=40, deadline=None)
     @given(exact_scan_fields())
     def test_verdicts_and_certificates_equal_reference_powers(self, case):
-        # A gap of more than 4300 decimal digits (tiny float entries at high
-        # powers) cannot be rendered under Python's int-to-str limit: the
-        # scan and the reference then raise the same ValueError.
+        # Tiny float entries at high powers give gaps of more than 4300
+        # decimal digits, past Python's int-to-str limit; both sides render
+        # them in pieces.
         field, A, stride = case
         got = outcome(lambda: scan_k(field, 12).to_dict()["results"])
         assert got == outcome(lambda: ref_scan_results(A, stride, 12))
@@ -266,6 +301,30 @@ class TestExactScanTower:
         _, A, _ = case
         got = outcome(lambda: {"k": k, **check_linear(A, k).to_dict()})
         assert got == outcome(lambda: ref_scan_results(A, 1, k)[-1])
+
+    def test_gap_past_the_digit_limit_renders(self, tmp_path, capsys):
+        matrix = [[0, 0, 0], [0, 1e-300, 0], [0, 1, 0]]
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--field", '{"variant": "linear", "matrix": '
+                     '[[0, 0, 0], [0, 1e-300, 0], [0, 1, 0]]}',
+                     "--k-max", "20", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+        P = ref_power([[Fraction(v) for v in row] for row in matrix], 20)
+        prefix = "power 20 entry (2,3) minus (3,2) = "
+        assert results[-1]["certificate"].startswith(prefix)
+        text = results[-1]["certificate"][len(prefix):]
+        assert len(text) > 4300
+        assert parse_fraction(text) == P[1][2] - P[2][1]
+
+    def test_fraction_text_on_both_sides_of_the_limit(self):
+        for q in (Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-10 ** 599, 3),
+                  Fraction(10 ** 600), Fraction(-(10 ** 1200) + 1, 7 ** 900)):
+            assert rationals.fraction_text(q) == str(q) == ref_fraction_text(q)
+        for q in (Fraction(10 ** 6000), Fraction(-(10 ** 4400) + 1, 7 ** 3000),
+                  Fraction(3 * 10 ** 4800 + 7, 2 ** 20000)):
+            assert rationals.fraction_text(q) == ref_fraction_text(q)
+            assert parse_fraction(rationals.fraction_text(q)) == q
 
     def test_float_entered_certificate(self):
         report = scan_k(Linear([[0.1, 0.2], [0.3, 0.4]]), 2)

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps iterfield functions and methods by name; a name
 it wraps that the package no longer has would only show when the traced
 benchmark runs.  This runs the tracer in a fresh process, as the benchmark
 does, on 5-sample scans of a model gradient, its descent map and its
-composition with a Linear field, and pins their leaf Jacobian counts.
+composition with a Linear field, and on 5-sample propagation checks, and
+pins their leaf Jacobian counts, with the benchmark's reference count.
 """
 
 import os
@@ -32,6 +33,15 @@ assert recorder.counts["fields.jacobian_step.calls"] == 15 + 15, recorder.counts
 linear = iterfield.Linear([[0.9, 0.1], [0.0, 0.8]])
 iterfield.scan_k(iterfield.compose(linear, grad), 3, mode="numeric", sampling=sampling)
 assert recorder.counts["fields.jacobian_step.calls"] == 15 + 15 + 30, recorder.counts
+# the batched propagation checks too: one leaf call per point and step
+before = recorder.counts["fields.jacobian_step.calls"]
+iterfield.check_propagation(grad, 3, sampling)
+assert recorder.counts["fields.jacobian_step.calls"] == before + 15, recorder.counts
+iterfield.check_gd_propagation(grad, 0.5, 3, sampling, claimed="convex", beta=0.25)
+assert recorder.counts["fields.jacobian_step.calls"] == before + 15 + 15, recorder.counts
+import baseline
+reference = baseline.reference_count(iterfield, recorder)
+assert reference["jacobian_steps"] == reference["floor"] == 1000, reference
 """
 
 
