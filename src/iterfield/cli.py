@@ -24,18 +24,19 @@ from .configs import (ConfigError, fedavg_config_from_obj, field_from_obj,
                       glm_spec_from_obj, load_json_file, load_json_text)
 from .conservatism import SamplingConfig, SamplingError, scan_k
 from .fields import FieldError, Linear, PolyExact, Rotation2D
-from .glm import NonOrthogonalError, closed_form_deviation
+from .glm import closed_form_deviation
 from .polynomials import PolyField, PolynomialSizeError
 from .reports import canonical_json, run_manifest, write_json, write_trace_csv
-from .spectral import (NotConservativeError, StepSizeError, check_gd_propagation,
-                       check_propagation, classify)
+from .spectral import (NotConservativeError, check_gd_propagation, check_propagation,
+                       classify)
 
 USAGE_ERROR = 2
 VERIFIED_FAIL = 1
 
 # Errors that keep a command from deciding: USAGE_ERROR, never VERIFIED_FAIL.
-LIBRARY_ERRORS = (ConfigError, FieldError, NonOrthogonalError, SamplingError,
-                  PolynomialSizeError, quadrature.QuadratureError, rationals.SingularMatrixError,
+# ValueError is how the library refuses an argument or a setting.
+LIBRARY_ERRORS = (ValueError, FieldError, SamplingError, PolynomialSizeError,
+                  quadrature.QuadratureError, rationals.SingularMatrixError,
                   NotConservativeError, fa.ConvergenceError, fa.SurrogateUnavailableError)
 
 
@@ -170,14 +171,13 @@ def _cmd_scan(args) -> int:
 def _cmd_glm_verify(args) -> int:
     directions = load_json_text(args.directions, origin="--directions")
     spec_obj = {"activation": args.activation, "directions": directions}
-    try:
-        spec = glm_spec_from_obj(spec_obj)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    spec = glm_spec_from_obj(spec_obj)
     if not spec.orthogonal:
         raise ConfigError(
             f"directions are not mutually orthogonal (gram residual "
             f"{spec.gram_residual:.3e}); the closed forms do not apply")
+    if args.points < 1:
+        raise ConfigError("--points must be at least 1")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((args.points, spec.dimension))
@@ -222,8 +222,6 @@ def _cmd_spectral(args) -> int:
             report = check_propagation(field, args.k, sampling, threshold=args.threshold)
             payload["propagation"] = report.to_dict()
             passed = report.passed
-    except (StepSizeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
     except NotConservativeError as err:
         payload["refused"] = str(err)
         _emit(args, payload)
@@ -262,10 +260,7 @@ def _cmd_fedavg(args) -> int:
     if config.mode:
         if config.alpha is None or config.beta is None:
             raise ConfigError(f"mode {config.mode!r} needs alpha and beta")
-        try:
-            rate = fa.verify_rate(trace, config.alpha, config.beta, config.k, config.mode)
-        except (fa.HyperparameterError, ValueError) as err:
-            raise ConfigError(str(err)) from err
+        rate = fa.verify_rate(trace, config.alpha, config.beta, config.k, config.mode)
         summary["rate"] = rate.to_dict()
         code = 0 if rate.passed else VERIFIED_FAIL
     write_json(summary_path, summary)

@@ -39,6 +39,12 @@ def load_json_file(path: str):
     return load_json_text(text, origin=path)
 
 
+def _object(obj, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object, got {type(obj).__name__}")
+    return obj
+
+
 def _need(obj: dict, key: str, context: str):
     if key not in obj:
         raise ConfigError(f"{context}: missing key {key!r}")
@@ -68,9 +74,7 @@ def coordwise_maps_from_names(names) -> list[ScalarMap]:
 
 
 def field_from_obj(obj) -> Field:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"field definition must be an object, got {type(obj).__name__}")
-    variant = _need(obj, "variant", "field")
+    variant = _need(_object(obj, "field definition"), "variant", "field")
     try:
         if variant == "constant":
             return Constant(_need(obj, "value", variant))
@@ -111,7 +115,7 @@ def field_from_obj(obj) -> Field:
 
 
 def client_from_obj(obj: dict):
-    kind = _need(obj, "kind", "client")
+    kind = _need(_object(obj, "client"), "kind", "client")
     label = obj.get("label", "")
     try:
         if kind == "quadratic":
@@ -127,15 +131,18 @@ def client_from_obj(obj: dict):
 
 
 def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAvgConfig:
-    version = obj.get("schema_version", SCHEMA_VERSION)
+    version = _object(obj, "run config").get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    clients = [client_from_obj(c) for c in _need(obj, "clients", "run config")]
+    clients = _need(obj, "clients", "run config")
+    if not isinstance(clients, list):
+        raise ConfigError(f"run config: clients must be a list, got {type(clients).__name__}")
+    clients = [client_from_obj(c) for c in clients]
     rounds = obj.get("rounds", obj.get("T"))
     if rounds is None:
         raise ConfigError("run config: missing key 'rounds'")
-    seed = int(obj.get("seed", 0)) if seed_override is None else int(seed_override)
     try:
+        seed = int(obj.get("seed", 0)) if seed_override is None else int(seed_override)
         return FedAvgConfig(
             clients=clients,
             gamma=float(_need(obj, "gamma", "run config")),
@@ -145,8 +152,8 @@ def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAv
             x0=_need(obj, "x0", "run config"),
             seed=seed,
             mode=obj.get("mode"),
-            alpha=obj.get("alpha"),
-            beta=obj.get("beta"),
+            alpha=None if obj.get("alpha") is None else float(obj["alpha"]),
+            beta=None if obj.get("beta") is None else float(obj["beta"]),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad run config: {err}") from err

@@ -10,6 +10,7 @@ never as proof.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -37,6 +38,14 @@ class SamplingConfig:
     seed: int = 0
     kind: str = "ball"
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"sampling radius must be finite and positive, got {self.radius}")
+        if self.kind not in ("ball", "box"):
+            raise ValueError(f"unknown sampling kind {self.kind!r}")
+
     def to_dict(self):
         return {"count": self.count, "radius": self.radius,
                 "seed": self.seed, "kind": self.kind}
@@ -50,9 +59,7 @@ def draw_samples(dimension: int, config: SamplingConfig) -> np.ndarray:
         norms[norms == 0] = 1.0
         radii = config.radius * rng.random(config.count) ** (1.0 / dimension)
         return g / norms * radii[:, None]
-    if config.kind == "box":
-        return rng.uniform(-config.radius, config.radius, size=(config.count, dimension))
-    raise ValueError(f"unknown sampling kind {config.kind!r}")
+    return rng.uniform(-config.radius, config.radius, size=(config.count, dimension))
 
 
 def sample_points(dimension: int, samples=None) -> np.ndarray:
@@ -61,7 +68,10 @@ def sample_points(dimension: int, samples=None) -> np.ndarray:
         samples = SamplingConfig()
     if isinstance(samples, SamplingConfig):
         return draw_samples(dimension, samples)
-    return np.atleast_2d(np.asarray(samples, dtype=float))
+    points = np.atleast_2d(np.asarray(samples, dtype=float))
+    if points.size == 0:
+        raise ValueError("need at least one sample point")
+    return points
 
 
 @dataclass

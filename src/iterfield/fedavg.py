@@ -185,10 +185,10 @@ class FedAvgConfig:
     def __post_init__(self):
         if not self.clients:
             raise ValueError("need at least one client")
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
-        if not (self.eta > 0):
-            raise ValueError("eta must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
         if self.k < 1 or self.rounds < 1:
             raise ValueError("need k >= 1 and rounds >= 1")
         dims = {c.dimension for c in self.clients}

@@ -5,6 +5,10 @@ values are safe to share across threads.  Iteration composes a field with
 itself; a non-finite value produced mid-iteration is an error that carries
 the iterate index, because iterated exponential-type fields overflow at
 small inputs and the diagnosis matters.
+
+Fields evaluate batches of points; a batch with a failing point raises
+NonFiniteValueError from the innermost field that failed.  Only the orbit
+walker drops a failing point, by evaluating that step again point by point.
 """
 
 from __future__ import annotations
@@ -124,41 +128,33 @@ class Field:
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         """The field at a point ``as_vector`` already checked: the one-row
-        case of ``_evaluate_rows``, raising where that gives a NaN row."""
-        return self._evaluate_rows(x[None, :], strict=True)[0]
+        case of ``_evaluate_rows``."""
+        return self._evaluate_rows(x[None, :])[0]
 
-    def _evaluate_rows(self, X: np.ndarray, strict: bool = False) -> np.ndarray:
+    def _evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) array of checked points; orbit
-        walks and nested fields call this.  A row whose value overflows or
-        is not finite comes back all NaN.  With ``strict`` (one row) it
-        raises NonFiniteValueError instead, from the innermost field that
-        failed.  A row's value never depends on the other rows.  The public
-        entry that leads here silences numpy's overflow warnings once."""
-        Y = self._rows(X, strict)
+        walks and nested fields call this.  If a row's value overflows or
+        is not finite, the whole call raises NonFiniteValueError, from the
+        innermost field that failed; only the orbit walker drops a failing
+        row, by evaluating the rows again one at a time.  A row's value
+        never depends on the other rows.  The public entry that leads here
+        silences numpy's overflow warnings once."""
+        Y = self._rows(X)
         if not _all_finite(Y):
             bad = ~np.isfinite(Y).all(axis=1)
-            if strict:
-                raise NonFiniteValueError(f"{self.describe()} produced a non-finite value "
-                                          f"at x={X[np.argmax(bad)].tolist()}")
-            Y[bad] = np.nan
+            raise NonFiniteValueError(f"{self.describe()} produced a non-finite value "
+                                      f"at x={X[np.argmax(bad)].tolist()}")
         return Y
 
-    def _rows(self, X: np.ndarray, strict: bool) -> np.ndarray:
+    def _rows(self, X: np.ndarray) -> np.ndarray:
         """Raw values at every row, for ``_evaluate_rows`` to check.  This
-        generic form calls ``_eval`` once per row; a row whose call
-        overflows or raises NonFiniteValueError is NaN unless ``strict``."""
+        generic form calls ``_eval`` once per row, in order."""
         Y = np.empty(X.shape)
         for r, x in enumerate(X):
             try:
                 y = np.asarray(self._eval(x), dtype=float)
             except OverflowError as err:
-                if strict:
-                    raise self._overflowed(x) from err
-                y = np.full(x.shape, np.nan)
-            except NonFiniteValueError:
-                if strict:
-                    raise
-                y = np.full(x.shape, np.nan)
+                raise self._overflowed(x) from err
             if y.shape != x.shape:
                 raise DimensionMismatchError(
                     f"{self.describe()} returned shape {y.shape}, expected {x.shape}")
@@ -175,12 +171,11 @@ class Field:
         """Exact Jacobian at x, or None when the variant has no analytic form."""
         return None
 
-    def _jacobian_rows(self, X: np.ndarray, base, strict: bool):
-        """(J, failed): the step Jacobian at every row of X, one leaf
-        Jacobian call per row, stacked (N, n, n); ``failed`` marks the rows
-        whose Jacobian raised NonFiniteValueError (it is raised with
-        ``strict``), or is None when none did."""
-        return _stack_rows(X, lambda r, x: _step_jacobian(self, x, base), strict)
+    def _jacobian_rows(self, X: np.ndarray, base):
+        """(J, errors): the step Jacobian at every row of X, one leaf
+        Jacobian call per row, stacked (N, n, n), and the NonFiniteValueError
+        of each row whose Jacobian raised one, by row."""
+        return _stack_rows(X, lambda r, x: _step_jacobian(self, x, base), (self.dimension,) * 2)
 
     def as_affine(self):
         """Exact rational (A, b) with field(x) = A x + b, or None."""
@@ -205,7 +200,7 @@ class Constant(Field):
         self.value = as_vector(value)
         self.dimension = self.value.shape[0]
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         return np.tile(self.value, (X.shape[0], 1))
 
     def jacobian_analytic(self, x):
@@ -227,7 +222,7 @@ class Linear(Field):
         self.matrix = as_matrix(matrix)
         self.dimension = self.matrix.shape[0]
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         return _row_times(X, self.matrix.T)
 
     def jacobian_analytic(self, x):
@@ -249,7 +244,7 @@ class Affine(Field):
         self.dimension = self.matrix.shape[0]
         self.offset = as_vector(offset, self.dimension)
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         return _row_times(X, self.matrix.T) + self.offset
 
     def jacobian_analytic(self, x):
@@ -281,7 +276,7 @@ class Rotation2D(Field):
         c, s = math.cos(theta), math.sin(theta)
         self.matrix = np.array([[c, s], [-s, c]])
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         return _row_times(X, self.matrix.T)
 
     def jacobian_analytic(self, x):
@@ -344,8 +339,8 @@ class GdMap(Field):
         self.dimension = inner.dimension
         self._eye = np.eye(self.dimension)
 
-    def _rows(self, X, strict):
-        return X - self.gamma * self.inner._evaluate_rows(X, strict)
+    def _rows(self, X):
+        return X - self.gamma * self.inner._evaluate_rows(X)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -391,14 +386,9 @@ class Iterate(Field):
         self.k = k
         self.dimension = inner.dimension
 
-    def _evaluate_rows(self, X, strict=False):
-        # the walk has checked every step, and leaves out the rows that failed
-        live, Y = next(_walk_rows(self, X, 1, strict=strict))
-        if len(live) == X.shape[0]:
-            return Y
-        out = np.full(X.shape, np.nan)
-        out[live] = Y
-        return out
+    def _evaluate_rows(self, X):
+        # the walk has checked every step, and raises tagged with its index
+        return next(_walk_rows(self, X, 1, strict=True))[1]
 
     def jacobian_analytic(self, x):
         try:
@@ -440,10 +430,10 @@ class Sum(Field):
             if len(self.weights) != len(self.fields):
                 raise ValueError("need one weight per field")
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         total = np.zeros(X.shape)
         for w, f in zip(self.weights, self.fields):
-            total += w * f._evaluate_rows(X, strict)
+            total += w * f._evaluate_rows(X)
         return total
 
     def jacobian_analytic(self, x):
@@ -486,8 +476,8 @@ class Scale(Field):
         self.inner = inner
         self.dimension = inner.dimension
 
-    def _rows(self, X, strict):
-        return self.c * self.inner._evaluate_rows(X, strict)
+    def _rows(self, X):
+        return self.c * self.inner._evaluate_rows(X)
 
     def jacobian_analytic(self, x):
         J = self.inner.jacobian_analytic(x)
@@ -518,36 +508,31 @@ class Compose(Field):
         self.inner = inner
         self.dimension = outer.dimension
 
-    def _rows(self, X, strict):
-        Y = self.inner._evaluate_rows(X, strict)
-        ok = ~np.isnan(Y[:, 0])
-        if ok.all():
-            return self.outer._evaluate_rows(Y, strict)
-        Y[ok] = self.outer._evaluate_rows(Y[ok], strict)
-        return Y
+    def _rows(self, X):
+        return self.outer._evaluate_rows(self.inner._evaluate_rows(X))
 
     def jacobian_analytic(self, x, inner_value=None):
         """J(outer)(inner(x)) @ J(inner)(x); an orbit walk passes inner(x)
-        from its batched evaluation (NaN where it failed) so it is not
-        evaluated again."""
+        from its batched evaluation so it is not evaluated again."""
         Ji = self.inner.jacobian_analytic(x)
         if Ji is None:
             return None
         if inner_value is None:
             inner_value = self.inner._evaluate(x)
-        elif np.isnan(inner_value[0]):
-            raise NonFiniteValueError(f"{self.inner.describe()} failed at x={x.tolist()}")
         Jo = self.outer.jacobian_analytic(inner_value)
         if Jo is None:
             return None
         return Jo @ Ji
 
-    def _jacobian_rows(self, X, base, strict):
-        if strict or isinstance(base, CentralDifference):
-            return super()._jacobian_rows(X, base, strict)
-        Y = self.inner._evaluate_rows(X)
+    def _jacobian_rows(self, X, base):
+        # inner at every row in one batch; if that raises, each row's
+        # Jacobian evaluates its own inner value and raises as it would alone
+        try:
+            Y = self.inner._evaluate_rows(X)
+        except NonFiniteValueError:
+            return super()._jacobian_rows(X, base)
         return _stack_rows(X, lambda r, x: _step_jacobian(
-            self, x, base, lambda x: self.jacobian_analytic(x, Y[r])), strict)
+            self, x, base, lambda x: self.jacobian_analytic(x, Y[r])), (self.dimension,) * 2)
 
     def _affine_form(self):
         i = self.inner._affine_form()
@@ -651,13 +636,19 @@ def _row_times(X: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _finite_difference_jacobian(field: Field, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences from one batch of the points x + h e_j, x - h e_j;
+    if it raises, the first of them that fails alone raises."""
     n = field.dimension
-    cols = []
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        cols.append((field(x + step) - field(x - step)) / (2.0 * h))
-    return np.column_stack(cols)
+    steps = h * np.eye(n)
+    P = np.empty((2 * n, n))
+    P[0::2], P[1::2] = x + steps, x - steps
+    try:
+        Y = field._evaluate_rows(P)
+    except NonFiniteValueError:
+        for p in P:
+            field._evaluate(p)
+        raise
+    return np.ascontiguousarray(((Y[0::2] - Y[1::2]) / (2.0 * h)).T)
 
 
 def _step_jacobian(field: Field, x: np.ndarray,
@@ -681,21 +672,18 @@ def _step_jacobian(field: Field, x: np.ndarray,
     return J
 
 
-def _stack_rows(X: np.ndarray, jacobian_at, strict: bool):
-    """``Field._jacobian_rows`` from ``jacobian_at(r, x)`` for each row."""
-    n = X.shape[1]
-    J = np.empty((X.shape[0], n, n))
-    failed = None
+def _stack_rows(X: np.ndarray, value_at, shape: tuple):
+    """(S, errors): S[r] = value_at(r, x), of the given shape, for each row
+    x of X, and the NonFiniteValueError of each row whose call raised one,
+    by row (S[r] is then left unset)."""
+    S = np.empty((X.shape[0], *shape))
+    errors = {}
     for r, x in enumerate(X):
         try:
-            J[r] = jacobian_at(r, x)
-        except NonFiniteValueError:
-            if strict:
-                raise
-            if failed is None:
-                failed = np.zeros(X.shape[0], dtype=bool)
-            failed[r] = True
-    return J, failed
+            S[r] = value_at(r, x)
+        except NonFiniteValueError as err:
+            errors[r] = err
+    return S, errors
 
 
 def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
@@ -730,7 +718,9 @@ def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
     ``live`` at the step where its own ``walk_orbit`` would have raised,
     and stays out; ``raise_dropped`` raises that error.  Each step makes
     one batched value evaluation, one leaf Jacobian call per live row (as
-    ``walk_orbit`` does), and one stacked chain product.
+    ``walk_orbit`` does), and one stacked chain product.  A step whose
+    batched evaluation raises is evaluated again one row at a time, so
+    only the steps where some row fails pay a per-row cost.
     """
     return _walk_rows(field, as_points(points, field.dimension), k_max, jacobians, base)
 
@@ -752,21 +742,24 @@ def raise_dropped(field: Field, points, live, k_max: int, jacobians: bool = Fals
 
 def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                base: Analytic | CentralDifference | None = None, strict: bool = False):
-    """walk_rows on checked points.  With ``strict`` (one row) a failing
-    row raises its error, tagged with the step of V, instead of leaving.
-    Each step of F silences numpy's overflow warnings once, and never
+    """walk_rows on checked points.  The one place that decides what a
+    failing row does: it leaves the walk, or with ``strict`` (one-row walks
+    and Iterate values) raises its error, a value's tagged with the step of
+    V.  Each step of F silences numpy's overflow warnings once, and never
     across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
     live = np.arange(X.shape[0])
-    step = prefix = None
+    # a walk with no row left yields empty stacks
+    step = prefix = np.empty((0, X.shape[1], X.shape[1]))
     for j in range(k_max):
         if not len(live):
-            empty = np.empty((0, X.shape[1], X.shape[1]))
-            yield (live, empty, empty) if jacobians else (live, X)
+            yield (live, step, prefix) if jacobians else (live, X)
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(j * stride + 1, (j + 1) * stride + 1):
+                if not len(live):  # every row left within this step of F
+                    break
                 # V^(i-1)(x) is computed only where its Jacobian is needed
                 if not jacobians or i > 1:
                     X, keep = _advance_rows(inner, X, i - 1 if jacobians else i, total, strict)
@@ -776,10 +769,12 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                             step, prefix = step[keep], prefix[keep]
                 if not jacobians:
                     continue
-                J, failed = inner._jacobian_rows(X, base, strict)
+                J, errors = inner._jacobian_rows(X, base)
+                if errors and strict:
+                    raise next(iter(errors.values()))
                 step = J if i == j * stride + 1 else J @ step
                 prefix = step if i <= stride else J @ prefix
-                if failed is None and _all_finite(prefix) and (stride == 1 or _all_finite(step)):
+                if not errors and _all_finite(prefix) and (stride == 1 or _all_finite(step)):
                     continue
                 bad = ~np.isfinite(prefix).all(axis=(1, 2))
                 if stride > 1:
@@ -788,8 +783,7 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                     raise NonFiniteValueError(
                         f"chain Jacobian of {inner.describe()} is non-finite at iterate "
                         f"{i} of {total}", iterate_index=i)
-                if failed is not None:
-                    bad |= failed
+                bad[list(errors)] = True
                 keep = ~bad
                 live, X, step, prefix = live[keep], X[keep], step[keep], prefix[keep]
         yield (live, step, prefix) if jacobians else (live, X)
@@ -797,18 +791,21 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
 
 def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
     """Step i of a walk: (V at every row, the rows to keep or None when all
-    stay); with ``strict`` a failure raises, tagged with i."""
-    if not strict:
-        Y = inner._evaluate_rows(X)
-        bad = np.isnan(Y[:, 0])
-        return (Y, ~bad) if bad.any() else (Y, None)
+    stay).  When the batch raises, each row is evaluated again alone and
+    the rows that raise are dropped; with ``strict`` the error raises
+    instead, tagged with i."""
     try:
-        return inner._evaluate_rows(X, strict=True), None
+        return inner._evaluate_rows(X), None
     except NonFiniteValueError as err:
-        if err.iterate_index is None:
-            raise NonFiniteValueError(
-                f"{err} (at iterate {i} of {total})", iterate_index=i) from err
-        raise
+        if strict:
+            if err.iterate_index is None:
+                raise NonFiniteValueError(
+                    f"{err} (at iterate {i} of {total})", iterate_index=i) from err
+            raise
+    Y, errors = _stack_rows(X, lambda r, x: inner._evaluate(x), X.shape[1:])
+    keep = np.ones(X.shape[0], dtype=bool)
+    keep[list(errors)] = False
+    return Y, keep
 
 
 def jacobian(field: Field, x, method=None) -> np.ndarray:

@@ -195,11 +195,15 @@ class GlmSpec:
             raise ValueError("directions must be a non-empty list of vectors")
         if not np.isfinite(Z).all():
             raise ValueError("directions must be finite")
-        if np.any(np.linalg.norm(Z, axis=1) == 0):
+        with np.errstate(over="ignore"):
+            norms = np.sum(Z * Z, axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError("directions are too large: their squared norms overflow")
+        if np.any(norms == 0):
             raise ValueError("direction vectors must be nonzero")
         self.directions = Z
         # |z_i|^2 and z_i z_i^T, read by every closed form and Jacobian
-        self._norms = np.sum(Z * Z, axis=1).tolist()
+        self._norms = norms.tolist()
         self._outers = Z[:, :, None] * Z[:, None, :]
         self.gram_residual = orthogonality_check(Z)
         if check_derivative:
@@ -262,21 +266,19 @@ class GlmGradient(Field):
         self._Z, self._ZT = spec.directions, spec.directions.T
         self._deriv = spec.activation.deriv
 
-    def _rows(self, X, strict):
+    def _rows(self, X):
         """One stacked product for the inner products, the scalar sigma'
         per entry (numpy's exp rounds differently from math's), and one
         stacked product for the sums of directions: each row is bit-equal
-        to the gradient at that point alone."""
-        if not len(X):
-            return np.empty(X.shape)
-        T = _row_times(X, self._ZT)
+        to the gradient at that point alone.  A scalar sigma' that
+        overflows raises, naming the first row where it does."""
+        V = []
         try:
-            V = np.array([list(map(self._deriv, row)) for row in T.tolist()])
+            for row in _row_times(X, self._ZT).tolist():
+                V.append(list(map(self._deriv, row)))
         except OverflowError as err:
-            if strict:
-                raise self._overflowed(X[0]) from err
-            V = _entrywise(self._deriv, T)
-        return _row_times(V, self._Z)
+            raise self._overflowed(X[len(V)]) from err
+        return _row_times(np.array(V), self._Z)
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second
@@ -464,11 +466,13 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     gradient (or of its descent map) gives V^1 .. V^k_max at every point,
     and one walk of the scalar orbits gives every closed form's weights."""
     _require_orthogonal(spec)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if gamma is not None and not (gamma > 0):
         raise ValueError("step size gamma must be positive")
     X = as_points(points, spec.dimension)
     if X.shape[0] == 0:
-        return 0.0
+        raise ValueError("need at least one point")
     Z, w, derivs = spec.directions, np.array(spec._norms), spec.activation.derivs
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

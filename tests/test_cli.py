@@ -221,6 +221,62 @@ class TestFedavg:
         assert "ITERFIELD_SEED must be an integer" in capsys.readouterr().err
 
 
+LINEAR = ["--linear", "[[1,2],[1,-1]]"]
+DIRECTIONS = ["--activation", "logistic", "--directions", "[[0.5,0,0],[0,0.4,0]]"]
+DIAGONAL = ["--field", '{"variant":"linear","matrix":[[1,0],[0,3]]}']
+
+
+def _fedavg(**changes):
+    """A fedavg run of FED_CONFIG with these changes, as JSON text that
+    the test writes to a config file."""
+    return ["fedavg", "--config", json.dumps({**FED_CONFIG, **changes})]
+
+
+class TestBoundaryRefusals:
+    """Arguments and configs the library refuses exit 2 with one error line,
+    instead of a traceback (exit 1) or a pass that checked nothing."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["scan", *LINEAR, "--k-max", "0"], "k_max must be >= 1"),
+        (["scan", *LINEAR, "--k-max", "3", "--samples", "-3"], "sample count must be at least 1"),
+        (["scan", *LINEAR, "--k-max", "3", "--samples", "0"], "sample count must be at least 1"),
+        (["scan", "--field", '{"variant":"glm","activation":"exp","directions":[[1,0],[0,1]]}',
+          "--k-max", "3", "--samples", "0"], "sample count must be at least 1"),
+        (["scan", *LINEAR, "--k-max", "3", "--radius", "inf"], "radius must be finite"),
+        (["scan", *LINEAR, "--k-max", "3", "--radius", "0"], "radius must be finite"),
+        (["scan", "--rotation", "0", "--k-max", "3"], "rotation order"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--gamma", "-1"], "gamma must be positive"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "-2"], "--points must be at least 1"),
+        (["glm-verify", *DIRECTIONS, "--k", "0"], "k_max must be >= 1"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "0"], "--points must be at least 1"),
+        (["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
+          "--beta", "3", "--samples", "0"], "sample count must be at least 1"),
+        (["spectral", *DIAGONAL, "--k", "2", "--samples", "0"], "sample count must be at least 1"),
+        (["scan", "--field", '{"variant":"glm","activation":"exp","directions":[[1e308,0]]}',
+          "--k-max", "2"], "squared norms overflow"),
+        (_fedavg(clients=[5]), "client must be an object"),
+        (_fedavg(clients=5), "clients must be a list"),
+        (_fedavg(seed=[1]), "bad run config"),
+        (["fedavg", "--config", json.dumps([FED_CONFIG])], "run config must be an object"),
+        (_fedavg(mode="convex", beta="x"), "could not convert string to float"),
+        (["fedavg", "--config", json.dumps(FED_CONFIG).replace('"gamma": 0.5', '"gamma": 1e400')],
+         "gamma must be finite and positive"),
+        (_fedavg(clients=[{"kind": "glm", "activation": "exp", "directions": [[1e308, 0]]}]),
+         "squared norms overflow"),
+    ])
+    def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
+        if argv[0] == "fedavg":
+            config = tmp_path / "config.json"
+            config.write_text(argv[2])
+            argv = ["fedavg", "--config", str(config), "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert reason in lines[0]
+
+
 class TestPaperSuite:
     def test_single_entry(self, tmp_path, capsys):
         outdir = str(tmp_path / "suite")

@@ -1,0 +1,25 @@
+"""Every demo runs to completion: exit 0, some output, and no numpy
+RuntimeWarning (made an error, as the tests make it)."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path],
+                            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -1,7 +1,9 @@
 """Property tests for the batched orbit walker: a batch of points walks
 every row exactly as that row walks alone (and as the reversed batch
 walks it), and each row's chain Jacobians agree with a plain per-point
-chain-product loop kept here."""
+chain-product loop kept here.  The overflowing kinds make batches in
+which some rows fail, at every nesting depth, so the walker's per-row
+fallback runs through nested fields."""
 
 import math
 
@@ -11,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingError, check_numeric
-from iterfield.fields import (Callback, Compose, CoordWise1D, GdMap, Iterate, Linear,
-                              NonFiniteValueError, ScalarMap, Scale, Sum, _asymmetry,
+from iterfield.fields import (Callback, CentralDifference, Compose, CoordWise1D, GdMap, Iterate,
+                              Linear, NonFiniteValueError, ScalarMap, Scale, Sum, _asymmetry,
                               asymmetry, jacobian, raise_dropped, walk_orbit, walk_rows)
 from iterfield.glm import GlmSpec, glm_gradient
 
 SETTINGS = settings(max_examples=80, deadline=None)
 KINDS = ("grad", "gd", "linear-after", "linear-before", "sum", "scale", "iterate-2",
-         "coordwise", "callback-fd", "exp-overflow")
+         "coordwise", "callback-fd", "exp-overflow", "linear-after-overflow", "sum-overflow",
+         "iterate-overflow", "callback-fd-overflow")
 
 
 def _logistic(t):
@@ -37,7 +40,7 @@ def walk_cases(draw):
     Z = np.array(draw(st.lists(rows, min_size=1, max_size=3)))
     A = np.array(draw(st.lists(rows, min_size=n, max_size=n)))
     radius = 1.0
-    if kind == "exp-overflow":
+    if kind.endswith("-overflow"):
         activation, Z, radius = "exp", 3.0 * Z, 30.0
     grad = glm_gradient(GlmSpec(Z, activation))
     gamma = draw(st.sampled_from((0.1, 0.4)))
@@ -54,6 +57,10 @@ def walk_cases(draw):
              else ScalarMap("logistic", _logistic, lambda t: _logistic(t) * _logistic(-t))] * n),
         "callback-fd": lambda: Callback(lambda x, A=A: np.tanh(A @ x), n),
         "exp-overflow": lambda: grad if draw(st.booleans()) else GdMap(grad, gamma),
+        "linear-after-overflow": lambda: Compose(Linear(A), grad),
+        "sum-overflow": lambda: Sum([grad, Linear(A)], [0.5, -1.0]),
+        "iterate-overflow": lambda: Iterate(grad, 2),
+        "callback-fd-overflow": lambda: Callback(lambda x, A=A: np.exp(A @ x), n),
     }[kind]()
     points = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
                                              min_size=n, max_size=n), min_size=1, max_size=6)))
@@ -94,7 +101,8 @@ def reference_chain(field, x, k_max):
         for i in range(1, stride * k_max + 1):
             if i > 1:
                 point = inner(point)
-            product = jacobian(inner, point) @ product
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = jacobian(inner, point) @ product
             if not np.isfinite(product).all():
                 break
             if i % stride == 0:
@@ -205,3 +213,35 @@ class TestAgainstPerPointLoop:
                 assert math.isclose(a, b, rel_tol=1e-13, abs_tol=1e-15), (a, b)
                 if a > 100 * DEFAULT_THRESHOLD or a < DEFAULT_THRESHOLD / 100:
                     assert (a > DEFAULT_THRESHOLD) == (b > DEFAULT_THRESHOLD)
+
+
+class TestCentralDifferences:
+    A = np.array([[0.7, -1.1, 0.3], [0.2, 0.5, -0.9], [1.3, 0.1, 0.4]])
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-3, 0.25])
+    def test_bit_equal_to_the_per_shift_formula(self, h):
+        field = Callback(lambda x: np.tanh(self.A @ x), 3)
+        # -0.0 + 0.0 is +0.0: each shifted point must be formed as x + step
+        for x in (np.array([-0.0, 0.3, -1.2]), np.array([0.8, -0.0, 0.05])):
+            columns = []
+            for j in range(3):
+                step = np.zeros(3)
+                step[j] = h
+                columns.append((field(x + step) - field(x - step)) / (2.0 * h))
+            want = np.column_stack(columns)
+            assert jacobian(field, x, CentralDifference(h)).tobytes() == want.tobytes()
+
+    def test_names_the_first_failing_shifted_point(self):
+        # inner fails at x + h e_1, outer (after inner) at x - h e_0; the
+        # points go +e_0, -e_0, +e_1, -e_1, so x - h e_0 is the one named,
+        # although a batch meets inner's failure first
+        inner = Callback(lambda p: p if p[1] < 0.05 else np.full(2, np.inf), 2, name="inner")
+        outer = Callback(lambda q: q if q[0] > -0.05 else np.full(2, np.inf), 2, name="outer")
+        field = Compose(outer, inner)
+        x, h = np.zeros(2), 0.1
+        with pytest.raises(NonFiniteValueError) as first:
+            field(x - np.array([h, 0.0]))
+        with pytest.raises(NonFiniteValueError) as info:
+            jacobian(field, x, CentralDifference(h))
+        assert str(info.value) == str(first.value)
+        assert "callback(outer)" in str(info.value) and "[-0.1, 0.0]" in str(info.value)
