@@ -24,7 +24,7 @@ from . import rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
                      Sum, as_matrix, as_vector)
-from .glm import GlmSpec, glm_gradient, surrogate_potentials
+from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
 from .spectral import model_delta_field
 
 FIXED_POINT_TOL = 1e-12
@@ -49,7 +49,7 @@ class QuadraticClient:
     """Loss 0.5 (x - b)^T A (x - b) with symmetric positive semi-definite A.
 
     The client keeps read-only copies of A and b, so the exact descent forms
-    it memoises (``descent_form``) stay valid and the caller's arrays are
+    it memoises (``_exact_form``) stay valid and the caller's arrays are
     never shared.
     """
 
@@ -64,15 +64,22 @@ class QuadraticClient:
         self.label = label or f"quadratic({A.shape[0]}d)"
         self._forms = {}
 
-    def descent_form(self, gamma: float, k: int):
-        """Exact rational (A_k, b_k) with k descent steps of step gamma
-        equal to x -> A_k x + b_k: ``Iterate.as_affine`` of the client map,
-        built on the first request for (gamma, k) and kept, as tuples."""
+    def _exact_form(self, gamma: float, k: int):
+        """The map of k descent steps of step gamma in ``rationals``'
+        augmented integer form, in lowest terms: built on the first request
+        for (gamma, k) and kept."""
         key = (float(gamma), int(k))
         if key not in self._forms:
-            A, b = _client_map(self, gamma, k).as_affine()
-            self._forms[key] = tuple(map(tuple, A)), tuple(b)
+            walk = Iterate(GdMap(self.gradient_field(), gamma), k)
+            self._forms[key] = rationals.lowest_terms(walk._affine_form())
         return self._forms[key]
+
+    def descent_form(self, gamma: float, k: int):
+        """Exact rational (A_k, b_k) with k descent steps of step gamma
+        equal to x -> A_k x + b_k, as tuples of Fractions made from the
+        kept integer form."""
+        A, b = rationals.affine_parts(self._exact_form(gamma, k))
+        return tuple(map(tuple, A)), tuple(b)
 
     @property
     def dimension(self) -> int:
@@ -118,20 +125,31 @@ class GlmClient:
         return total
 
     def smoothness_bound(self) -> float:
+        """sup |sigma''| times the largest eigenvalue of Z^T Z, which bounds
+        the Hessian Z^T diag(sigma'') Z in norm; max |z|^2 when the Gram
+        matrix Z Z^T is exactly diagonal, where the two agree."""
         bound = self.spec.activation.curvature_bound
         if bound is None:
             raise ValueError(
                 f"activation {self.spec.activation.name!r} has no curvature bound")
-        return bound * float(np.max(self.spec.norms_squared()))
+        if self.spec.gram_residual == 0.0:
+            return bound * float(np.max(self.spec.norms_squared()))
+        Z = self.spec.directions
+        return bound * float(np.linalg.eigvalsh(Z.T @ Z)[-1])
 
     def describe(self) -> str:
         return self.spec.describe()
 
 
-def build_server_field_only(clients, gamma: float, k: int) -> Field:
+def _dimension(clients) -> int:
     dims = {c.dimension for c in clients}
     if len(dims) != 1:
         raise ValueError(f"clients disagree on dimension: {sorted(dims)}")
+    return dims.pop()
+
+
+def build_server_field_only(clients, gamma: float, k: int) -> Field:
+    _dimension(clients)
     deltas = [model_delta_field(c.gradient_field(), gamma, k) for c in clients]
     return Sum(deltas, weights=[1.0 / len(deltas)] * len(deltas))
 
@@ -191,10 +209,7 @@ class FedAvgConfig:
             raise ValueError("eta must be finite and positive")
         if self.k < 1 or self.rounds < 1:
             raise ValueError("need k >= 1 and rounds >= 1")
-        dims = {c.dimension for c in self.clients}
-        if len(dims) != 1:
-            raise ValueError(f"clients disagree on dimension: {sorted(dims)}")
-        self.x0 = as_vector(self.x0, self.clients[0].dimension)
+        self.x0 = as_vector(self.x0, _dimension(self.clients))
 
 
 @dataclass
@@ -222,9 +237,39 @@ class FedAvgTrace:
         return self.xs.shape[0] - 1
 
 
-def _client_map(client, gamma: float, k: int) -> Field:
-    """The client's k local descent steps as one field."""
-    return Iterate(GdMap(client.gradient_field(), gamma), k)
+def _client_walks(clients, indices, gamma: float, k: int):
+    """(walks, groups) for the clients at ``indices``, which walk their k
+    local descent steps.  ``walks`` pairs each index, in order, with its
+    client's own walk.  ``groups`` pairs the indices of every two or more
+    clients whose ``GlmGradient``s share an activation, a direction count
+    and the memory order (C or Fortran) of their directions with one walk
+    of their ``GlmGradientStack``."""
+    walks, stacks = [], {}
+    for i in indices:
+        grad = clients[i].gradient_field()
+        walks.append((i, Iterate(GdMap(grad, gamma), k)))
+        flags = grad.spec.directions.flags if isinstance(grad, GlmGradient) else None
+        if flags is not None and (flags.c_contiguous or flags.f_contiguous):
+            key = grad.spec.activation, grad.spec.n_directions, flags.c_contiguous
+            stacks.setdefault(key, {})[i] = grad.spec
+    groups = [(list(members), Iterate(GdMap(GlmGradientStack(list(members.values())), gamma), k))
+              for members in stacks.values() if len(members) > 1]
+    return walks, groups
+
+
+def _walk_groups(groups, x: np.ndarray) -> dict:
+    """{client index: model at x} for every client of a group whose stacked
+    walk from x raises nothing.  A group that raises leaves its clients to
+    walk alone, each in its turn, so the first of them to fail raises its
+    own error.  The caller silences numpy's overflow warnings."""
+    models = {}
+    for members, walk in groups:
+        try:
+            Y = walk._evaluate(np.tile(x, len(members)))
+        except Exception:  # any error: each member raises it again alone, in turn
+            continue
+        models.update(zip(members, Y.reshape(len(members), -1)))
+    return models
 
 
 def _server_system(clients, gamma: float, k: int):
@@ -232,14 +277,14 @@ def _server_system(clients, gamma: float, k: int):
     w = 1.0/m as a Fraction; quadratic clients only.
 
     The clients' exact k-step forms G_c(x) = A_c x + b_c (kept on each
-    client, see ``QuadraticClient.descent_form``) are summed in integer
+    client, see ``QuadraticClient._exact_form``) are summed in integer
     numerators over one denominator, sum A_c = N / d and sum b_c = r / d;
     then P = m d I - N, with no Fraction made.
     """
     if not all(isinstance(c, QuadraticClient) for c in clients):
         raise SurrogateUnavailableError("server field is not affine")
     N, r, d = rationals.affine_split(rationals.affine_combination(
-        [(1, rationals.affine_numerators(*c.descent_form(gamma, k))) for c in clients]))
+        [(1, c._exact_form(gamma, k)) for c in clients]))
     m = len(clients)
     return [[(m * d if i == j else 0) - s for j, s in enumerate(row)]
             for i, row in enumerate(N)], r, d
@@ -270,7 +315,12 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     All-quadratic clients get the exact affine solve of M x = -v, posed as
     P x = r on ``_server_system``'s integers (the same equations scaled by
     d / w, so the same solution); anything else is refined iteratively with
-    the unit-step server recursion until the field norm drops below tol.
+    the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
+    until the field norm drops below tol.  Its rounds walk the clients as
+    ``run_fedavg`` does, grouped GLM clients as one stacked orbit, and
+    accumulate V_s as ``build_server_field_only``'s Sum does, so the point
+    is bit-equal to descending that Sum; a round whose value is not finite
+    is left to the Sum, which raises the first failing client's error.
     Returns (point, method).
     """
     if all(isinstance(c, QuadraticClient) for c in clients):
@@ -285,16 +335,31 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
             raise rationals.SingularMatrixError(
                 f"{err}; float condition estimate {cond:.3e}") from err
         return rationals.to_float_vector(solution), "affine-solve"
-    field = build_server_field_only(clients, gamma, k)
-    return _descend(field, 1.0, x0, tol, max_iterations), "iterative"
+    n = _dimension(clients)
+    walks, groups = _client_walks(clients, range(len(clients)), gamma, k)
+    weight = 1.0 / len(clients)
+
+    def server_value(x):
+        grouped = _walk_groups(groups, x)
+        # the Sum accumulates from zeros, where cumsum would keep a -0.0
+        total = np.zeros(n)
+        for i, walk in walks:
+            total += weight * (x - (grouped[i] if i in grouped else walk._evaluate(x)))
+            if not np.isfinite(total).all():
+                return build_server_field_only(clients, gamma, k)(x)
+        return total
+
+    return _descend(server_value, n, 1.0, x0, tol, max_iterations), "iterative"
 
 
-def _descend(field: Field, step: float, x0=None, tol: float = FIXED_POINT_TOL,
+@np.errstate(over="ignore", invalid="ignore")
+def _descend(value, dimension: int, step: float, x0=None, tol: float = FIXED_POINT_TOL,
              max_iterations: int = FIXED_POINT_CAP) -> np.ndarray:
-    """Iterate x -> x - step * field(x) from x0 (default 0) until |field(x)| <= tol."""
-    x = np.zeros(field.dimension) if x0 is None else as_vector(x0, field.dimension)
+    """Iterate x -> x - step * value(x) from x0 (default 0) until |value(x)| <= tol.
+    A norm past float range is inf, without numpy's overflow warning."""
+    x = np.zeros(dimension) if x0 is None else as_vector(x0, dimension)
     for _ in range(max_iterations):
-        v = field(x)
+        v = value(x)
         if float(np.linalg.norm(v)) <= tol:
             return x
         x = x - step * v
@@ -367,11 +432,14 @@ def server_surrogate(clients, gamma: float, k: int):
 
 
 def _lowered(form):
-    """A quadratic client's exact k-step form (A, b) rounded once to floats,
-    so its k local steps cost one product; None when an entry overflows a
-    float, and the client then walks its k steps."""
+    """A quadratic client's exact k-step form (augmented, integer) rounded
+    once to floats (A, b), so its k local steps cost one product; None when
+    an entry overflows a float, and the client then walks its k steps.
+    Each entry is int / int, which is correctly rounded, as float(Fraction)
+    is."""
+    A, b, d = rationals.affine_split(form)
     try:
-        return rationals.to_float_matrix(form[0]), rationals.to_float_vector(form[1])
+        return np.array([[x / d for x in row] for row in A]), np.array([x / d for x in b])
     except OverflowError:
         return None
 
@@ -395,10 +463,15 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
     Every quadratic client's exact k-step form, kept on the client (see
-    ``QuadraticClient.descent_form``) and rounded once (``_lowered``), is
+    ``QuadraticClient._exact_form``) and rounded once (``_lowered``), is
     one block of a stacked (s n, n) operator, so one product per round gives
     all their models.  Any other client, and a quadratic one whose form
-    overflows a float, walks its k descent steps.  With eta = 1 every round
+    overflows a float, walks its k descent steps: the GLM clients of a
+    group (``_client_walks``) as one orbit whose blocks are bit-equal to
+    their own walks, every other client alone.  When a group's walk
+    raises, its clients walk alone that round, in index order with the
+    rest, so the first client that fails raises its own error; the trace
+    is the one walking every client alone gives.  With eta = 1 every round
     is verified against the plain model-average recursion, which the delta
     update must reproduce to 1e-12 times max(1, |model average|_inf).  A
     non-finite model or iterate truncates the trace with a diagnostic
@@ -409,14 +482,15 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """
     clients = config.clients
     m, n = len(clients), config.x0.shape[0]
-    lowered, walks = {}, []
+    lowered, walking = {}, []
     for i, c in enumerate(clients):
-        form = (_lowered(c.descent_form(config.gamma, config.k))
+        form = (_lowered(c._exact_form(config.gamma, config.k))
                 if isinstance(c, QuadraticClient) else None)
         if form is None:
-            walks.append((i, _client_map(c, config.gamma, config.k)))
+            walking.append(i)
         else:
             lowered[i] = form
+    walks, groups = _client_walks(clients, walking, config.gamma, config.k)
     stacked = list(lowered)
     A = np.concatenate([lowered[i][0] for i in stacked]) if stacked else np.zeros((0, n))
     b = np.concatenate([lowered[i][1] for i in stacked]) if stacked else np.zeros(0)
@@ -433,12 +507,13 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
         if walks:
             ys = np.empty((m, n))
             ys[stacked] = rows
+            grouped = _walk_groups(groups, x)
             for i, walk in walks:
                 if i > first_bad:
                     break
                 # x is a finite point of the right dimension: skip the
                 # public entry's checks
-                ys[i] = walk._evaluate(x)
+                ys[i] = grouped[i] if i in grouped else walk._evaluate(x)
         if first_bad < m:
             raise NonFiniteValueError(f"{Affine(*lowered[first_bad]).describe()} produced "
                                       f"a non-finite value at x={x.tolist()}")
@@ -629,7 +704,7 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     else:
         fields = [c.gradient_field() for c in clients]
         avg_grad = Sum(fields, weights=[1.0 / len(fields)] * len(fields))
-        x_star, method_star = _descend(avg_grad, gamma, x0), "iterative"
+        x_star, method_star = _descend(avg_grad, avg_grad.dimension, gamma, x0), "iterative"
     return MinimizerComparison(np.asarray(x_s), np.asarray(x_star),
                                float(np.linalg.norm(np.asarray(x_s) - np.asarray(x_star))),
                                method_s, method_star)

@@ -8,7 +8,8 @@ small inputs and the diagnosis matters.
 
 Fields evaluate batches of points; a batch with a failing point raises
 NonFiniteValueError from the innermost field that failed.  Only the orbit
-walker drops a failing point, by evaluating that step again point by point.
+walker drops a failing point, by evaluating the halves of that step's batch
+until the failing points stand alone.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ class Field:
         walks and nested fields call this.  If a row's value overflows or
         is not finite, the whole call raises NonFiniteValueError, from the
         innermost field that failed; only the orbit walker drops a failing
-        row, by evaluating the rows again one at a time.  A row's value
+        row, by evaluating the halves of the batch again (``_split_rows``)
+        until the failing rows stand alone.  A row's value
         never depends on the other rows.  The public entry that leads here
         silences numpy's overflow warnings once."""
         Y = self._rows(X)
@@ -525,14 +527,15 @@ class Compose(Field):
         return Jo @ Ji
 
     def _jacobian_rows(self, X, base):
-        # inner at every row in one batch; if that raises, each row's
-        # Jacobian evaluates its own inner value and raises as it would alone
-        try:
-            Y = self.inner._evaluate_rows(X)
-        except NonFiniteValueError:
-            return super()._jacobian_rows(X, base)
+        # inner at every row, as each row gives it alone; a row whose inner
+        # value raises takes its Jacobian alone, and raises as it would.
+        # Where failures are dense, every row takes it alone, which
+        # evaluates the inner value only once the inner Jacobian exists.
+        Y, failed = _split_rows(self.inner._evaluate_rows, X, dense=lambda X: (
+            np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
         return _stack_rows(X, lambda r, x: _step_jacobian(
-            self, x, base, lambda x: self.jacobian_analytic(x, Y[r])), (self.dimension,) * 2)
+            self, x, base, None if r in failed else lambda x: self.jacobian_analytic(x, Y[r])),
+            (self.dimension,) * 2)
 
     def _affine_form(self):
         i = self.inner._affine_form()
@@ -686,6 +689,41 @@ def _stack_rows(X: np.ndarray, value_at, shape: tuple):
     return S, errors
 
 
+def _attempt(rows_fn, X: np.ndarray):
+    """(rows_fn(X), None), or (None, the NonFiniteValueError it raised)."""
+    try:
+        return rows_fn(X), None
+    except NonFiniteValueError as err:
+        return None, err
+
+
+def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None,
+                dense=None):
+    """(Y, errors) as ``_stack_rows`` gives them for rows_fn at each row of X
+    alone, from a batch function that raises NonFiniteValueError when any
+    row fails; ``err`` is what a call on X already raised.  A row's value
+    never depends on the other rows, so a batch that raises is halved, and
+    a half that raises is halved again until its failing rows stand alone:
+    O(f log N) calls for f failing rows among N.  Where both halves raise,
+    failures are dense and one call per row costs less: ``dense(X)`` gives
+    (Y, errors) for that batch, by default each row alone."""
+    if err is None:
+        Y, err = _attempt(rows_fn, X)
+        if err is None:
+            return Y, {}
+    if X.shape[0] == 1:
+        return np.empty(X.shape), {0: err}
+    h = X.shape[0] // 2
+    halves = [(part, *_attempt(rows_fn, part)) for part in (X[:h], X[h:])]
+    if halves[0][2] and halves[1][2]:
+        if dense is not None:
+            return dense(X)
+        return _stack_rows(X, lambda r, x: rows_fn(x[None, :])[0], X.shape[1:])
+    (Y0, e0), (Y1, e1) = [(Y, {}) if e is None else _split_rows(rows_fn, part, e, dense)
+                          for part, Y, e in halves]
+    return np.concatenate([Y0, Y1]), {**e0, **{h + r: e for r, e in e1.items()}}
+
+
 def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
                base: Analytic | CentralDifference | None = None):
     """Walk the orbit x, F(x), ..., F^k_max(x) of a field F in one pass.
@@ -719,8 +757,9 @@ def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
     and stays out; ``raise_dropped`` raises that error.  Each step makes
     one batched value evaluation, one leaf Jacobian call per live row (as
     ``walk_orbit`` does), and one stacked chain product.  A step whose
-    batched evaluation raises is evaluated again one row at a time, so
-    only the steps where some row fails pay a per-row cost.
+    batched evaluation raises is evaluated again in halves, down to the
+    rows that fail alone, so it costs O(f log N) more evaluations for f
+    failing rows.
     """
     return _walk_rows(field, as_points(points, field.dimension), k_max, jacobians, base)
 
@@ -791,18 +830,18 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
 
 def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
     """Step i of a walk: (V at every row, the rows to keep or None when all
-    stay).  When the batch raises, each row is evaluated again alone and
-    the rows that raise are dropped; with ``strict`` the error raises
+    stay).  When the batch raises, ``_split_rows`` finds the rows that
+    raise alone, and they are dropped; with ``strict`` the error raises
     instead, tagged with i."""
-    try:
-        return inner._evaluate_rows(X), None
-    except NonFiniteValueError as err:
-        if strict:
-            if err.iterate_index is None:
-                raise NonFiniteValueError(
-                    f"{err} (at iterate {i} of {total})", iterate_index=i) from err
-            raise
-    Y, errors = _stack_rows(X, lambda r, x: inner._evaluate(x), X.shape[1:])
+    Y, err = _attempt(inner._evaluate_rows, X)
+    if err is None:
+        return Y, None
+    if strict:
+        if err.iterate_index is None:
+            raise NonFiniteValueError(
+                f"{err} (at iterate {i} of {total})", iterate_index=i) from err
+        raise err
+    Y, errors = _split_rows(inner._evaluate_rows, X, err)
     keep = np.ones(X.shape[0], dtype=bool)
     keep[list(errors)] = False
     return Y, keep

@@ -257,28 +257,65 @@ def _require_orthogonal(spec: GlmSpec):
             f"{spec.gram_residual:.3e} > {ORTHOGONALITY_TOL:g})")
 
 
-class GlmGradient(Field):
-    """Gradient field of a generalized linear model: sum of sigma'(<x,z_i>) z_i."""
+def _block_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a @ B[b] for every block a = A[r, b] of every row of A, with A's rows
+    cut into B's c blocks; ``_row_times`` when B is one 2-D matrix."""
+    if B.ndim == 2:
+        return _row_times(A, B)
+    c, p, q = B.shape
+    return np.matmul(A.reshape(A.shape[0], c, 1, p), B).reshape(A.shape[0], c * q)
 
-    def __init__(self, spec: GlmSpec):
-        self.spec = spec
-        self.dimension = spec.dimension
-        self._Z, self._ZT = spec.directions, spec.directions.T
-        self._deriv = spec.activation.deriv
+
+class GlmGradientStack(Field):
+    """The gradients of c models that share an activation and a direction
+    count m, side by side: a field on R^(c n) whose row holds one point of
+    R^n per model, and whose value there holds each model's gradient at
+    its own point.  The models' directions must all be C-ordered or all
+    Fortran-ordered: each block keeps that order, and with it the BLAS
+    path of the model's own products."""
+
+    def __init__(self, specs: Sequence[GlmSpec]):
+        self.specs = tuple(specs)
+        first = self.specs[0]
+        if len(self.specs) == 1:
+            self._Z = first.directions
+        elif first.directions.flags.c_contiguous:
+            self._Z = np.stack([s.directions for s in self.specs])
+        else:
+            self._Z = np.stack([s.directions.T for s in self.specs]).transpose(0, 2, 1)
+        self._ZT = np.swapaxes(self._Z, -1, -2)
+        self._deriv = first.activation.deriv
+        self.dimension = len(self.specs) * first.dimension
 
     def _rows(self, X):
-        """One stacked product for the inner products, the scalar sigma'
-        per entry (numpy's exp rounds differently from math's), and one
-        stacked product for the sums of directions: each row is bit-equal
-        to the gradient at that point alone.  A scalar sigma' that
-        overflows raises, naming the first row where it does."""
+        """One stacked product for the inner products, against a transposed
+        view of the (c, m, n) direction stack, the scalar sigma' per entry
+        (numpy's exp rounds differently from math's), and one stacked
+        product for the sums of directions.  numpy's stacked product works
+        matrix by matrix and the view takes the BLAS path of the model's
+        own ``Z.T`` (a copy in the other memory order would not), so each
+        block of each row is bit-equal to that model's gradient at that
+        point alone.  A scalar sigma' that overflows raises, naming the
+        first row where it does."""
         V = []
         try:
-            for row in _row_times(X, self._ZT).tolist():
+            for row in _block_times(X, self._ZT).tolist():
                 V.append(list(map(self._deriv, row)))
         except OverflowError as err:
             raise self._overflowed(X[len(V)]) from err
-        return _row_times(np.array(V), self._Z)
+        return _block_times(np.array(V), self._Z)
+
+    def describe(self):
+        return f"glm-stack([{', '.join(s.describe() for s in self.specs)}])"
+
+
+class GlmGradient(GlmGradientStack):
+    """Gradient field of a generalized linear model: sum of sigma'(<x,z_i>) z_i;
+    the one-model stack."""
+
+    def __init__(self, spec: GlmSpec):
+        super().__init__([spec])
+        self.spec = spec
 
     def jacobian_analytic(self, x):
         second = self.spec.activation.second

@@ -129,6 +129,14 @@ def affine_compose(outer, inner):
     return product(outer[0], inner[0]), outer[1] * inner[1]
 
 
+def lowest_terms(form):
+    """The form over its least denominator: every numerator and d divided by
+    their gcd, as ``numerators`` gives the form's rational entries."""
+    N, d = form
+    g = math.gcd(d, *(x for row in N for x in row))
+    return [[x // g for x in row] for row in N], d // g
+
+
 def affine_split(form):
     """(A, b, d): the numerators of x -> A x + b over d."""
     N, d = form

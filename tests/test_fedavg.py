@@ -200,15 +200,15 @@ class TestRunFedavg:
 
     def test_exact_client_forms_built_once_per_run(self, monkeypatch):
         # lowering and the fixed point's affine solve share each client's
-        # exact k-step form
+        # exact k-step form, kept as integers
         builds = []
-        original = fa.Iterate.as_affine
+        original = fa.Iterate._affine_form
 
         def counting(self):
             builds.append(self)
             return original(self)
 
-        monkeypatch.setattr(fa.Iterate, "as_affine", counting)
+        monkeypatch.setattr(fa.Iterate, "_affine_form", counting)
         clients = hetero_clients() + [fa.QuadraticClient([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.7])]
         config = fa.FedAvgConfig(clients, gamma=0.4, eta=1.0, k=3, rounds=20, x0=[2.0, -1.0])
         trace = fa.run_fedavg(config)
@@ -481,13 +481,13 @@ class TestStackedRounds:
 
     def test_exact_forms_built_once_per_client_across_consumers(self, monkeypatch):
         builds = []
-        original = fa.Iterate.as_affine
+        original = fa.Iterate._affine_form
 
         def counting(self):
             builds.append(self)
             return original(self)
 
-        monkeypatch.setattr(fa.Iterate, "as_affine", counting)
+        monkeypatch.setattr(fa.Iterate, "_affine_form", counting)
         clients = spd_clients(np.random.default_rng(5), 3, 3)
         config = fa.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=4, rounds=30, x0=[1.0, -1.0, 2.0])
         trace = fa.run_fedavg(config)

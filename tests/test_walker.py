@@ -16,7 +16,7 @@ from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingError, check_numer
 from iterfield.fields import (Callback, CentralDifference, Compose, CoordWise1D, GdMap, Iterate,
                               Linear, NonFiniteValueError, ScalarMap, Scale, Sum, _asymmetry,
                               asymmetry, jacobian, raise_dropped, walk_orbit, walk_rows)
-from iterfield.glm import GlmSpec, glm_gradient
+from iterfield.glm import GlmGradientStack, GlmSpec, glm_gradient
 
 SETTINGS = settings(max_examples=80, deadline=None)
 KINDS = ("grad", "gd", "linear-after", "linear-before", "sum", "scale", "iterate-2",
@@ -245,3 +245,25 @@ class TestCentralDifferences:
             jacobian(field, x, CentralDifference(h))
         assert str(info.value) == str(first.value)
         assert "callback(outer)" in str(info.value) and "[-0.1, 0.0]" in str(info.value)
+
+
+class TestFallbackCost:
+    def test_one_failing_row_costs_log_n_evaluations(self, monkeypatch):
+        # a step of 64 rows, one of which overflows: the batch, then two
+        # halves at each of six levels, instead of the batch and 64 rows
+        calls = []
+        original = GlmGradientStack._rows
+
+        def counting(self, X):
+            calls.append(X.shape[0])
+            return original(self, X)
+
+        monkeypatch.setattr(GlmGradientStack, "_rows", counting)
+        grad = glm_gradient(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "exp"))
+        X = np.linspace(-1.0, 1.0, 128).reshape(64, 2)
+        X[37] = [800.0, 0.0]
+        ((live, Y),) = walk_rows(grad, X, 1)
+        assert live.tolist() == [r for r in range(64) if r != 37]
+        assert len(calls) == 13 and calls[0] == 64
+        for r, y in zip(live, Y):
+            assert np.array_equal(y, grad(X[r]))
