@@ -241,35 +241,40 @@ def _client_walks(clients, indices, gamma: float, k: int):
     """(walks, groups) for the clients at ``indices``, which walk their k
     local descent steps.  ``walks`` pairs each index, in order, with its
     client's own walk.  ``groups`` pairs the indices of every two or more
-    clients whose ``GlmGradient``s share an activation, a direction count
-    and the memory order (C or Fortran) of their directions with one walk
-    of their ``GlmGradientStack``."""
+    clients whose ``GlmGradient``s share an activation and a direction
+    count, and whose directions are C-ordered, with one walk of their
+    ``GlmGradientStack``; any other client walks alone."""
     walks, stacks = [], {}
     for i in indices:
         grad = clients[i].gradient_field()
         walks.append((i, Iterate(GdMap(grad, gamma), k)))
-        flags = grad.spec.directions.flags if isinstance(grad, GlmGradient) else None
-        if flags is not None and (flags.c_contiguous or flags.f_contiguous):
-            key = grad.spec.activation, grad.spec.n_directions, flags.c_contiguous
-            stacks.setdefault(key, {})[i] = grad.spec
+        if isinstance(grad, GlmGradient) and grad.spec.directions.flags.c_contiguous:
+            stacks.setdefault((grad.spec.activation, grad.spec.n_directions), {})[i] = grad.spec
     groups = [(list(members), Iterate(GdMap(GlmGradientStack(list(members.values())), gamma), k))
               for members in stacks.values() if len(members) > 1]
     return walks, groups
 
 
-def _walk_groups(groups, x: np.ndarray) -> dict:
-    """{client index: model at x} for every client of a group whose stacked
-    walk from x raises nothing.  A group that raises leaves its clients to
-    walk alone, each in its turn, so the first of them to fail raises its
-    own error.  The caller silences numpy's overflow warnings."""
-    models = {}
+def _walked_models(walks, groups, x: np.ndarray, last: float = math.inf):
+    """(i, client i's model at x) for every client of ``walks`` up to
+    index ``last``, in index order.  Each group's stacked walk from x runs
+    first; a client of a group whose walk raised nothing takes its block,
+    and every other client walks alone in its turn, so the first of them to
+    fail raises its own error and no later one walks.  The caller silences
+    numpy's overflow warnings."""
+    grouped = {}
     for members, walk in groups:
         try:
             Y = walk._evaluate(np.tile(x, len(members)))
         except Exception:  # any error: each member raises it again alone, in turn
             continue
-        models.update(zip(members, Y.reshape(len(members), -1)))
-    return models
+        grouped.update(zip(members, Y.reshape(len(members), -1)))
+    for i, walk in walks:
+        if i > last:
+            return
+        # x is a finite point of the right dimension: skip the public
+        # entry's checks
+        yield i, grouped[i] if i in grouped else walk._evaluate(x)
 
 
 def _server_system(clients, gamma: float, k: int):
@@ -316,11 +321,12 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     P x = r on ``_server_system``'s integers (the same equations scaled by
     d / w, so the same solution); anything else is refined iteratively with
     the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
-    until the field norm drops below tol.  Its rounds walk the clients as
-    ``run_fedavg`` does, grouped GLM clients as one stacked orbit, and
-    accumulate V_s as ``build_server_field_only``'s Sum does, so the point
-    is bit-equal to descending that Sum; a round whose value is not finite
-    is left to the Sum, which raises the first failing client's error.
+    until the field norm drops below tol.  Its rounds walk the clients
+    through ``run_fedavg``'s ``_walked_models``, grouped GLM clients as one
+    stacked orbit, and accumulate V_s as ``build_server_field_only``'s Sum
+    does, so the point is bit-equal to descending that Sum; a round whose
+    value is not finite is left to the Sum, which raises the first failing
+    client's error.
     Returns (point, method).
     """
     if all(isinstance(c, QuadraticClient) for c in clients):
@@ -340,11 +346,10 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     weight = 1.0 / len(clients)
 
     def server_value(x):
-        grouped = _walk_groups(groups, x)
         # the Sum accumulates from zeros, where cumsum would keep a -0.0
         total = np.zeros(n)
-        for i, walk in walks:
-            total += weight * (x - (grouped[i] if i in grouped else walk._evaluate(x)))
+        for _, y in _walked_models(walks, groups, x):
+            total += weight * (x - y)
             if not np.isfinite(total).all():
                 return build_server_field_only(clients, gamma, k)(x)
         return total
@@ -466,19 +471,20 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     ``QuadraticClient._exact_form``) and rounded once (``_lowered``), is
     one block of a stacked (s n, n) operator, so one product per round gives
     all their models.  Any other client, and a quadratic one whose form
-    overflows a float, walks its k descent steps: the GLM clients of a
-    group (``_client_walks``) as one orbit whose blocks are bit-equal to
-    their own walks, every other client alone.  When a group's walk
-    raises, its clients walk alone that round, in index order with the
-    rest, so the first client that fails raises its own error; the trace
-    is the one walking every client alone gives.  With eta = 1 every round
-    is verified against the plain model-average recursion, which the delta
-    update must reproduce to 1e-12 times max(1, |model average|_inf).  A
-    non-finite model or iterate truncates the trace with a diagnostic
-    instead of poisoning it, and numpy's overflow warnings are off for the
-    whole run.  The fixed point's affine solve reads the same exact forms.
-    The surrogate is evaluated in one call over the distinct iterates and
-    the fixed point.
+    overflows a float, walks its k descent steps (``_walked_models``):
+    the C-ordered GLM clients that share an activation and a direction
+    count as one orbit whose blocks are bit-equal to their own walks,
+    every other client alone.  When a group's walk raises, its clients
+    walk alone that round, in index order with the rest, so the first
+    client that fails raises its own error; the trace is the one walking
+    every client alone gives.  With eta = 1 every round is verified
+    against the plain model-average recursion, which the delta update must
+    reproduce to 1e-12 times max(1, |model average|_inf).  A non-finite
+    model or iterate truncates the trace with a diagnostic instead of
+    poisoning it, and numpy's overflow warnings are off for the whole run.
+    The fixed point's affine solve reads the same exact forms.  The
+    surrogate is evaluated in one call over the distinct iterates and the
+    fixed point.
     """
     clients = config.clients
     m, n = len(clients), config.x0.shape[0]
@@ -507,13 +513,8 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
         if walks:
             ys = np.empty((m, n))
             ys[stacked] = rows
-            grouped = _walk_groups(groups, x)
-            for i, walk in walks:
-                if i > first_bad:
-                    break
-                # x is a finite point of the right dimension: skip the
-                # public entry's checks
-                ys[i] = grouped[i] if i in grouped else walk._evaluate(x)
+            for i, y in _walked_models(walks, groups, x, first_bad):
+                ys[i] = y
         if first_bad < m:
             raise NonFiniteValueError(f"{Affine(*lowered[first_bad]).describe()} produced "
                                       f"a non-finite value at x={x.tolist()}")

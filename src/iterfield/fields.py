@@ -530,7 +530,9 @@ class Compose(Field):
         # inner at every row, as each row gives it alone; a row whose inner
         # value raises takes its Jacobian alone, and raises as it would.
         # Where failures are dense, every row takes it alone, which
-        # evaluates the inner value only once the inner Jacobian exists.
+        # evaluates the inner value only once the inner Jacobian exists,
+        # through the one-point entry: cheaper than a one-row batch per row
+        # and then the Jacobians.
         Y, failed = _split_rows(self.inner._evaluate_rows, X, dense=lambda X: (
             np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
         return _stack_rows(X, lambda r, x: _step_jacobian(

@@ -267,22 +267,27 @@ def _block_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class GlmGradientStack(Field):
-    """The gradients of c models that share an activation and a direction
-    count m, side by side: a field on R^(c n) whose row holds one point of
-    R^n per model, and whose value there holds each model's gradient at
-    its own point.  The models' directions must all be C-ordered or all
-    Fortran-ordered: each block keeps that order, and with it the BLAS
-    path of the model's own products."""
+    """The gradients of c models that share an activation, a direction
+    count m and a dimension n, side by side: a field on R^(c n) whose row
+    holds one point of R^n per model, and whose value there holds each
+    model's gradient at its own point.  With two or more models, every
+    model's directions must be C-ordered, so that each block keeps the
+    BLAS path of the model's own products."""
 
     def __init__(self, specs: Sequence[GlmSpec]):
         self.specs = tuple(specs)
         first = self.specs[0]
         if len(self.specs) == 1:
             self._Z = first.directions
-        elif first.directions.flags.c_contiguous:
-            self._Z = np.stack([s.directions for s in self.specs])
         else:
-            self._Z = np.stack([s.directions.T for s in self.specs]).transpose(0, 2, 1)
+            for s in self.specs:
+                if (s.activation != first.activation or s.directions.shape != first.directions.shape
+                        or not s.directions.flags.c_contiguous):
+                    raise ValueError(
+                        "stacked models need one activation, one direction count and one "
+                        f"dimension, with C-ordered directions: {s.describe()} against "
+                        f"{first.describe()}")
+            self._Z = np.stack([s.directions for s in self.specs])
         self._ZT = np.swapaxes(self._Z, -1, -2)
         self._deriv = first.activation.deriv
         self.dimension = len(self.specs) * first.dimension

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from iterfield import fedavg as fa
 from iterfield import fields
 from iterfield.fields import (Affine, Callback, GdMap, Iterate, NonFiniteValueError, as_vector)
-from iterfield.glm import GlmGradientStack, GlmSpec, glm_gradient
+from iterfield.glm import GlmGradientStack, GlmSpec, get_activation, glm_gradient
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -118,7 +118,8 @@ def outcome(fn):
 def directions(rng, n, m, kind):
     """m directions in R^n: exactly orthogonal (signed, scaled unit
     vectors), orthogonal up to rounding, or tilted off an orthogonal
-    basis but well conditioned."""
+    basis but well conditioned; C-ordered, as directions built from lists
+    are."""
     scales = rng.uniform(0.6, 1.0, m)[:, None]
     if kind == "unit":
         Z = np.eye(n)[rng.permutation(n)[:m]] * rng.choice([-1.0, 1.0], (m, 1))
@@ -128,7 +129,7 @@ def directions(rng, n, m, kind):
         if kind == "tilted":
             Z = Z + 0.15 * rng.standard_normal((m, n))
             Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    return Z * scales
+    return np.ascontiguousarray(Z * scales)
 
 
 @st.composite
@@ -150,7 +151,8 @@ def client_sets(draw):
         if activation == "exp":
             Z = 0.3 * Z
         layout = draw(st.sampled_from(("C", "F", "strided")))
-        # the stack keeps C and Fortran order; strided directions walk alone
+        # C-ordered directions are stacked; Fortran-ordered and strided
+        # ones walk alone
         Z = (np.ascontiguousarray(Z) if layout == "C" else np.asfortranarray(Z)
              if layout == "F" else np.repeat(Z, 2, axis=1)[:, ::2])
         clients.append(fa.GlmClient(GlmSpec(Z, activation)))
@@ -263,13 +265,13 @@ class TestGroupsEqualClientsAlone:
 
 
 class TestStackKernel:
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_blocks_equal_each_model_alone(self, order):
+    def test_blocks_equal_each_model_alone(self):
         rng = np.random.default_rng(7)
         n = 9
-        for activation in ("logistic", "quadratic", "exp", "log(1+t^2)"):
-            specs = [GlmSpec(np.asarray(0.3 * rng.standard_normal((6, n)), order=order),
-                             activation) for _ in range(3)]
+        for name in ("logistic", "quadratic", "exp", "log(1+t^2)"):
+            # an expression makes a new activation each time it is parsed
+            activation = get_activation(name)
+            specs = [GlmSpec(0.3 * rng.standard_normal((6, n)), activation) for _ in range(3)]
             stack = GlmGradientStack(specs)
             X = rng.uniform(-1.0, 1.0, (20, 3 * n))
             Y = stack._evaluate_rows(X)
@@ -277,6 +279,17 @@ class TestStackKernel:
                 block = slice(n * b, n * (b + 1))
                 for x, y in zip(X, Y):
                     assert glm_gradient(spec)(x[block]).tobytes() == y[block].tobytes()
+
+    @pytest.mark.parametrize("other", [
+        GlmSpec(np.eye(2), "quadratic"),
+        GlmSpec([[1.0, 0.0]], "logistic"),
+        GlmSpec(np.eye(3)[:2], "logistic"),
+        GlmSpec(np.asfortranarray([[1.0, 2.0], [0.0, 1.0]]), "logistic"),
+        GlmSpec(np.eye(2).repeat(2, axis=1)[:, ::2], "logistic"),
+    ], ids=["activation", "direction-count", "dimension", "fortran", "strided"])
+    def test_refuses_models_it_cannot_stack(self, other):
+        with pytest.raises(ValueError, match="stacked models need"):
+            GlmGradientStack([GlmSpec(np.eye(2), "logistic"), other])
 
     def test_overflow_names_the_row(self):
         stack = GlmGradientStack([GlmSpec([[1.0]], "exp"), GlmSpec([[2.0]], "exp")])
