@@ -259,9 +259,7 @@ def _require_orthogonal(spec: GlmSpec):
 
 def _block_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """a @ B[b] for every block a = A[r, b] of every row of A, with A's rows
-    cut into B's c blocks; ``_row_times`` when B is one 2-D matrix."""
-    if B.ndim == 2:
-        return _row_times(A, B)
+    cut into the c blocks of the (c, p, q) stack B."""
     c, p, q = B.shape
     return np.matmul(A.reshape(A.shape[0], c, 1, p), B).reshape(A.shape[0], c * q)
 
@@ -278,7 +276,8 @@ class GlmGradientStack(Field):
         self.specs = tuple(specs)
         first = self.specs[0]
         if len(self.specs) == 1:
-            self._Z = first.directions
+            # one model's products skip the stack's reshapes
+            self._Z, self._times = first.directions, _row_times
         else:
             for s in self.specs:
                 if (s.activation != first.activation or s.directions.shape != first.directions.shape
@@ -287,7 +286,7 @@ class GlmGradientStack(Field):
                         "stacked models need one activation, one direction count and one "
                         f"dimension, with C-ordered directions: {s.describe()} against "
                         f"{first.describe()}")
-            self._Z = np.stack([s.directions for s in self.specs])
+            self._Z, self._times = np.stack([s.directions for s in self.specs]), _block_times
         self._ZT = np.swapaxes(self._Z, -1, -2)
         self._deriv = first.activation.deriv
         self.dimension = len(self.specs) * first.dimension
@@ -304,11 +303,11 @@ class GlmGradientStack(Field):
         first row where it does."""
         V = []
         try:
-            for row in _block_times(X, self._ZT).tolist():
+            for row in self._times(X, self._ZT).tolist():
                 V.append(list(map(self._deriv, row)))
         except OverflowError as err:
             raise self._overflowed(X[len(V)]) from err
-        return _block_times(np.array(V), self._Z)
+        return self._times(np.array(V), self._Z)
 
     def describe(self):
         return f"glm-stack([{', '.join(s.describe() for s in self.specs)}])"
