@@ -236,6 +236,19 @@ class TestGroupsEqualClientsAlone:
         assert trace.note == reference_run(config)[2]
         assert trace.note.startswith("trace truncated at round 0: glm(exp, m=2, n=2) overflowed")
 
+    def test_a_group_error_of_any_type_waits_for_its_clients_turn(self):
+        # sigma' = log(t) + 1 raises ValueError for t < 0, at the third
+        # client, in the group's walk; walked alone, the second client's
+        # non-finite model truncates the trace before the third client walks
+        activation = get_activation("t*log(t)")
+        clients = [fa.GlmClient(GlmSpec([[1.0, 0.0]], activation, check_derivative=False)),
+                   CallbackClient(lambda x: np.full(2, np.inf), 2),
+                   fa.GlmClient(GlmSpec([[-1.0, 0.0]], activation, check_derivative=False))]
+        config = fa.FedAvgConfig(clients, gamma=0.1, eta=1.0, k=2, rounds=3, x0=[1.0, 0.5])
+        trace = fa.run_fedavg(config)
+        assert trace.note == reference_run(config)[2]
+        assert trace.note.startswith("trace truncated at round 0: callback")
+
     def test_oracle_names_a_non_finite_delta_as_the_sum_does(self):
         # the first client's k = 2 model is finite, but x minus it is not;
         # the second client raises a different error when walked
