@@ -533,8 +533,13 @@ class Compose(Field):
         # evaluates the inner value only once the inner Jacobian exists,
         # through the one-point entry: cheaper than a one-row batch per row
         # and then the Jacobians.
-        Y, failed = _split_rows(self.inner._evaluate_rows, X, dense=lambda X: (
-            np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
+        try:
+            Y, failed = self.inner._evaluate_rows(X), ()
+        except NonFiniteValueError as err:
+            Y, failed = None, err
+        if Y is None:
+            Y, failed = _split_rows(self.inner._evaluate_rows, X, failed, dense=lambda X: (
+                np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
         return _stack_rows(X, lambda r, x: _step_jacobian(
             self, x, base, None if r in failed else lambda x: self.jacobian_analytic(x, Y[r])),
             (self.dimension,) * 2)
@@ -835,14 +840,15 @@ def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool)
     stay).  When the batch raises, ``_split_rows`` finds the rows that
     raise alone, and they are dropped; with ``strict`` the error raises
     instead, tagged with i."""
-    Y, err = _attempt(inner._evaluate_rows, X)
-    if err is None:
-        return Y, None
-    if strict:
-        if err.iterate_index is None:
-            raise NonFiniteValueError(
-                f"{err} (at iterate {i} of {total})", iterate_index=i) from err
-        raise err
+    try:
+        return inner._evaluate_rows(X), None
+    except NonFiniteValueError as raised:
+        if strict:
+            if raised.iterate_index is None:
+                raise NonFiniteValueError(
+                    f"{raised} (at iterate {i} of {total})", iterate_index=i) from raised
+            raise
+        err = raised
     Y, errors = _split_rows(inner._evaluate_rows, X, err)
     keep = np.ones(X.shape[0], dtype=bool)
     keep[list(errors)] = False

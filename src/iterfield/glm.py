@@ -287,7 +287,7 @@ class GlmGradientStack(Field):
                         f"dimension, with C-ordered directions: {s.describe()} against "
                         f"{first.describe()}")
             self._Z, self._times = np.stack([s.directions for s in self.specs]), _block_times
-        self._ZT = np.swapaxes(self._Z, -1, -2)
+        self._ZT = self._Z.swapaxes(-1, -2)
         self._deriv = first.activation.deriv
         self.dimension = len(self.specs) * first.dimension
 
