@@ -536,9 +536,7 @@ class Compose(Field):
         try:
             Y, failed = self.inner._evaluate_rows(X), ()
         except NonFiniteValueError as err:
-            Y, failed = None, err
-        if Y is None:
-            Y, failed = _split_rows(self.inner._evaluate_rows, X, failed, dense=lambda X: (
+            Y, failed = _split_rows(self.inner._evaluate_rows, X, err, dense=lambda X: (
                 np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
         return _stack_rows(X, lambda r, x: _step_jacobian(
             self, x, base, None if r in failed else lambda x: self.jacobian_analytic(x, Y[r])),
