@@ -10,6 +10,7 @@ full vector field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -18,7 +19,6 @@ import numpy as np
 
 from .fields import (Field, GdMap, NonFiniteValueError, _row_times, as_points, as_vector,
                      walk_rows)
-from .quadrature import integrate_batch
 
 ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
@@ -117,11 +117,14 @@ ACTIVATIONS: dict[str, Activation] = {
 _ALIASES = {"logistic-loss": "logistic", "logistic_loss": "logistic"}
 
 
+@functools.cache
 def activation_from_expression(expression: str) -> Activation:
     """Build an activation from a scalar expression in the variable t.
 
     Differentiates symbolically, so the derivative pair is consistent by
-    construction; no curvature bound is inferred.
+    construction; no curvature bound is inferred.  Each expression is
+    parsed once, so every model built from the same text shares one
+    activation (and can be stacked with the others).
     """
     import sympy
 
@@ -546,6 +549,8 @@ def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterat
     call, whose integrand walks all their scalar orbits at once; a
     point's value is bit-identical to its value computed alone.
     """
+    from .quadrature import integrate_batch
+
     _require_orthogonal(spec)
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -345,6 +345,22 @@ class TestSurrogate:
             for dy in np.linspace(-0.5, 0.5, 11):
                 assert f_s(point + np.array([dx, dy])) >= best - 1e-12
 
+    def test_non_convex_rounds_descend_the_surrogate(self):
+        # log(1 + t^2) is concave for |t| > 1, where x0's first coordinate
+        # starts: each round is still a unit gradient step on f_s
+        clients = [fa.GlmClient(GlmSpec([[1.0, 0.0], [0.0, 0.8]], "log(1+t^2)")),
+                   fa.GlmClient(GlmSpec([[0.6, 0.0], [0.0, -0.5]], "log(1+t^2)"))]
+        config = fa.FedAvgConfig(clients, gamma=0.2, eta=1.0, k=3, rounds=30,
+                                 x0=[1.5, -0.75])
+        trace = fa.run_fedavg(config)
+        assert trace.note is None and len(trace.fs) == 31
+        assert np.all(np.diff(trace.fs) <= 0.0)
+        f_s = fa.server_surrogate(clients, 0.2, 3)
+        h = 1e-6
+        for x, x_next in zip(trace.xs[:-1], trace.xs[1:]):
+            grad_fd = np.array([(f_s(x + h * e) - f_s(x - h * e)) / (2 * h) for e in np.eye(2)])
+            assert np.abs(x_next - (x - grad_fd)).max() <= 1e-6
+
     def test_unavailable_for_mixed_clients(self):
         clients = [fa.QuadraticClient(np.eye(2), np.zeros(2)),
                    fa.GlmClient(GlmSpec([[1.0, 0.0]], "logistic"))]

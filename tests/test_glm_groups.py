@@ -115,6 +115,23 @@ def outcome(fn):
     return point.tobytes(), method
 
 
+def run_counting_walks(monkeypatch, config):
+    """``run_fedavg(config)`` and the number of orbit walks it made."""
+    walks = []
+    original = fields._walk_rows
+
+    def counting(*args, **kwargs):
+        walks.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_walk_rows", counting)
+    try:
+        trace = fa.run_fedavg(config)
+    finally:
+        monkeypatch.setattr(fields, "_walk_rows", original)
+    return trace, len(walks)
+
+
 def directions(rng, n, m, kind):
     """m directions in R^n: exactly orthogonal (signed, scaled unit
     vectors), orthogonal up to rounding, or tilted off an orthogonal
@@ -208,23 +225,28 @@ class TestGroupsEqualClientsAlone:
             assert got == want
 
     def test_one_walk_per_group_and_round(self, monkeypatch):
-        walks = []
-        original = fields._walk_rows
-
-        def counting(*args, **kwargs):
-            walks.append(args[0])
-            return original(*args, **kwargs)
-
         rng = np.random.default_rng(3)
         clients = [fa.GlmClient(GlmSpec(0.3 * directions(rng, 3, 2, "rotated"), "exp"))
                    for _ in range(3)]
         config = fa.FedAvgConfig(clients, gamma=0.2, eta=1.0, k=3, rounds=5, x0=[0.5, -1.0, 0.2])
-        monkeypatch.setattr(fields, "_walk_rows", counting)
-        trace = fa.run_fedavg(config)
+        trace, walks = run_counting_walks(monkeypatch, config)
         assert trace.fixed_point_method is None and trace.note is None
-        assert len(walks) == 5
-        monkeypatch.setattr(fields, "_walk_rows", original)
+        assert walks == 5
         assert trace.xs.tobytes() == reference_run(config)[0].tobytes()
+
+    def test_clients_of_one_expression_share_a_walk(self, monkeypatch):
+        # each spec parses the text itself; one parse per expression gives
+        # them one activation, so they are one group
+        rng = np.random.default_rng(5)
+        clients = [fa.GlmClient(GlmSpec(directions(rng, 3, 2, "rotated"), "log(1+t^2)"))
+                   for _ in range(3)]
+        config = fa.FedAvgConfig(clients, gamma=0.2, eta=1.0, k=3, rounds=5, x0=[1.5, -1.0, 0.2])
+        trace, walks = run_counting_walks(monkeypatch, config)
+        assert walks == 5
+        xs, values, note, _, _ = reference_run(config)
+        assert trace.note is None and note is None
+        assert trace.xs.tobytes() == xs.tobytes()
+        assert trace.server_values.tobytes() == values.tobytes()
 
     def test_a_failing_group_raises_its_first_clients_error(self):
         # two exp clients of one group, the second of which overflows: the
@@ -282,7 +304,6 @@ class TestStackKernel:
         rng = np.random.default_rng(7)
         n = 9
         for name in ("logistic", "quadratic", "exp", "log(1+t^2)"):
-            # an expression makes a new activation each time it is parsed
             activation = get_activation(name)
             specs = [GlmSpec(0.3 * rng.standard_normal((6, n)), activation) for _ in range(3)]
             stack = GlmGradientStack(specs)

@@ -1,0 +1,74 @@
+"""What ``import iterfield`` loads: each submodule on first use.  Every
+check runs in a fresh process, whose ``sys.modules`` shows what got
+imported."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+PRELUDE = """
+import sys
+sys.path.insert(0, {src!r})
+import iterfield as itf
+
+def loaded():
+    return {{name[len("iterfield."):] for name in sys.modules if name.startswith("iterfield.")}}
+"""
+
+SCRIPTS = {
+    "bare-import": """
+assert loaded() == set(), loaded()
+""",
+    "exact-checks": """
+report = itf.scan_k(itf.Linear([[1, 2], [1, -1]]), k_max=4)
+assert report.pattern() == {1: False, 2: True, 3: False, 4: True}
+itf.scan_k(itf.Affine([[0.5, 0.1], [0.1, 0.2]], [1, 0]), k_max=3)
+V = itf.PolyField.gradient_of(itf.parse_poly("1*x0^2*x1^1", 2))
+assert itf.check_poly(V, 2).certificate == "4*x0^3 + -8*x0^1*x1^2"
+assert not loaded() & {"glm", "quadrature", "spectral", "fedavg"}, loaded()
+""",
+    "numeric-glm": """
+grad = itf.glm_gradient(itf.GlmSpec([[0.5, 0.0], [0.0, 0.4]], "logistic"))
+itf.scan_k(grad, k_max=5)
+itf.check_propagation(grad, k=3)
+assert {"glm", "spectral"} <= loaded(), loaded()
+assert not loaded() & {"fedavg", "quadrature"}, loaded()
+""",
+    "every-name": """
+import importlib
+for module, names in itf._EXPORTS.items():
+    sub = importlib.import_module("iterfield." + module)
+    assert getattr(itf, module) is sub, module
+    for name in names:
+        assert getattr(itf, name) is getattr(sub, name), name
+assert set(itf.__all__) == set(itf._EXPORTS) | {n for ns in itf._EXPORTS.values() for n in ns}
+assert set(itf.__all__) <= set(dir(itf))
+assert len(itf._EXPORTS) == 8
+""",
+    "star-import": """
+from iterfield import *
+assert scan_k is itf.conservatism.scan_k and fedavg is itf.fedavg
+assert run_fedavg is fedavg.run_fedavg
+""",
+    "unknown-name": """
+try:
+    itf.no_such_name
+except AttributeError as err:
+    assert "no_such_name" in str(err), err
+else:
+    raise AssertionError("no AttributeError")
+assert not hasattr(itf, "reports") and loaded() == set(), loaded()
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPTS))
+def test_submodules_load_on_first_use(case):
+    script = PRELUDE.format(src=SRC) + SCRIPTS[case]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
