@@ -15,32 +15,38 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from . import fedavg as fa
-from . import quadrature, rationals, suites
-from .configs import (ConfigError, fedavg_config_from_obj, field_from_obj,
-                      glm_spec_from_obj, load_json_file, load_json_text)
-from .conservatism import SamplingConfig, SamplingError, scan_k
-from .fields import FieldError, Linear, PolyExact, Rotation2D
-from .glm import closed_form_deviation
-from .polynomials import PolyField, PolynomialSizeError
-from .reports import canonical_json, run_manifest, write_json, write_trace_csv
-from .spectral import (NotConservativeError, check_gd_propagation, check_propagation,
-                       classify)
 
 USAGE_ERROR = 2
 VERIFIED_FAIL = 1
 
 # Errors that keep a command from deciding: USAGE_ERROR, never VERIFIED_FAIL.
-# ValueError is how the library refuses an argument or a setting.
-LIBRARY_ERRORS = (ValueError, FieldError, SamplingError, PolynomialSizeError,
-                  quadrature.QuadratureError, rationals.SingularMatrixError,
-                  NotConservativeError, fa.ConvergenceError, fa.SurrogateUnavailableError)
+# ValueError is how the library refuses an argument or a setting; the rest
+# are named by the module that defines them, which loads on first use.
+LIBRARY_ERRORS = {
+    "fields": ("FieldError",),
+    "conservatism": ("SamplingError",),
+    "polynomials": ("PolynomialSizeError",),
+    "quadrature": ("QuadratureError",),
+    "rationals": ("SingularMatrixError",),
+    "spectral": ("NotConservativeError",),
+    "fedavg": ("ConvergenceError", "SurrogateUnavailableError"),
+}
+
+
+def _library_errors() -> tuple:
+    """ValueError plus the LIBRARY_ERRORS of every module loaded so far: a
+    module that was never loaded cannot have raised."""
+    errors = [ValueError]
+    for name, classes in LIBRARY_ERRORS.items():
+        module = sys.modules.get(f"{__package__}.{name}")
+        if module is not None:
+            errors.extend(getattr(module, cls) for cls in classes)
+    return tuple(errors)
 
 
 def _resolve_seed(seed: int | None) -> int | None:
+    from .reports import ConfigError
     env = os.environ.get("ITERFIELD_SEED")
     if env is not None:
         try:
@@ -51,6 +57,7 @@ def _resolve_seed(seed: int | None) -> int | None:
 
 
 def _parse_k_range(text: str) -> list[int]:
+    from .reports import ConfigError
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -66,6 +73,9 @@ def _parse_k_range(text: str) -> list[int]:
 
 def _field_from_args(args) -> tuple:
     """Build the field plus a JSON-able description of how it was requested."""
+    from .fields import Linear, PolyExact, Rotation2D
+    from .polynomials import PolyField
+    from .reports import ConfigError, load_json_file, load_json_text
     chosen = [name for name in ("linear", "rotation", "poly", "field")
               if getattr(args, name, None) is not None]
     if len(chosen) != 1:
@@ -86,16 +96,19 @@ def _field_from_args(args) -> tuple:
     text = args.field
     obj = load_json_text(text, origin="--field") if text.lstrip().startswith("{") \
         else load_json_file(text)
+    from .configs import field_from_obj
     return field_from_obj(obj), obj
 
 
-def _sampling_from_args(args) -> SamplingConfig:
+def _sampling_from_args(args):
+    from .conservatism import SamplingConfig
     return SamplingConfig(count=args.samples, radius=args.radius,
                           seed=_resolve_seed(args.seed),
                           kind="box" if args.box else "ball")
 
 
 def _emit(args, payload: dict) -> None:
+    from .reports import canonical_json, write_json
     if getattr(args, "out", None):
         write_json(args.out, payload)
         print(args.out)
@@ -120,6 +133,8 @@ def _add_sampling_arguments(parser):
 
 
 def _cmd_check(args) -> int:
+    from .conservatism import scan_k
+    from .reports import ConfigError, run_manifest
     field, field_obj = _field_from_args(args)
     ks = _parse_k_range(args.k)
     sampling = _sampling_from_args(args)
@@ -156,6 +171,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .conservatism import scan_k
+    from .reports import run_manifest
     field, field_obj = _field_from_args(args)
     sampling = _sampling_from_args(args)
     report = scan_k(field, args.k_max, sampling=sampling, threshold=args.threshold)
@@ -169,6 +186,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_glm_verify(args) -> int:
+    import numpy as np
+
+    from .configs import glm_spec_from_obj
+    from .glm import closed_form_deviation
+    from .reports import ConfigError, load_json_text, run_manifest
     directions = load_json_text(args.directions, origin="--directions")
     spec_obj = {"activation": args.activation, "directions": directions}
     spec = glm_spec_from_obj(spec_obj)
@@ -198,6 +220,9 @@ def _cmd_glm_verify(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from .reports import ConfigError, run_manifest
+    from .spectral import (NotConservativeError, check_gd_propagation, check_propagation,
+                           classify)
     field, field_obj = _field_from_args(args)
     sampling = _sampling_from_args(args)
     resolved = {"command": "spectral", "field": field_obj, "k": args.k,
@@ -232,6 +257,9 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_fedavg(args) -> int:
+    from . import fedavg as fa
+    from .configs import fedavg_config_from_obj
+    from .reports import ConfigError, load_json_file, run_manifest, write_json, write_trace_csv
     obj = load_json_file(args.config)
     config = fedavg_config_from_obj(obj, seed_override=_resolve_seed(None))
     trace = fa.run_fedavg(config)
@@ -270,6 +298,8 @@ def _cmd_fedavg(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
+    from . import suites
+    from .reports import ConfigError, run_manifest, write_json
     if args.id == "full":
         results = suites.run_all()
     else:
@@ -369,7 +399,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except LIBRARY_ERRORS as err:
+    except _library_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

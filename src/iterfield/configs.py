@@ -7,36 +7,14 @@ numbers; activations and coordinate maps are named by string.
 
 from __future__ import annotations
 
-import json
-
 from .fedavg import FedAvgConfig, GlmClient, QuadraticClient
 from .fields import (Affine, Compose, Constant, CoordWise1D, Field, GdMap,
                      Iterate, Linear, PolyExact, Rotation2D, Scale, ScalarMap, Sum)
 from .glm import GlmSpec, get_activation, glm_gradient
 from .polynomials import PolyField
+from .reports import ConfigError
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Malformed configuration: bad JSON, unknown names, missing keys."""
-
-
-def load_json_text(text: str, origin: str = "<config>"):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"{origin}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
-
-
-def load_json_file(path: str):
-    try:
-        with open(path, "r") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    return load_json_text(text, origin=path)
 
 
 def _object(obj, context: str) -> dict:

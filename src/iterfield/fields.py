@@ -552,7 +552,7 @@ class Compose(Field):
         o = None if i is None else self.outer.as_polyfield()
         if o is None:
             return None
-        return PolyField([p.compose(list(i.components)) for p in o.components])
+        return o.compose(i.components)
 
     def describe(self):
         return f"compose({self.outer.describe()}, {self.inner.describe()})"

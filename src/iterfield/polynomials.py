@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +34,23 @@ class PolyParseError(ValueError):
 
 def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _peel(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(i, prefix) with exps = prefix + unit i, for the first variable i in exps."""
+    i = next(i for i, e in enumerate(exps) if e)
+    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+
+
+def _add_scaled(acc: dict, terms: Mapping[tuple[int, ...], Fraction], coeff) -> None:
+    """acc += coeff * terms, in place; a coefficient that cancels is removed."""
+    for exps, c in terms.items():
+        total = acc.get(exps)
+        total = coeff * c if total is None else total + coeff * c
+        if total:
+            acc[exps] = total
+        else:
+            del acc[exps]
 
 
 class RationalPoly:
@@ -59,6 +77,15 @@ class RationalPoly:
                     clean[key] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "RationalPoly":
+        """Wrap ``terms`` as they are; the ring operations call this with
+        tuples of ``nvars`` ints and nonzero Fractions, so nothing is checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
@@ -124,18 +151,13 @@ class RationalPoly:
     def __add__(self, other) -> "RationalPoly":
         other = self._coerce(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, Fraction(0)) + coeff
-            if total == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = total
-        return RationalPoly(self.nvars, terms)
+        _add_scaled(terms, other.terms, 1)
+        return RationalPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return RationalPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "RationalPoly":
         return self + (-self._coerce(other))
@@ -154,15 +176,16 @@ class RationalPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps, Fraction(0)) + c1 * c2
-                if total == 0:
-                    terms.pop(exps, None)
-                else:
+                total = terms.get(exps)
+                total = c1 * c2 if total is None else total + c1 * c2
+                if total:
                     terms[exps] = total
+                else:
+                    del terms[exps]
             if len(terms) > max_terms:
                 raise PolynomialSizeError(
                     f"product exceeds term ceiling ({max_terms} terms)")
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def __pow__(self, exponent: int) -> "RationalPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -192,43 +215,12 @@ class RationalPoly:
             new = list(exps)
             new[var] = e - 1
             terms[tuple(new)] = coeff * e
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def compose(self, subs: Sequence["RationalPoly"], max_terms: int = DEFAULT_MAX_TERMS) -> "RationalPoly":
-        """Substitute variable i by ``subs[i]``; exact.
-
-        All substituted polynomials must share a variable count, which
-        becomes the variable count of the result.
-        """
-        if len(subs) != self.nvars:
-            raise ValueError(f"need {self.nvars} substitutions, got {len(subs)}")
-        if not subs:
-            return RationalPoly(0, dict(self.terms))
-        out_nvars = subs[0].nvars
-        if any(p.nvars != out_nvars for p in subs):
-            raise ValueError("substituted polynomials must share a variable count")
-        # Cache powers of each substituted polynomial up to the max needed exponent.
-        max_exp = [0] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
-        powers: list[list[RationalPoly]] = []
-        for i, p in enumerate(subs):
-            cache = [RationalPoly.constant(out_nvars, 1)]
-            for _ in range(max_exp[i]):
-                cache.append(cache[-1].mul(p, max_terms=max_terms))
-            powers.append(cache)
-        result = RationalPoly.zero(out_nvars)
-        for exps, coeff in self.terms.items():
-            term = RationalPoly.constant(out_nvars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul(powers[i][e], max_terms=max_terms)
-            result = result + term
-            if len(result.terms) > max_terms:
-                raise PolynomialSizeError(
-                    f"composition exceeds term ceiling ({max_terms} terms)")
-        return result
+        """Substitute variable i by ``subs[i]``; exact.  The one-component
+        case of ``PolyField.compose``."""
+        return PolyField([self]).compose(subs, max_terms=max_terms).components[0]
 
     def evaluate(self, point: Sequence) -> object:
         """Evaluate at a point; exact for Fraction/int inputs, float for floats."""
@@ -318,17 +310,18 @@ def divide_exact(dividend: RationalPoly, divisor: RationalPoly) -> RationalPoly 
     if dividend.nvars != divisor.nvars:
         raise ValueError("operands have different numbers of variables")
     lead_exps, lead_coeff = divisor.leading_term()
-    quotient = RationalPoly.zero(dividend.nvars)
-    remainder = dividend
-    while not remainder.is_zero():
-        r_exps, r_coeff = remainder.leading_term()
+    quotient: dict[tuple[int, ...], Fraction] = {}
+    remainder = dict(dividend.terms)
+    while remainder:
+        r_exps = max(remainder, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(r_exps, lead_exps))
         if any(d < 0 for d in diff):
             return None
-        t = RationalPoly.monomial(dividend.nvars, r_coeff / lead_coeff, diff)
-        quotient = quotient + t
-        remainder = remainder - t * divisor
-    return quotient
+        # leading terms strictly fall, so each quotient term is new
+        quotient[diff] = q = remainder[r_exps] / lead_coeff
+        _add_scaled(remainder, {tuple(a + b for a, b in zip(diff, e)): c
+                                for e, c in divisor.terms.items()}, -q)
+    return RationalPoly._trusted(dividend.nvars, quotient)
 
 
 def group_by_vars(poly: RationalPoly, group_vars: Sequence[int]) -> dict[tuple[int, ...], RationalPoly]:
@@ -345,7 +338,7 @@ def group_by_vars(poly: RationalPoly, group_vars: Sequence[int]) -> dict[tuple[i
         key = tuple(exps[v] for v in group)
         rest_exps = tuple(exps[v] for v in rest)
         buckets.setdefault(key, {})[rest_exps] = coeff
-    return {key: RationalPoly(len(rest), terms) for key, terms in buckets.items()}
+    return {key: RationalPoly._trusted(len(rest), terms) for key, terms in buckets.items()}
 
 
 class PolyField:
@@ -411,6 +404,59 @@ class PolyField:
     def evaluate(self, point: Sequence) -> list:
         return [p.evaluate(point) for p in self.components]
 
+    def compose(self, subs: Sequence[RationalPoly], max_terms: int = DEFAULT_MAX_TERMS) -> "PolyField":
+        """Substitute variable i by ``subs[i]`` in every component; exact.
+
+        All substituted polynomials must share a variable count, which
+        becomes the variable count of the result.  Each distinct monomial
+        of the components is formed once, in graded order, as a shorter
+        one times a single substitution, and added into every component
+        that has it; a formed monomial is kept only while a longer one
+        still needs it.
+        """
+        if len(subs) != self.nvars:
+            raise ValueError(f"need {self.nvars} substitutions, got {len(subs)}")
+        if not subs:
+            return self
+        out_nvars = subs[0].nvars
+        if any(p.nvars != out_nvars for p in subs):
+            raise ValueError("substituted polynomials must share a variable count")
+        # every monomial to form, and how many others are formed from each
+        todo: set[tuple[int, ...]] = set()
+        extenders: Counter[tuple[int, ...]] = Counter()
+        for comp in self.components:
+            for exps in comp.terms:
+                while exps not in todo:
+                    todo.add(exps)
+                    if sum(exps) < 2:
+                        break
+                    exps = _peel(exps)[1]
+                    extenders[exps] += 1
+        formed: dict[tuple[int, ...], RationalPoly] = {}
+        sums: list[dict[tuple[int, ...], Fraction]] = [{} for _ in self.components]
+        for exps in sorted(todo, key=_grlex_key):
+            degree = sum(exps)
+            if degree == 0:
+                value = RationalPoly.constant(out_nvars, 1)
+            elif degree == 1:
+                value = subs[exps.index(1)]
+            else:
+                var, prefix = _peel(exps)
+                value = formed[prefix].mul(subs[var], max_terms=max_terms)
+                extenders[prefix] -= 1
+                if not extenders[prefix]:
+                    del formed[prefix]
+            for comp, acc in zip(self.components, sums):
+                coeff = comp.terms.get(exps)
+                if coeff is not None:
+                    _add_scaled(acc, value.terms, coeff)
+                    if len(acc) > max_terms:
+                        raise PolynomialSizeError(
+                            f"composition exceeds term ceiling ({max_terms} terms)")
+            if extenders[exps]:
+                formed[exps] = value
+        return PolyField(RationalPoly._trusted(out_nvars, acc) for acc in sums)
+
     def to_texts(self, names: Sequence[str] | None = None) -> list[str]:
         return [p.to_text(names) for p in self.components]
 
@@ -450,14 +496,13 @@ def poly_iterates(field: PolyField, coord_vars: Sequence[int] | None = None,
     """Yield V, V o V, V o V o V, ... exactly, each composed as V o V^(k-1)
     from the one before; the next iterate is built only when asked for."""
     coords = _resolve_coords(field, coord_vars)
-    current = field.components
-    identity_subs = [RationalPoly.variable(field.nvars, v) for v in range(field.nvars)]
+    subs = [RationalPoly.variable(field.nvars, v) for v in range(field.nvars)]
+    current = field
     while True:
-        yield PolyField(current)
-        subs = list(identity_subs)
+        yield current
         for i, v in enumerate(coords):
-            subs[v] = current[i]
-        current = tuple(p.compose(subs, max_terms=max_terms) for p in field.components)
+            subs[v] = current.components[i]
+        current = field.compose(subs, max_terms=max_terms)
 
 
 def jacobian_polys(field: PolyField, coord_vars: Sequence[int] | None = None) -> list[list[RationalPoly]]:

@@ -1,4 +1,5 @@
-"""Deterministic report serialization and atomic artifact writes.
+"""JSON input loading, deterministic report serialization and atomic
+artifact writes.
 
 Identical inputs must produce byte-identical outputs: keys are sorted,
 floats render with 17 significant digits, and the run manifest's
@@ -20,6 +21,27 @@ import numpy as np
 from . import __version__
 
 SCHEMA_VERSION = 1
+
+
+class ConfigError(ValueError):
+    """Malformed configuration: bad JSON, unknown names, missing keys."""
+
+
+def load_json_text(text: str, origin: str = "<config>"):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(
+            f"{origin}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
+
+
+def load_json_file(path: str):
+    try:
+        with open(path, "r") as handle:
+            text = handle.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    return load_json_text(text, origin=path)
 
 
 def jsonable(obj):

@@ -1,4 +1,5 @@
-"""What ``import iterfield`` loads: each submodule on first use.  Every
+"""What ``import iterfield`` and ``iterfield.cli`` load: each submodule on
+first use.  Every
 check runs in a fresh process, whose ``sys.modules`` shows what got
 imported."""
 
@@ -48,6 +49,17 @@ for module, names in itf._EXPORTS.items():
 assert set(itf.__all__) == set(itf._EXPORTS) | {n for ns in itf._EXPORTS.values() for n in ns}
 assert set(itf.__all__) <= set(dir(itf))
 assert len(itf._EXPORTS) == 8
+""",
+    "cli-import": """
+import iterfield.cli
+assert loaded() == {"cli"}, loaded()
+""",
+    "cli-check-linear": """
+import contextlib, io
+from iterfield.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check", "--linear", "[[1,2],[1,-1]]", "--k", "1..4"]) == 0
+assert not loaded() & {"glm", "spectral", "fedavg", "quadrature", "suites", "configs"}, loaded()
 """,
     "star-import": """
 from iterfield import *

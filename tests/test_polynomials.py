@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
 
 from iterfield.polynomials import (PolyField, PolynomialSizeError, RationalPoly,
                                    asymmetry_polys, cubic_asymmetry_coefficients,
                                    cubic_gate, cubic_gate_symbolic, divide_exact,
                                    group_by_vars, iterate_poly_field, jacobian_polys,
                                    linear_asymmetry, linear_asymmetry_symbolic,
-                                   parse_poly)
+                                   parse_poly, poly_iterates)
 
 
 def randpoly(rng, nvars=2, terms=4, max_deg=3):
@@ -97,6 +101,34 @@ class TestComposition:
                     RationalPoly.zero(2))
         with pytest.raises(PolynomialSizeError):
             dense.mul(dense, max_terms=10)
+        with pytest.raises(PolynomialSizeError):
+            iterate_poly_field(PolyField([dense, dense]), 2, max_terms=10)
+        # x0 + x1 forms no product, so only the sum can pass the ceiling
+        x, y = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+        low = sum((RationalPoly.monomial(2, 1, (i, 0)) for i in range(6)), RationalPoly.zero(2))
+        high = sum((RationalPoly.monomial(2, 1, (0, j)) for j in range(1, 7)),
+                   RationalPoly.zero(2))
+        assert (x + y).compose([low, high], max_terms=12) == low + high
+        with pytest.raises(PolynomialSizeError):
+            (x + y).compose([low, high], max_terms=11)
+
+    def test_each_monomial_is_formed_once_per_step(self, monkeypatch):
+        # grad(x0^2 x1) = (2 x0 x1, x0^2): one product for x0 x1 and one for
+        # x0^2 per step, whichever component uses them
+        products = []
+        mul = RationalPoly.mul
+
+        def counted(self, *args, **kwargs):
+            products.append(1)
+            return mul(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalPoly, "mul", counted)
+        iterates = poly_iterates(PolyField.gradient_of(RationalPoly(2, {(2, 1): 1})))
+        next(iterates)
+        for _ in range(3):
+            products.clear()
+            next(iterates)
+            assert len(products) == 2
 
 
 class TestCanonicalText:
@@ -233,3 +265,106 @@ def test_group_by_vars():
     groups = group_by_vars(p, (2,))
     assert groups[(2,)] == parse_poly("3*x0^1 + 5*x1^1", 2)
     assert groups[(0,)] == parse_poly("7*x0^1", 2)
+
+
+# ----- the ring against sympy's sparse polynomials over QQ -----
+
+COEFFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+RING_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def polys(nvars, max_degree=3, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+        lambda terms: RationalPoly(nvars, terms))
+
+
+def gens(nvars):
+    return ring(",".join(f"x{i}" for i in range(nvars)), QQ)
+
+
+def to_ring(R, p):
+    return R({exps: QQ(c.numerator, c.denominator) for exps, c in p.terms.items()})
+
+
+def from_ring(nvars, P):
+    return RationalPoly(nvars, {exps: Fraction(int(c.numerator), int(c.denominator))
+                                for exps, c in P.terms()})
+
+
+def ring_compose(R, p, subs):
+    """p with variable i replaced by subs[i], summed term by term in R."""
+    total = R(0)
+    for exps, c in p.terms.items():
+        term = R(QQ(c.numerator, c.denominator))
+        for sub, e in zip(subs, exps):
+            if e:  # sympy refuses 0**0
+                term *= sub ** e
+        total += term
+    return total
+
+
+class TestAgainstSympyRing:
+    @RING_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), polys(n), polys(n))))
+    def test_mul_add_sub(self, case):
+        n, p, q = case
+        R, *_ = gens(n)
+        P, Q = to_ring(R, p), to_ring(R, q)
+        assert p * q == from_ring(n, P * Q)
+        assert p + q == from_ring(n, P + Q)
+        assert p - q == from_ring(n, P - Q)
+        assert -p == from_ring(n, -P)
+
+    @RING_SETTINGS
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), polys(n), st.integers(0, n - 1))))
+    def test_partial(self, case):
+        n, p, var = case
+        R, *xs = gens(n)
+        assert p.partial(var) == from_ring(n, to_ring(R, p).diff(xs[var]))
+
+    @RING_SETTINGS
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda nm: st.tuples(st.just(nm[1]), polys(nm[0], 2),
+                             st.lists(polys(nm[1], 1, 3), min_size=nm[0], max_size=nm[0]))))
+    def test_compose(self, case):
+        m, p, subs = case
+        R, *_ = gens(m)
+        want = ring_compose(R, p, [to_ring(R, s) for s in subs])
+        assert p.compose(subs) == from_ring(m, want)
+
+    @RING_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(polys(n, 2), min_size=1, max_size=3),
+        st.lists(polys(n, 1, 3), min_size=n, max_size=n))))
+    def test_field_composition(self, case):
+        comps, subs = case
+        n = len(subs)
+        R, *_ = gens(n)
+        ring_subs = [to_ring(R, s) for s in subs]
+        got = PolyField(comps).compose(subs)
+        assert got.components == tuple(from_ring(n, ring_compose(R, p, ring_subs))
+                                       for p in comps)
+
+    @RING_SETTINGS
+    @given(st.integers(1, 2).flatmap(lambda c: st.tuples(
+        st.just(c), st.lists(polys(c + 1, 1, 3), min_size=c, max_size=c))))
+    def test_iterates_carry_parameters(self, case):
+        # one parameter variable rides along at index 0, the coordinates follow
+        c, comps = case
+        n = c + 1
+        R, *xs = gens(n)
+        V = [to_ring(R, p) for p in comps]
+        V2 = [ring_compose(R, p, [xs[0], *V]) for p in comps]
+        iterates = poly_iterates(PolyField(comps), range(1, n))
+        for want in (V, V2):
+            assert next(iterates).components == tuple(from_ring(n, P) for P in want)
+
+    @RING_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(polys(n), polys(n))))
+    def test_divide_exact(self, case):
+        q, g = case
+        assume(g.degree() >= 1)
+        assert divide_exact(q * g, g) == q
+        assert divide_exact(q * g + 1, g) is None
