@@ -6,6 +6,12 @@ used: ``import iterfield`` loads none of them."""
 
 __version__ = "0.1.0"
 
+
+class IterfieldError(Exception):
+    """Base of every exception iterfield defines, so one ``except`` clause
+    catches each way the library refuses to decide."""
+
+
 from importlib import import_module as _import_module
 
 # The public names, by the submodule that defines them.
@@ -47,7 +53,7 @@ _EXPORTS = {
 # name -> submodule; a submodule names itself
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
-__all__ = sorted(_ORIGIN)
+__all__ = sorted([*_ORIGIN, "IterfieldError"])
 
 
 def __getattr__(name):

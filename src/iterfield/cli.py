@@ -1,8 +1,11 @@
 """Command-line interface: parse configs, dispatch, emit deterministic reports.
 
 Exit codes: 0 on success, 1 on a verified failure (an asserted expectation
-did not hold), 2 on usage or configuration errors and on library errors
-that keep a command from deciding, such as too many overflowing samples.
+did not hold), 2 on anything that keeps a command from deciding.  A
+refusal (a ValueError, an OverflowError from an input too large to
+convert, or an IterfieldError such as too many overflowing samples) prints
+one ``error:`` line; any other exception prints its traceback.  No
+exception exits 1.
 All artifacts are written atomically and are byte-identical across reruns
 with the same seed; the ITERFIELD_SEED environment variable overrides
 config seeds.
@@ -15,34 +18,10 @@ import functools
 import os
 import sys
 
-from . import __version__
+from . import IterfieldError, __version__
 
 USAGE_ERROR = 2
 VERIFIED_FAIL = 1
-
-# Errors that keep a command from deciding: USAGE_ERROR, never VERIFIED_FAIL.
-# ValueError is how the library refuses an argument or a setting; the rest
-# are named by the module that defines them, which loads on first use.
-LIBRARY_ERRORS = {
-    "fields": ("FieldError",),
-    "conservatism": ("SamplingError",),
-    "polynomials": ("PolynomialSizeError",),
-    "quadrature": ("QuadratureError",),
-    "rationals": ("SingularMatrixError",),
-    "spectral": ("NotConservativeError",),
-    "fedavg": ("ConvergenceError", "SurrogateUnavailableError"),
-}
-
-
-def _library_errors() -> tuple:
-    """ValueError plus the LIBRARY_ERRORS of every module loaded so far: a
-    module that was never loaded cannot have raised."""
-    errors = [ValueError]
-    for name, classes in LIBRARY_ERRORS.items():
-        module = sys.modules.get(f"{__package__}.{name}")
-        if module is not None:
-            errors.extend(getattr(module, cls) for cls in classes)
-    return tuple(errors)
 
 
 def _resolve_seed(seed: int | None) -> int | None:
@@ -399,8 +378,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _library_errors() as err:
+    except (ValueError, OverflowError, IterfieldError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception:
+        import traceback
+        traceback.print_exc()
         return USAGE_ERROR
 
 

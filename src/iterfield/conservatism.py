@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rationals
+from . import IterfieldError, rationals
 from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
 from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_polys, poly_iterates
 
@@ -25,7 +25,7 @@ DEFAULT_THRESHOLD = 1e-8
 NUMERIC_NOTE = "sampled evidence at finitely many points, not a proof"
 
 
-class SamplingError(RuntimeError):
+class SamplingError(IterfieldError, RuntimeError):
     """Too many sample evaluations failed for a meaningful verdict."""
 
 

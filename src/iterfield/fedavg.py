@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import truediv
 
 import numpy as np
 
-from . import rationals
+from . import IterfieldError, rationals
 from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
                      Sum, as_matrix, as_vector)
@@ -33,15 +31,15 @@ RATE_SLACK = 1e-9
 EQUIVALENCE_TOL = 1e-12
 
 
-class HyperparameterError(ValueError):
+class HyperparameterError(IterfieldError, ValueError):
     """The run's hyperparameters are outside what the requested check assumes."""
 
 
-class SurrogateUnavailableError(RuntimeError):
+class SurrogateUnavailableError(IterfieldError, RuntimeError):
     pass
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(IterfieldError, RuntimeError):
     pass
 
 
@@ -295,21 +293,20 @@ def _server_system(clients, gamma: float, k: int):
             for i, row in enumerate(N)], r, d
 
 
-def _affine_server_parts(clients, gamma: float, k: int, entry=Fraction):
-    """(M, v) with V_s(x) = M x + v; quadratic clients only.
+def _affine_server_parts(clients, gamma: float, k: int):
+    """(M, v) with V_s(x) = M x + v as floats; quadratic clients only.
 
     V_s averages x - G_c(x) with the weights of ``build_server_field_only``'s
     Sum (1 and -1 inside a client's delta, w = 1.0/m across clients, each
     the exact value of its float), so M = w (m I - sum A_c) and
     v = -w sum b_c are the rationals ``Sum.as_affine`` gives.  Each entry
-    is ``entry(numerator, denominator)`` from ``_server_system``'s
-    integers: the Fraction, or with ``operator.truediv`` the float
-    nearest it (int / int is correctly rounded, as float(Fraction) is).
+    is the float nearest its rational, from ``_server_system``'s integers
+    (int / int is correctly rounded, as float(Fraction) is).
     """
     P, r, d = _server_system(clients, gamma, k)
     wn, wd = rationals.ratio(1.0 / len(clients))
     den = wd * d
-    return [[entry(wn * p, den) for p in row] for row in P], [entry(-wn * x, den) for x in r]
+    return [[wn * p / den for p in row] for row in P], [-wn * x / den for x in r]
 
 
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
@@ -587,7 +584,7 @@ def closed_form_affine_trace(clients, config: FedAvgConfig) -> np.ndarray:
     Float reference for all-quadratic configurations; used to cross-check
     the simulated trace.
     """
-    Mf, vf = map(np.array, _affine_server_parts(clients, config.gamma, config.k, truediv))
+    Mf, vf = map(np.array, _affine_server_parts(clients, config.gamma, config.k))
     n = Mf.shape[0]
     step = np.eye(n) - config.eta * Mf
     xs = [np.array(config.x0, dtype=float)]

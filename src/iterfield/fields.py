@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rationals
+from . import IterfieldError, rationals
 from .polynomials import PolyField, RationalPoly, jacobian_polys
 
 DEFAULT_FD_STEP = 1e-5
 
 
-class FieldError(Exception):
+class FieldError(IterfieldError):
     pass
 
 

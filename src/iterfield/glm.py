@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import IterfieldError
 from .fields import (Field, GdMap, NonFiniteValueError, _row_times, as_points, as_vector,
                      walk_rows)
 
@@ -24,7 +25,7 @@ ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
 
 
-class NonOrthogonalError(ValueError):
+class NonOrthogonalError(IterfieldError, ValueError):
     """Closed-form iterates require mutually orthogonal directions."""
 
 

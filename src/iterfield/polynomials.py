@@ -19,16 +19,17 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import IterfieldError
 from .rationals import to_fraction
 
 DEFAULT_MAX_TERMS = 10**6
 
 
-class PolynomialSizeError(RuntimeError):
+class PolynomialSizeError(IterfieldError, RuntimeError):
     """A product or composition would exceed the term-count ceiling."""
 
 
-class PolyParseError(ValueError):
+class PolyParseError(IterfieldError, ValueError):
     """Polynomial text does not match the canonical form."""
 
 

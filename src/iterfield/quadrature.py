@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import IterfieldError
 from .fields import NonFiniteValueError
 
 ABS_TOL = 1e-10
@@ -53,7 +54,7 @@ _WGK_PAIRS = np.array(_WGK[:10])
 _ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(IterfieldError, RuntimeError):
     """The adaptive integrator failed to converge on an interval."""
 
 

@@ -24,6 +24,7 @@ from operator import mul
 
 import numpy as np
 
+from . import IterfieldError
 
 # Decimal digits per chunk when writing a long integer: below the smallest
 # int-to-str limit Python allows (640), so ``fraction_text`` never hits it.
@@ -166,7 +167,7 @@ def mat_power(A, k: int):
     return [[Fraction(x, den) for x in row] for row in P]
 
 
-class SingularMatrixError(ArithmeticError):
+class SingularMatrixError(IterfieldError, ArithmeticError):
     pass
 
 

@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import IterfieldError, __version__
 
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
+class ConfigError(IterfieldError, ValueError):
     """Malformed configuration: bad JSON, unknown names, missing keys."""
 
 
@@ -33,6 +33,8 @@ def load_json_text(text: str, origin: str = "<config>"):
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{origin}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ConfigError(f"{origin}: JSON nested too deeply to parse") from err
 
 
 def load_json_file(path: str):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import IterfieldError
 from .conservatism import DEFAULT_THRESHOLD, sample_points
 from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_points, as_vector,
                      identity_field, jacobian, raise_dropped, walk_rows)
@@ -24,12 +25,12 @@ CRITICAL_POINT_TOL = 1e-12
 EVIDENCE_NOTE = "sampled evidence on the given point set"
 
 
-class NotConservativeError(RuntimeError):
+class NotConservativeError(IterfieldError, RuntimeError):
     """The field failed the sampled gradient-field check, so spectral
     reasoning about a potential does not apply."""
 
 
-class StepSizeError(ValueError):
+class StepSizeError(IterfieldError, ValueError):
     """The step size is outside the range the claimed class supports."""
 
 

@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import iterfield
 from iterfield.cli import main
 
 FED_CONFIG = {
@@ -224,12 +228,18 @@ class TestFedavg:
 LINEAR = ["--linear", "[[1,2],[1,-1]]"]
 DIRECTIONS = ["--activation", "logistic", "--directions", "[[0.5,0,0],[0,0.4,0]]"]
 DIAGONAL = ["--field", '{"variant":"linear","matrix":[[1,0],[0,3]]}']
+LINEAR_FIELD = {"variant": "linear", "matrix": [[1, 2], [1, -1]]}
+B = 10**400  # too large for a float or a machine size
 
 
 def _fedavg(**changes):
     """A fedavg run of FED_CONFIG with these changes, as JSON text that
     the test writes to a config file."""
     return ["fedavg", "--config", json.dumps({**FED_CONFIG, **changes})]
+
+
+def _scan_field(obj):
+    return ["scan", "--field", json.dumps(obj), "--k-max", "2"]
 
 
 class TestBoundaryRefusals:
@@ -263,6 +273,23 @@ class TestBoundaryRefusals:
          "gamma must be finite and positive"),
         (_fedavg(clients=[{"kind": "glm", "activation": "exp", "directions": [[1e308, 0]]}]),
          "squared norms overflow"),
+        (["check", "--linear", f"[[{B}]]", "--k", "1"], "too large to convert"),
+        (["scan", "--linear", f"[[1,2],[3,{B}]]", "--k-max", "2"], "too large to convert"),
+        (["spectral", "--linear", f"[[{B}]]", "--k", "1"], "too large to convert"),
+        (["glm-verify", "--activation", "exp", "--directions", f"[[{B},0]]", "--k", "2"],
+         "too large to convert"),
+        (_scan_field({"variant": "glm", "activation": "exp", "directions": [[B, 0]]}),
+         "too large to convert"),
+        (_scan_field({"variant": "rotation", "j": B}), "too large to convert"),
+        (_scan_field({"variant": "iterate", "k": B, "inner": LINEAR_FIELD}),
+         "too large to convert"),
+        (_scan_field({"variant": "scale", "c": B, "inner": LINEAR_FIELD}),
+         "too large to convert"),
+        (_scan_field({"variant": "gd", "gamma": B, "inner": LINEAR_FIELD}),
+         "too large to convert"),
+        (_fedavg(clients=[{"kind": "quadratic", "matrix": [[1.0]], "center": [B]}], x0=[1.0]),
+         "too large to convert"),
+        (_fedavg(alpha=B), "too large to convert"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":
@@ -275,6 +302,35 @@ class TestBoundaryRefusals:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert reason in lines[0]
+
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text('{"variant": "linear", "matrix": ' + "[" * 50000 + "]" * 50000 + "}")
+        assert main(["check", "--field", str(path), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), err
+
+    def test_any_other_exception_exits_two_with_its_traceback(self, capsys):
+        # 700 nested scale fields exhaust the interpreter's recursion limit:
+        # a failure, neither a refusal nor a verdict
+        field = LINEAR_FIELD
+        for _ in range(700):
+            field = {"variant": "scale", "c": 1, "inner": field}
+        assert main(_scan_field(field)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RecursionError" in err
+
+    def test_every_library_exception_is_an_iterfield_error(self):
+        classes = []
+        for info in pkgutil.iter_modules(iterfield.__path__):
+            module = importlib.import_module(f"iterfield.{info.name}")
+            classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                        if cls.__module__ == module.__name__
+                        and issubclass(cls, BaseException)]
+        assert len(classes) >= 16
+        assert all(issubclass(cls, iterfield.IterfieldError) for cls in classes), classes
 
 
 class TestPaperSuite:

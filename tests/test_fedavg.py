@@ -1,5 +1,7 @@
 """Server fields, traces, oracle fixed points, surrogates, rate checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,19 @@ from iterfield import fedavg as fa
 from iterfield.conservatism import SamplingConfig
 from iterfield.fields import Callback, NonFiniteValueError
 from iterfield.glm import GlmSpec, iterated_glm_gd, surrogate_potentials
+
+
+def check_server_parts(clients, gamma, k):
+    """``_server_system``'s integers give the server field's rationals
+    (M, v) from ``Sum.as_affine`` exactly, and ``_affine_server_parts``
+    gives the float nearest each."""
+    M, v = fa.build_server_field_only(clients, gamma, k).as_affine()
+    P, r, d = fa._server_system(clients, gamma, k)
+    w = Fraction(1.0 / len(clients))
+    assert ([[w * Fraction(p, d) for p in row] for row in P],
+            [-w * Fraction(x, d) for x in r]) == (M, v)
+    assert fa._affine_server_parts(clients, gamma, k) == (
+        [[float(x) for x in row] for row in M], [float(x) for x in v])
 
 
 def hetero_clients():
@@ -217,8 +232,7 @@ class TestRunFedavg:
         # the same rationals as the server field's own Sum.as_affine
         point, _ = fa.oracle_fixed_point(clients, 0.4, 3)
         assert trace.fixed_point.tobytes() == point.tobytes()
-        M, v = fa.build_server_field_only(clients, 0.4, 3).as_affine()
-        assert fa._affine_server_parts(clients, 0.4, 3) == (M, v)
+        check_server_parts(clients, 0.4, 3)
 
     def test_surrogate_evaluated_once_per_distinct_iterate(self, monkeypatch):
         points_per_call = []
@@ -524,8 +538,7 @@ class TestStackedRounds:
         for m in range(1, 11):
             clients = spd_clients(rng, m, 3)
             k = 1 + m % 3
-            M, v = fa.build_server_field_only(clients, 0.4, k).as_affine()
-            assert fa._affine_server_parts(clients, 0.4, k) == (M, v)
+            check_server_parts(clients, 0.4, k)
 
     def test_client_arrays_are_read_only_copies(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -46,7 +46,8 @@ for module, names in itf._EXPORTS.items():
     assert getattr(itf, module) is sub, module
     for name in names:
         assert getattr(itf, name) is getattr(sub, name), name
-assert set(itf.__all__) == set(itf._EXPORTS) | {n for ns in itf._EXPORTS.values() for n in ns}
+assert set(itf.__all__) == (set(itf._EXPORTS) | {n for ns in itf._EXPORTS.values() for n in ns}
+                           | {"IterfieldError"})
 assert set(itf.__all__) <= set(dir(itf))
 assert len(itf._EXPORTS) == 8
 """,
