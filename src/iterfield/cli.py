@@ -179,6 +179,8 @@ def _cmd_glm_verify(args) -> int:
             f"{spec.gram_residual:.3e}); the closed forms do not apply")
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
+    if not 0 <= args.tol < float("inf"):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((args.points, spec.dimension))

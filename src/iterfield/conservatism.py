@@ -178,6 +178,13 @@ def _orbit_residuals(field: Field, k_max: int, points: np.ndarray):
     return worst, witness, skipped
 
 
+def _require_threshold(threshold: float) -> None:
+    """A residual threshold is finite and >= 0: a NaN or infinite one
+    would pass every residual."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+
+
 def _numeric_verdict(worst: float, witness, skipped: int, total: int,
                      threshold: float) -> Verdict:
     if total - skipped < max(1, (total + 1) // 2):
@@ -198,6 +205,7 @@ def check_numeric(field: Field, k: int, samples=None,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _require_threshold(threshold)
     points = sample_points(field.dimension, samples)
     worst, witness, skipped = _orbit_residuals(field, k, points)
     return _numeric_verdict(worst[-1], witness[-1], skipped[-1], len(points), threshold)
@@ -267,6 +275,7 @@ def scan_k(field: Field, k_max: int, mode: str = "auto",
         raise ValueError("k_max must be >= 1")
     if mode not in ("auto", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    _require_threshold(threshold)
     report = ConservatismReport(field.describe(), threshold, None)
     verdicts = _exact_verdicts(field, k_max) if mode == "auto" else None
     if verdicts is None:

@@ -72,13 +72,6 @@ class QuadraticClient:
             self._forms[key] = rationals.lowest_terms(walk._affine_form())
         return self._forms[key]
 
-    def descent_form(self, gamma: float, k: int):
-        """Exact rational (A_k, b_k) with k descent steps of step gamma
-        equal to x -> A_k x + b_k, as tuples of Fractions made from the
-        kept integer form."""
-        A, b = rationals.affine_parts(self._exact_form(gamma, k))
-        return tuple(map(tuple, A)), tuple(b)
-
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]

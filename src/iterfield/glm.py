@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import IterfieldError
-from .fields import (Field, GdMap, NonFiniteValueError, _row_times, as_points, as_vector,
-                     walk_rows)
+from .fields import (Field, GdMap, NonFiniteValueError, _all_finite, _row_times, as_points,
+                     as_vector, walk_rows)
 
 ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
@@ -339,65 +339,48 @@ def glm_gradient(spec: GlmSpec) -> GlmGradient:
     return GlmGradient(spec)
 
 
-def _scalar_orbit(deriv: Callable[[float], float], t: float, w: float, steps: int,
-                  gamma: float | None = None):
+def _failing_entry(v, s):
+    """sigma' and its argument at the first entry where sigma' is not finite."""
+    if isinstance(s, float):
+        return v, s
+    i = int(np.argmax(~np.isfinite(v)))
+    return v.flat[i], s.flat[i]
+
+
+def _scalar_orbit(deriv, t, w, steps: int, gamma: float | None = None):
     """Yield (s_j, sigma'(s_j)) for j = 0..steps-1 along the scalar orbit
     s_0 = t of s -> w sigma'(s) or, given gamma, of s -> s - gamma w sigma'(s),
     never taking the step after the last.  A non-finite sigma'(s_j) raises
     NonFiniteValueError, and so does a non-finite point of the plain map,
-    with its step j as ``iterate_index``."""
+    with its step j as ``iterate_index``.
+
+    t is a float with the scalar sigma', or an array of starting points
+    with the elementwise sigma' and w broadcasting against t, whose caller
+    holds an errstate; an array fails at its earliest failing step, as its
+    first entry failing there fails alone."""
+    finite = math.isfinite if isinstance(t, float) else _all_finite
     s = t
     for j in range(1, steps + 1):
         v = deriv(s)
-        if not math.isfinite(v):
-            raise NonFiniteValueError(f"sigma' is {v} at s={s}")
+        if not finite(v):
+            raise NonFiniteValueError("sigma' is {} at s={}".format(*_failing_entry(v, s)))
         yield s, v
         if j == steps:
             return
         s = w * v if gamma is None else s - gamma * w * v
-        if gamma is None and not math.isfinite(s):
+        if gamma is None and not finite(s):
             raise NonFiniteValueError(f"scalar map overflow at step {j}", iterate_index=j)
 
 
-def _orbit_weight(deriv: Callable[[float], float], t: float, w: float, k: int,
-                  gamma: float | None = None) -> float:
+def _orbit_weight(deriv, t, w, k: int, gamma: float | None = None):
     """A closed form's weight on one direction, and its potential's integrand:
-    sigma'(s_k-1) on the plain map, the sum of sigma'(s_j) on the descent map."""
+    sigma'(s_k-1) on the plain map, the sum of sigma'(s_j) on the descent
+    map, added in order; elementwise for an array t."""
     if gamma is None:
         *_, (_, v) = _scalar_orbit(deriv, t, w, k)
         return v
-    return sum(v for _, v in _scalar_orbit(deriv, t, w, k, gamma))
-
-
-def _orbit_rows(derivs: Callable[[np.ndarray], np.ndarray], t: np.ndarray, w, steps: int,
-                gamma: float | None = None):
-    """``_scalar_orbit`` elementwise over an array t of starting points,
-    with w broadcasting against t: yields the arrays (s_j, sigma'(s_j)) for
-    j = 0..steps-1 with the same checks and ``iterate_index``, naming the
-    first entry that fails.  The caller holds an errstate."""
-    s = t
-    for j in range(1, steps + 1):
-        v = derivs(s)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteValueError(f"sigma' is {v.flat[i]} at s={s.flat[i]}")
-        yield s, v
-        if j == steps:
-            return
-        s = w * v if gamma is None else s - gamma * w * v
-        if gamma is None and not np.isfinite(s).all():
-            raise NonFiniteValueError(f"scalar map overflow at step {j}", iterate_index=j)
-
-
-def _orbit_weights(derivs: Callable[[np.ndarray], np.ndarray], t: np.ndarray, w, k: int,
-                   gamma: float | None = None) -> np.ndarray:
-    """``_orbit_weight`` elementwise over an array of starting points."""
-    if gamma is None:
-        *_, (_, v) = _orbit_rows(derivs, t, w, k)
-        return v
     total = 0.0
-    for _, v in _orbit_rows(derivs, t, w, k, gamma):
+    for _, v in _scalar_orbit(deriv, t, w, k, gamma):
         total = total + v
     return total
 
@@ -525,7 +508,7 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
         for step in (None,) if gamma is None else (None, gamma):
             field = GlmGradient(spec) if step is None else GdMap(GlmGradient(spec), step)
             total = 0.0
-            orbits = zip(_orbit_rows(derivs, T, w, k_max, step), walk_rows(field, X, k_max))
+            orbits = zip(_scalar_orbit(derivs, T, w, k_max, step), walk_rows(field, X, k_max))
             for j, ((_, v), (live, brute)) in enumerate(orbits, start=1):
                 if step is None:
                     closed = _row_products(v, Z)
@@ -567,7 +550,7 @@ def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterat
     with np.errstate(over="ignore", invalid="ignore"):
         T = _row_products(X, spec.directions.T)
         integrals = integrate_batch(
-            lambda t, rows: _orbit_weights(derivs, t, w[rows][:, None], k, gamma),
+            lambda t, rows: _orbit_weight(derivs, t, w[rows][:, None], k, gamma),
             np.zeros(T.size), T.ravel()).reshape(T.shape)
         # directions added in order, as one point's potential always was
         total = np.zeros(X.shape[0])

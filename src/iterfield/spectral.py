@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import IterfieldError
-from .conservatism import DEFAULT_THRESHOLD, sample_points
+from .conservatism import DEFAULT_THRESHOLD, _require_threshold, sample_points
 from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_points, as_vector,
                      identity_field, jacobian, raise_dropped, walk_rows)
 
@@ -107,6 +107,7 @@ def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -
     +-1e-10; strictly positive pointwise minima inside the band report as
     strictly convex.
     """
+    _require_threshold(threshold)
     spectra = _spectra(field, sample_points(field.dimension, samples))
     residual = max(s.asymmetry for s in spectra)
     if residual > threshold:
@@ -186,6 +187,7 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _require_threshold(threshold)
     points = sample_points(f_grad.dimension, samples)
     step_low, step_high = [], []
     per_j_low = [np.inf] * (k + 1)

@@ -290,6 +290,14 @@ class TestBoundaryRefusals:
         (_fedavg(clients=[{"kind": "quadratic", "matrix": [[1.0]], "center": [B]}], x0=[1.0]),
          "too large to convert"),
         (_fedavg(alpha=B), "too large to convert"),
+        (["check", "--field", '{"variant":"glm","activation":"exp","directions":[[1,0],[1,1]]}',
+          "--k", "2", "--box", "--seed", "3", "--expect", "yes", "--threshold", "nan"],
+         "threshold must be finite and >= 0"),
+        (["scan", *LINEAR, "--k-max", "3", "--threshold", "-1"],
+         "threshold must be finite and >= 0"),
+        (["spectral", *DIAGONAL, "--k", "2", "--threshold", "inf"],
+         "threshold must be finite and >= 0"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--tol", "nan"], "--tol must be finite and >= 0"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":

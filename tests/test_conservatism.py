@@ -11,6 +11,7 @@ from iterfield.fields import (Callback, Constant, Iterate, Linear, NonFiniteValu
                               jacobian)
 from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
+from iterfield.spectral import check_propagation, classify
 
 
 class TestCheckLinear:
@@ -83,6 +84,21 @@ class TestCheckNumeric:
         assert verdict.kind == "numeric-fail"
         assert verdict.residual > 0.1
         assert len(verdict.witness) == 2
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("check", [
+        lambda field, samples, threshold: check_numeric(field, 2, samples, threshold),
+        lambda field, samples, threshold: scan_k(field, 2, "numeric", samples, threshold),
+        lambda field, samples, threshold: classify(field, samples, threshold),
+        lambda field, samples, threshold: check_propagation(field, 2, samples, threshold),
+    ], ids=["check_numeric", "scan_k", "classify", "check_propagation"])
+    def test_threshold_must_be_finite_and_non_negative(self, check, threshold):
+        # the counterexample fails at k = 2 under any finite threshold; a
+        # NaN or infinite one passed it
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [1.0, 1.0]], "exp"))
+        box = SamplingConfig(count=50, radius=1.0, seed=3, kind="box")
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+            check(field, box, threshold)
 
     def test_opposite_directions_pass(self):
         field = glm_gradient(GlmSpec([[1.0, 0.0], [-1.0, 0.0]], "exp"))

@@ -1,8 +1,10 @@
 """The exact affine layer against plain Fraction arithmetic: ``as_affine``
-on random combinator trees, exact scan verdicts and certificates against a
-per-k reference power, and the FedAvg pieces that read the same integer
-forms (the singular solve past float range, the oracle distances)."""
+on random combinator trees, ``as_polyfield`` on trees with polynomial
+leaves, exact scan verdicts and certificates against a per-k reference
+power, and the FedAvg pieces that read the same integer forms (the
+singular solve past float range, the oracle distances)."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,7 +18,8 @@ from iterfield import rationals
 from iterfield.cli import main
 from iterfield.conservatism import check_linear, scan_k
 from iterfield.fields import (Affine, Callback, Compose, Constant, GdMap, Iterate, Linear,
-                              Scale, Sum)
+                              PolyExact, Scale, Sum)
+from iterfield.polynomials import PolyField, RationalPoly
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -174,24 +177,32 @@ def opaque(n):
     return Callback(lambda x: x, n, name="opaque")
 
 
+LEAF_KINDS = ("linear", "affine", "constant", "opaque")
+
+
 @st.composite
-def leaves(draw, n, entry):
-    kind = draw(st.sampled_from(["linear", "affine", "constant", "opaque"]))
+def leaves(draw, n, entry, kinds=LEAF_KINDS):
+    kind = draw(st.sampled_from(kinds))
     vector = st.lists(entry, min_size=n, max_size=n)
     if kind == "constant":
         return Constant(draw(vector))
     if kind == "opaque":
         return opaque(n)
+    if kind == "poly":
+        # components of degree <= 2 with integer coefficients in [-2, 2]
+        monomials = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+        poly = st.dictionaries(st.sampled_from(monomials), st.integers(-2, 2), max_size=3)
+        return PolyExact(PolyField(RationalPoly(n, draw(poly)) for _ in range(n)))
     matrix = draw(st.lists(vector, min_size=n, max_size=n))
     return Linear(matrix) if kind == "linear" else Affine(matrix, draw(vector))
 
 
 @st.composite
-def trees(draw, n, entry, depth=3):
+def trees(draw, n, entry, depth=3, kinds=LEAF_KINDS, ks=st.integers(1, 3)):
     if depth == 0 or draw(st.integers(0, 2)) == 0:
-        return draw(leaves(n, entry))
+        return draw(leaves(n, entry, kinds))
     kind = draw(st.sampled_from(["gd", "scale", "sum", "compose", "iterate"]))
-    sub = trees(n, entry, depth - 1)
+    sub = trees(n, entry, depth - 1, kinds, ks)
     if kind == "gd":
         return GdMap(draw(sub), draw(STEPS))
     if kind == "scale":
@@ -201,13 +212,22 @@ def trees(draw, n, entry, depth=3):
         return Sum(fields, draw(st.lists(entry, min_size=len(fields), max_size=len(fields))))
     if kind == "compose":
         return Compose(draw(sub), draw(sub))
-    return Iterate(draw(sub), draw(st.integers(1, 3)))
+    return Iterate(draw(sub), draw(ks))
 
 
 @st.composite
 def combinator_trees(draw):
     n = draw(st.integers(1, 4))
     return draw(trees(n, ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]))
+
+
+@st.composite
+def polynomial_trees(draw):
+    """Trees of depth <= 2 over exact leaves, PolyExact among them, with
+    Iterate at k = 2; deeper trees can take minutes to expand."""
+    n = draw(st.integers(1, 3))
+    return draw(trees(n, ENTRIES["integer"], depth=2,
+                      kinds=("linear", "affine", "constant", "poly"), ks=st.just(2)))
 
 
 class TestAffineForms:
@@ -330,6 +350,25 @@ class TestExactScanTower:
         report = scan_k(Linear([[0.1, 0.2], [0.3, 0.4]]), 2)
         gap = Fraction(0.2) - Fraction(0.3)
         assert report.verdict(1).certificate == f"power 1 entry (1,2) minus (2,1) = {gap}"
+
+
+class TestPolynomialForms:
+    """``as_polyfield`` through every combinator: the exact polynomials
+    evaluate to the float field, and on affine trees they are the exact
+    affine form's polynomials."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(polynomial_trees(), st.integers(0, 2**32 - 1))
+    def test_as_polyfield_equals_the_field(self, field, seed):
+        poly = field.as_polyfield()
+        assert poly is not None
+        for x in np.random.default_rng(seed).uniform(-1.0, 1.0, (3, field.dimension)):
+            want = [float(v) for v in poly.evaluate([Fraction(t) for t in x])]
+            got = field(x)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        affine = field.as_affine()
+        if affine is not None:
+            assert poly == PolyField.linear(*affine)
 
 
 # ----- FedAvg: a singular exact system past float range -----

@@ -8,7 +8,7 @@ import pytest
 from iterfield.conservatism import check_numeric
 from iterfield.fields import Iterate, NonFiniteValueError, gd_map, jacobian
 from iterfield.glm import (ACTIVATIONS, Activation, GlmSpec, NonOrthogonalError,
-                           derivative_residual, get_activation, glm_gradient,
+                           _orbit_weight, _scalar_orbit, derivative_residual, get_activation, glm_gradient,
                            iterated_glm, iterated_glm_gd, orthogonality_check,
                            surrogate_potential, surrogate_potentials)
 from iterfield.quadrature import integrate
@@ -206,6 +206,73 @@ class TestClosedFormIterates:
                 J_an = field.jacobian_analytic(x)
                 J_ref = jacobian(field, x, CentralDifference(1e-5))
                 assert np.max(np.abs(J_an - J_ref)) < 1e-6
+
+
+def float_orbit(deriv, t, w, k, gamma):
+    """(weight, None, None) of one starting point, or (None, place, raised)
+    for one that fails: place orders failures as a batch meets them (after
+    how many yields; a failing map step ahead of a failing sigma' at the
+    same point), raised is the error's text and ``iterate_index``."""
+    steps = 0
+    try:
+        for _ in _scalar_orbit(deriv, t, w, k, gamma):
+            steps += 1
+        return _orbit_weight(deriv, t, w, k, gamma), None, None
+    except NonFiniteValueError as err:
+        return None, (steps, err.iterate_index is None), (str(err), err.iterate_index)
+
+
+class TestOneOrbitRoutine:
+    """The scalar-orbit routine on an array of starting points is the float
+    routine at each entry: the same weight bits, and the failure of the
+    entry that fails first."""
+
+    # scalar sigma' that overflow to inf rather than raising; without
+    # deriv_array, ``derivs`` calls them once per entry
+    ACTIVATIONS = [Activation("cube", lambda s: s ** 4 / 4, lambda s: s * s * s),
+                   Activation("capped-exp", math.exp,
+                              lambda s: math.exp(s) if s < 709.0 else math.inf)]
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("gamma", [None, 0.4])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_batch_is_the_float_call_at_each_entry(self, activation, gamma, k):
+        assert activation.deriv_array is None
+        rng = np.random.default_rng(k)
+        exp = activation.name == "capped-exp"
+        outcomes = set()
+        for trial in range(40):
+            if trial % 2:
+                # orbits that stay finite
+                t = -rng.uniform(1.0, 3.0, (3, 4)) if exp else rng.uniform(-0.3, 0.3, (3, 4))
+                w = rng.uniform(0.05, 0.3, (3, 1))
+            else:
+                # from small to past the overflow of sigma', and one entry
+                # whose first plain step overflows
+                t = rng.choice([-1.0, 1.0], (3, 4)) * 10.0 ** rng.uniform(-1.0, 3.5, (3, 4))
+                if not exp:
+                    t = np.where(rng.random((3, 4)) < 0.2, t * 1e100, t)
+                w = rng.uniform(0.5, 3.0, (3, 1))
+                r, c = rng.integers(3), rng.integers(4)
+                t[r, c], w[r] = (708.9 if exp else 5.6e102), 2.9
+            per_entry = [float_orbit(activation.deriv, s, float(w[i // 4, 0]), k, gamma)
+                         for i, s in enumerate(t.ravel().tolist())]
+            failures = [(place, i, raised) for i, (_, place, raised) in enumerate(per_entry)
+                        if place]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not failures:
+                    outcomes.add("finite")
+                    got = _orbit_weight(activation.derivs, t, w, k, gamma)
+                    assert ([v.hex() for v in got.ravel().tolist()]
+                            == [weight.hex() for weight, *_ in per_entry])
+                    continue
+                *_, (message, index) = min(failures)
+                outcomes.add("map" if index else "sigma'")
+                with pytest.raises(NonFiniteValueError) as caught:
+                    _orbit_weight(activation.derivs, t, w, k, gamma)
+            assert (str(caught.value), caught.value.iterate_index) == (message, index)
+        assert {"finite", "sigma'"} <= outcomes
+        assert "map" in outcomes or gamma is not None or k == 1
 
 
 class TestSurrogatePotential:

@@ -1,10 +1,11 @@
 """Property tests: the overflow policy on every evaluation path, the
 closed-form model iterates against brute-force iteration, batched
 potentials and closed-form checks against one point at a time, the integer
-rational kernels against plain Fraction loops, exact verdicts against
-sampled ones, the polynomial text form, and stacked FedAvg rounds against
-a per-client round loop."""
+rational kernels against plain Fraction loops, exact verdicts on affine
+and small polynomial fields against sampled ones, the polynomial text
+form, and stacked FedAvg rounds against a per-client round loop."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingConfig, scan_k
 from iterfield.fedavg import FedAvgConfig, QuadraticClient, run_fedavg
 from iterfield.fields import (Affine, ChainProduct, CoordWise1D, GdMap, Iterate, Linear,
-                              NonFiniteValueError, ScalarMap, compose, gd_map, jacobian)
+                              NonFiniteValueError, PolyExact, ScalarMap, compose, gd_map,
+                              jacobian)
 from iterfield import rationals
 from iterfield.glm import (GlmSpec, closed_form_deviation, glm_gradient, iterated_glm,
                            iterated_glm_gd, surrogate_potential, surrogate_potentials)
-from iterfield.polynomials import RationalPoly, parse_poly
+from iterfield.polynomials import PolyField, RationalPoly, parse_poly
 from iterfield.quadrature import QuadratureError
 
 ACTIVATIONS = ("exp", "logistic", "quadratic")
@@ -307,12 +309,29 @@ def small_affine_fields(draw):
     return Affine(A, draw(st.lists(entries, min_size=n, max_size=n)))
 
 
+@st.composite
+def small_polynomial_fields(draw):
+    """PolyExact fields on n = 2-3 variables, each component of degree <= 3
+    with integer coefficients in [-3, 3]; half are gradients of a quartic
+    potential, which are conservative at k = 1."""
+    n = draw(st.integers(2, 3))
+    monomials = [e for e in itertools.product(range(5), repeat=n) if sum(e) <= 3]
+    polys = st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), max_size=4)
+    if draw(st.booleans()):
+        field = PolyField(RationalPoly(n, draw(polys)) for _ in range(n))
+    else:
+        potential = st.dictionaries(
+            st.sampled_from([e for e in itertools.product(range(5), repeat=n) if sum(e) <= 4]),
+            st.integers(-3, 3), max_size=5)
+        field = PolyField.gradient_of(RationalPoly(n, draw(potential)))
+    return PolyExact(field)
+
+
 class TestExactAgreesWithNumeric:
-    @SETTINGS
-    @given(small_affine_fields(), st.integers(1, 5))
-    def test_linear_and_affine(self, field, k_max):
-        # entries of A^k stay below 2^53, so the chain products are exact;
-        # a residual within 100x of the threshold could read either way
+    @staticmethod
+    def agree(field, k_max):
+        """Every exact verdict up to k_max equals the sampled one; a
+        residual within 100x of the threshold could read either way."""
         exact = scan_k(field, k_max)
         numeric = scan_k(field, k_max, mode="numeric",
                          sampling=SamplingConfig(count=5, seed=0))
@@ -321,6 +340,17 @@ class TestExactAgreesWithNumeric:
             if DEFAULT_THRESHOLD / 100 < v.residual < DEFAULT_THRESHOLD * 100:
                 continue
             assert e.is_yes == v.is_yes, (k, e, v)
+
+    @SETTINGS
+    @given(small_affine_fields(), st.integers(1, 5))
+    def test_linear_and_affine(self, field, k_max):
+        # entries of A^k stay below 2^53, so the chain products are exact
+        self.agree(field, k_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polynomial_fields(), st.integers(1, 2))
+    def test_small_polynomial_fields(self, field, k_max):
+        self.agree(field, k_max)
 
 
 # ----- the polynomial text form -----
