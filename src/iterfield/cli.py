@@ -201,15 +201,17 @@ def _cmd_glm_verify(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from .conservatism import _require_threshold
     from .reports import ConfigError, run_manifest
     from .spectral import (NotConservativeError, check_gd_propagation, check_propagation,
                            classify)
     field, field_obj = _field_from_args(args)
     sampling = _sampling_from_args(args)
+    _require_threshold(args.threshold)
     resolved = {"command": "spectral", "field": field_obj, "k": args.k,
-                "sampling": sampling.to_dict(), "gd": args.gd, "gamma": args.gamma,
-                "claimed": args.claimed, "alpha": args.alpha, "beta": args.beta,
-                "delta": args.delta}
+                "sampling": sampling.to_dict(), "threshold": args.threshold, "gd": args.gd,
+                "gamma": args.gamma, "claimed": args.claimed, "alpha": args.alpha,
+                "beta": args.beta, "delta": args.delta}
     payload = {"command": "spectral",
                "manifest": run_manifest(resolved, sampling.seed),
                "field": field.describe()}

@@ -173,11 +173,53 @@ class Field:
         """Exact Jacobian at x, or None when the variant has no analytic form."""
         return None
 
+    def _analytic_rows(self, X: np.ndarray):
+        """(J, raised): ``jacobian_analytic`` at every row of X, stacked
+        (N, n, n), or J None when the field has no analytic form, and the
+        OverflowError or NonFiniteValueError of each row that raised one, by
+        row (its row of J is zero).  A leaf looks its method up once per
+        batch and calls it once per row; a composite builds its stack from
+        its parts' stacks, each part at the rows no earlier part raised at."""
+        analytic = self.jacobian_analytic
+        J = np.zeros((X.shape[0], self.dimension, self.dimension))
+        raised, missing = {}, False
+        for r, x in enumerate(X):
+            try:
+                Jr = analytic(x)
+            except (OverflowError, NonFiniteValueError) as err:
+                raised[r] = err
+                continue
+            if Jr is None:
+                missing = True
+            else:
+                J[r] = Jr
+        return (None if missing else J), raised
+
     def _jacobian_rows(self, X: np.ndarray, base):
-        """(J, errors): the step Jacobian at every row of X, one leaf
-        Jacobian call per row, stacked (N, n, n), and the NonFiniteValueError
-        of each row whose Jacobian raised one, by row."""
-        return _stack_rows(X, lambda r, x: _step_jacobian(self, x, base), (self.dimension,) * 2)
+        """(J, errors): the step Jacobian at every row of X, stacked
+        (N, n, n), and the NonFiniteValueError of each row whose Jacobian
+        raised one, by row; an overflow names this field, the one the step
+        was asked of.  ``base`` is decided once per batch, as in
+        ChainProduct: the stack of ``_analytic_rows`` when every part of the
+        field has one, else central differences of the whole field at each
+        row that did not raise."""
+        J, errors = None, {}
+        if not isinstance(base, CentralDifference):
+            J, errors = self._analytic_rows(X)
+            for r, err in errors.items():
+                if isinstance(err, OverflowError):
+                    errors[r] = NonFiniteValueError(
+                        f"Jacobian of {self.describe()} overflowed at x={X[r].tolist()}")
+                    errors[r].__cause__ = err
+            if J is None and isinstance(base, Analytic):
+                raise JacobianMethodError(
+                    f"{self.describe()} has no analytic Jacobian; use central differences")
+        if J is None:
+            h = getattr(base, "h", DEFAULT_FD_STEP)
+            J = _rows_left(lambda P: _stack_rows(
+                P, lambda r, x: _finite_difference_jacobian(self, x, h), (self.dimension,) * 2),
+                X, errors)
+        return J, errors
 
     def as_affine(self):
         """Exact rational (A, b) with field(x) = A x + b, or None."""
@@ -195,6 +237,15 @@ class Field:
 
     def describe(self) -> str:
         return type(self).__name__.lower()
+
+
+def _one_row_jacobian(field: Field, x: np.ndarray) -> np.ndarray | None:
+    """A composite's ``jacobian_analytic``: the one-row case of its
+    ``_analytic_rows``, raising what that row raised."""
+    J, raised = field._analytic_rows(x[None, :])
+    if raised:
+        raise raised[0]
+    return None if J is None else J[0]
 
 
 class Constant(Field):
@@ -344,11 +395,11 @@ class GdMap(Field):
     def _rows(self, X):
         return X - self.gamma * self.inner._evaluate_rows(X)
 
-    def jacobian_analytic(self, x):
-        J = self.inner.jacobian_analytic(x)
-        if J is None:
-            return None
-        return self._eye - self.gamma * J
+    jacobian_analytic = _one_row_jacobian
+
+    def _analytic_rows(self, X):
+        J, raised = self.inner._analytic_rows(X)
+        return (None if J is None else self._eye - self.gamma * J), raised
 
     def _affine_form(self):
         inner = self.inner._affine_form()
@@ -438,14 +489,16 @@ class Sum(Field):
             total += w * f._evaluate_rows(X)
         return total
 
-    def jacobian_analytic(self, x):
-        total = np.zeros((self.dimension, self.dimension))
+    jacobian_analytic = _one_row_jacobian
+
+    def _analytic_rows(self, X):
+        total, raised = np.zeros((X.shape[0], self.dimension, self.dimension)), {}
         for w, f in zip(self.weights, self.fields):
-            J = f.jacobian_analytic(x)
+            J = _rows_left(f._analytic_rows, X, raised)
             if J is None:
-                return None
+                return None, raised
             total += w * J
-        return total
+        return total, raised
 
     def _affine_form(self):
         parts = []
@@ -481,9 +534,11 @@ class Scale(Field):
     def _rows(self, X):
         return self.c * self.inner._evaluate_rows(X)
 
-    def jacobian_analytic(self, x):
-        J = self.inner.jacobian_analytic(x)
-        return None if J is None else self.c * J
+    jacobian_analytic = _one_row_jacobian
+
+    def _analytic_rows(self, X):
+        J, raised = self.inner._analytic_rows(X)
+        return (None if J is None else self.c * J), raised
 
     def _affine_form(self):
         part = self.inner._affine_form()
@@ -513,34 +568,17 @@ class Compose(Field):
     def _rows(self, X):
         return self.outer._evaluate_rows(self.inner._evaluate_rows(X))
 
-    def jacobian_analytic(self, x, inner_value=None):
-        """J(outer)(inner(x)) @ J(inner)(x); an orbit walk passes inner(x)
-        from its batched evaluation so it is not evaluated again."""
-        Ji = self.inner.jacobian_analytic(x)
-        if Ji is None:
-            return None
-        if inner_value is None:
-            inner_value = self.inner._evaluate(x)
-        Jo = self.outer.jacobian_analytic(inner_value)
-        if Jo is None:
-            return None
-        return Jo @ Ji
+    jacobian_analytic = _one_row_jacobian
 
-    def _jacobian_rows(self, X, base):
-        # inner at every row, as each row gives it alone; a row whose inner
-        # value raises takes its Jacobian alone, and raises as it would.
-        # Where failures are dense, every row takes it alone, which
-        # evaluates the inner value only once the inner Jacobian exists,
-        # through the one-point entry: cheaper than a one-row batch per row
-        # and then the Jacobians.
-        try:
-            Y, failed = self.inner._evaluate_rows(X), ()
-        except NonFiniteValueError as err:
-            Y, failed = _split_rows(self.inner._evaluate_rows, X, err, dense=lambda X: (
-                np.empty(X.shape), dict.fromkeys(range(X.shape[0]))))
-        return _stack_rows(X, lambda r, x: _step_jacobian(
-            self, x, base, None if r in failed else lambda x: self.jacobian_analytic(x, Y[r])),
-            (self.dimension,) * 2)
+    def _analytic_rows(self, X):
+        """J(outer)(inner(x)) @ J(inner)(x), inner(x) from one batch at the
+        rows whose J(inner) exists; a failing row raises as it does alone."""
+        Ji, raised = self.inner._analytic_rows(X)
+        if Ji is None:
+            return None, raised
+        Y = _rows_left(lambda P: _split_rows(self.inner._evaluate_rows, P), X, raised)
+        Jo = _rows_left(self.outer._analytic_rows, Y, raised)
+        return (None if Jo is None else Jo @ Ji), raised
 
     def _affine_form(self):
         i = self.inner._affine_form()
@@ -659,27 +697,6 @@ def _finite_difference_jacobian(field: Field, x: np.ndarray, h: float) -> np.nda
     return np.ascontiguousarray(((Y[0::2] - Y[1::2]) / (2.0 * h)).T)
 
 
-def _step_jacobian(field: Field, x: np.ndarray,
-                   method: Analytic | CentralDifference | None,
-                   analytic: Callable[[np.ndarray], np.ndarray | None] | None = None
-                   ) -> np.ndarray:
-    """J(field)(x) by ``method``; ``analytic`` stands in for the field's
-    ``jacobian_analytic``."""
-    if isinstance(method, CentralDifference):
-        return _finite_difference_jacobian(field, x, method.h)
-    try:
-        J = (analytic or field.jacobian_analytic)(x)
-    except OverflowError as err:
-        raise NonFiniteValueError(
-            f"Jacobian of {field.describe()} overflowed at x={x.tolist()}") from err
-    if J is None:
-        if isinstance(method, Analytic):
-            raise JacobianMethodError(
-                f"{field.describe()} has no analytic Jacobian; use central differences")
-        return _finite_difference_jacobian(field, x, DEFAULT_FD_STEP)
-    return J
-
-
 def _stack_rows(X: np.ndarray, value_at, shape: tuple):
     """(S, errors): S[r] = value_at(r, x), of the given shape, for each row
     x of X, and the NonFiniteValueError of each row whose call raised one,
@@ -694,6 +711,20 @@ def _stack_rows(X: np.ndarray, value_at, shape: tuple):
     return S, errors
 
 
+def _rows_left(rows_fn, P: np.ndarray, raised: dict):
+    """The stack that rows_fn, giving (stack or None, errors by row), gives
+    at the rows of P not in ``raised``, zero at the others; the rows it
+    raised at join ``raised``."""
+    ok = np.delete(np.arange(P.shape[0]), list(raised)) if raised else range(P.shape[0])
+    S, more = rows_fn(P[ok] if raised else P)
+    raised.update((int(ok[r]), err) for r, err in more.items())
+    if S is None or len(ok) == P.shape[0]:
+        return S
+    full = np.zeros((P.shape[0], *S.shape[1:]))
+    full[ok] = S
+    return full
+
+
 def _attempt(rows_fn, X: np.ndarray):
     """(rows_fn(X), None), or (None, the NonFiniteValueError it raised)."""
     try:
@@ -702,16 +733,14 @@ def _attempt(rows_fn, X: np.ndarray):
         return None, err
 
 
-def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None,
-                dense=None):
+def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None):
     """(Y, errors) as ``_stack_rows`` gives them for rows_fn at each row of X
     alone, from a batch function that raises NonFiniteValueError when any
     row fails; ``err`` is what a call on X already raised.  A row's value
     never depends on the other rows, so a batch that raises is halved, and
     a half that raises is halved again until its failing rows stand alone:
     O(f log N) calls for f failing rows among N.  Where both halves raise,
-    failures are dense and one call per row costs less: ``dense(X)`` gives
-    (Y, errors) for that batch, by default each row alone."""
+    failures are dense and one call per row costs less."""
     if err is None:
         Y, err = _attempt(rows_fn, X)
         if err is None:
@@ -721,10 +750,8 @@ def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None,
     h = X.shape[0] // 2
     halves = [(part, *_attempt(rows_fn, part)) for part in (X[:h], X[h:])]
     if halves[0][2] and halves[1][2]:
-        if dense is not None:
-            return dense(X)
         return _stack_rows(X, lambda r, x: rows_fn(x[None, :])[0], X.shape[1:])
-    (Y0, e0), (Y1, e1) = [(Y, {}) if e is None else _split_rows(rows_fn, part, e, dense)
+    (Y0, e0), (Y1, e1) = [(Y, {}) if e is None else _split_rows(rows_fn, part, e)
                           for part, Y, e in halves]
     return np.concatenate([Y0, Y1]), {**e0, **{h + r: e for r, e in e1.items()}}
 
@@ -760,8 +787,10 @@ def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
     in order.  A row whose value or chain Jacobian is not finite leaves
     ``live`` at the step where its own ``walk_orbit`` would have raised,
     and stays out; ``raise_dropped`` raises that error.  Each step makes
-    one batched value evaluation, one leaf Jacobian call per live row (as
-    ``walk_orbit`` does), and one stacked chain product.  A step whose
+    one batched value evaluation, one stack of step Jacobians and one
+    stacked chain product.  Composites take the step Jacobians per batch,
+    from their parts' stacks; leaves take them per point, one leaf
+    Jacobian call per live row (as ``walk_orbit`` does).  A step whose
     batched evaluation raises is evaluated again in halves, down to the
     rows that fail alone, so it costs O(f log N) more evaluations for f
     failing rows.
@@ -789,8 +818,9 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
     """walk_rows on checked points.  The one place that decides what a
     failing row does: it leaves the walk, or with ``strict`` (one-row walks
     and Iterate values) raises its error, a value's tagged with the step of
-    V.  Each step of F silences numpy's overflow warnings once, and never
-    across a yield."""
+    V.  A step's Jacobians are one ``_jacobian_rows`` batch of V: stacked
+    per batch through composites and per point at leaves.  Each step of F
+    silences numpy's overflow warnings once, and never across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
     live = np.arange(X.shape[0])
@@ -869,7 +899,10 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
                                       strict=True)
             J = J[0]
         elif method is None or isinstance(method, (Analytic, CentralDifference)):
-            J = _step_jacobian(field, x, method)
+            J, errors = field._jacobian_rows(x[None, :], method)
+            if errors:
+                raise errors[0]
+            J = J[0]
         else:
             raise JacobianMethodError(f"unknown Jacobian method {method!r}")
     if not np.isfinite(J).all():

@@ -297,21 +297,22 @@ class GlmGradientStack(Field):
 
     def _rows(self, X):
         """One stacked product for the inner products, against a transposed
-        view of the (c, m, n) direction stack, the scalar sigma' per entry
-        (numpy's exp rounds differently from math's), and one stacked
-        product for the sums of directions.  numpy's stacked product works
-        matrix by matrix and the view takes the BLAS path of the model's
-        own ``Z.T`` (a copy in the other memory order would not), so each
-        block of each row is bit-equal to that model's gradient at that
-        point alone.  A scalar sigma' that overflows raises, naming the
-        first row where it does."""
+        view of the (c, m, n) direction stack, the scalar sigma' mapped over
+        them all in row order (numpy's exp rounds differently from math's),
+        and one stacked product for the sums of directions.  numpy's
+        stacked product works matrix by matrix and the view takes the BLAS
+        path of the model's own ``Z.T`` (a copy in the other memory order
+        would not), so each block of each row is bit-equal to that model's
+        gradient at that point alone.  A scalar sigma' that overflows
+        raises, naming the first row where it does."""
+        S = self._times(X, self._ZT)
         V = []
         try:
-            for row in self._times(X, self._ZT).tolist():
-                V.append(list(map(self._deriv, row)))
+            # extend keeps the values mapped before an overflow
+            V.extend(map(self._deriv, S.ravel().tolist()))
         except OverflowError as err:
-            raise self._overflowed(X[len(V)]) from err
-        return self._times(np.array(V), self._Z)
+            raise self._overflowed(X[len(V) // S.shape[1]]) from err
+        return self._times(np.array(V).reshape(S.shape), self._Z)
 
     def describe(self):
         return f"glm-stack([{', '.join(s.describe() for s in self.specs)}])"

@@ -265,15 +265,19 @@ class RationalPoly:
         return f"RationalPoly({self.nvars}, {self.to_text()!r})"
 
 
-_TERM_RE = re.compile(r"^(?P<coeff>[+-]?\d+(?:/\d+)?)?(?P<vars>(?:\*?[A-Za-z]\w*(?:\^\d+)?)*)$")
+_TERM_RE = re.compile(
+    r"^(?P<sign>[+-])?(?P<coeff>\d+(?:/\d+)?)?(?P<vars>(?:\*?[A-Za-z]\w*(?:\^\d+)?)*)$")
 _VAR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?")
+# a minus right after a term's last digit or letter subtracts the next term
+_BINARY_MINUS_RE = re.compile(r"(?<=\w)\s*-")
 
 
 def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> RationalPoly:
     """Parse the canonical text form back into a polynomial.
 
     Accepts the output of ``to_text`` plus minor sugar (implicit
-    coefficient 1, implicit exponent 1).
+    coefficient 1, implicit exponent 1, a bare sign, and ``a - b`` for
+    ``a + -b``).
     """
     if names is None:
         names = [f"x{i}" for i in range(nvars)]
@@ -282,14 +286,14 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Rat
     if stripped == "0":
         return RationalPoly.zero(nvars)
     result = RationalPoly.zero(nvars)
-    for raw in stripped.split("+"):
+    for raw in _BINARY_MINUS_RE.sub("+-", stripped).split("+"):
         term = raw.strip().replace(" ", "")
         if not term:
             raise PolyParseError(f"empty term in {text!r}")
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and not m.group("vars")):
             raise PolyParseError(f"cannot parse term {raw.strip()!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = Fraction(m.group("coeff") or 1) * (-1 if m.group("sign") == "-" else 1)
         exps = [0] * nvars
         for name, exp in _VAR_RE.findall(m.group("vars")):
             if name not in index:

@@ -103,6 +103,14 @@ class TestScan:
         report = read_json(out)
         assert report["results"][1]["certificate"] == "4*x0^3 + -8*x0^1*x1^2"
 
+    def test_poly_binary_minus_reads_as_adding_the_negated_term(self, tmp_path):
+        reports = []
+        for text in ("x0^2 - x1; x0", "x0^2 + -1*x1; x0"):
+            out = str(tmp_path / "r.json")
+            assert main(["scan", "--poly", text, "--k-max", "3", "--out", out]) == 0
+            reports.append(read_json(out)["results"])
+        assert reports[0] == reports[1]
+
     def test_coordwise_field(self, tmp_path):
         out = str(tmp_path / "r.json")
         field = json.dumps({"variant": "coordwise", "functions": ["exp", "quadratic"]})
@@ -174,6 +182,29 @@ class TestSpectral:
         field = json.dumps({"variant": "linear", "matrix": [[1.0, 0.0], [0.0, 3.0]]})
         assert main(["spectral", "--field", field, "--k", "2", "--gd",
                      "--gamma", "0.9", "--alpha", "1", "--beta", "3"]) == 2
+
+    def test_gd_weakly_convex_claim(self, tmp_path):
+        # potential x^T diag(-0.5, 2) x / 2: weakly convex with delta 0.5, beta 2
+        out = str(tmp_path / "r.json")
+        field = json.dumps({"variant": "linear", "matrix": [[-0.5, 0.0], [0.0, 2.0]]})
+        argv = ["spectral", "--field", field, "--k", "3", "--gd", "--gamma", "0.5",
+                "--claimed", "weakly-convex", "--beta", "2"]
+        assert main([*argv, "--delta", "0.5", "--out", out]) == 0
+        report = read_json(out)["gd_propagation"]
+        assert report["pass"] is True and report["lambda"] == 1.25
+        assert main([*argv, "--delta", "3"]) == 2
+        assert main(argv) == 2
+
+    def test_threshold_is_part_of_the_config_hash(self, tmp_path):
+        field = json.dumps({"variant": "glm", "activation": "exp",
+                            "directions": [[1.0, 0.0], [1.0, 1.0]]})
+        hashes = []
+        for threshold in ("1e-8", "0.5"):
+            out = str(tmp_path / "r.json")
+            main(["spectral", "--field", field, "--k", "2", "--box", "--threshold", threshold,
+                  "--out", out])
+            hashes.append(read_json(out)["manifest"]["config_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_non_conservative_field_exits_one(self, tmp_path):
         out = str(tmp_path / "r.json")
@@ -297,6 +328,9 @@ class TestBoundaryRefusals:
          "threshold must be finite and >= 0"),
         (["spectral", *DIAGONAL, "--k", "2", "--threshold", "inf"],
          "threshold must be finite and >= 0"),
+        *[(["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
+            "--beta", "3", "--threshold", t], "threshold must be finite and >= 0")
+          for t in ("nan", "inf", "-1")],
         (["glm-verify", *DIRECTIONS, "--k", "2", "--tol", "nan"], "--tol must be finite and >= 0"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):

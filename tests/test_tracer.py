@@ -3,9 +3,10 @@
 perfbench/tracer.py wraps iterfield functions and methods by name; a name
 it wraps that the package no longer has would only show when the traced
 benchmark runs.  This runs the tracer in a fresh process, as the benchmark
-does, on 5-sample scans of a model gradient, its descent map and its
-composition with a Linear field, and on 5-sample propagation checks, and
-pins their leaf Jacobian counts, with the benchmark's reference count.
+does, on 5-sample scans of a model gradient, its descent map, its
+compositions with a Linear field on either side, a scale and a sum, and
+on 5-sample propagation checks, and pins their leaf Jacobian counts, with
+the benchmark's reference count.
 """
 
 import os
@@ -33,6 +34,15 @@ assert recorder.counts["fields.jacobian_step.calls"] == 15 + 15, recorder.counts
 linear = iterfield.Linear([[0.9, 0.1], [0.0, 0.8]])
 iterfield.scan_k(iterfield.compose(linear, grad), 3, mode="numeric", sampling=sampling)
 assert recorder.counts["fields.jacobian_step.calls"] == 15 + 15 + 30, recorder.counts
+# so do the other batched composites: a scale, a sum, and a composition
+# whose outer field is not Linear
+before = recorder.counts["fields.jacobian_step.calls"]
+iterfield.scan_k(iterfield.Scale(-0.5, grad), 3, mode="numeric", sampling=sampling)
+assert recorder.counts["fields.jacobian_step.calls"] == before + 15, recorder.counts
+iterfield.scan_k(iterfield.Sum([grad, linear], [0.5, 1.0]), 3, mode="numeric", sampling=sampling)
+assert recorder.counts["fields.jacobian_step.calls"] == before + 15 + 30, recorder.counts
+iterfield.scan_k(iterfield.compose(grad, linear), 3, mode="numeric", sampling=sampling)
+assert recorder.counts["fields.jacobian_step.calls"] == before + 15 + 30 + 30, recorder.counts
 # the batched propagation checks too: one leaf call per point and step
 before = recorder.counts["fields.jacobian_step.calls"]
 iterfield.check_propagation(grad, 3, sampling)
