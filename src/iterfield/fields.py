@@ -177,7 +177,7 @@ class Field:
         """(J, raised): ``jacobian_analytic`` at every row of X, stacked
         (N, n, n), or J None when the field has no analytic form, and the
         OverflowError or NonFiniteValueError of each row that raised one, by
-        row (its row of J is zero).  A leaf looks its method up once per
+        row (its row of J holds no Jacobian).  A leaf looks its method up once per
         batch and calls it once per row; a composite builds its stack from
         its parts' stacks, each part at the rows no earlier part raised at."""
         analytic = self.jacobian_analytic

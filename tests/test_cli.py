@@ -183,7 +183,7 @@ class TestSpectral:
         assert main(["spectral", "--field", field, "--k", "2", "--gd",
                      "--gamma", "0.9", "--alpha", "1", "--beta", "3"]) == 2
 
-    def test_gd_weakly_convex_claim(self, tmp_path):
+    def test_gd_weakly_convex_claim(self, tmp_path, capsys):
         # potential x^T diag(-0.5, 2) x / 2: weakly convex with delta 0.5, beta 2
         out = str(tmp_path / "r.json")
         field = json.dumps({"variant": "linear", "matrix": [[-0.5, 0.0], [0.0, 2.0]]})
@@ -192,8 +192,11 @@ class TestSpectral:
         assert main([*argv, "--delta", "0.5", "--out", out]) == 0
         report = read_json(out)["gd_propagation"]
         assert report["pass"] is True and report["lambda"] == 1.25
-        assert main([*argv, "--delta", "3"]) == 2
-        assert main(argv) == 2
+        for refused in ([*argv, "--delta", "3"], argv):
+            capsys.readouterr()
+            assert main(refused) == 2
+            err = capsys.readouterr().err
+            assert err == "error: weakly-convex claims need 0 < delta <= beta\n"
 
     def test_threshold_is_part_of_the_config_hash(self, tmp_path):
         field = json.dumps({"variant": "glm", "activation": "exp",
@@ -328,10 +331,10 @@ class TestBoundaryRefusals:
          "threshold must be finite and >= 0"),
         (["spectral", *DIAGONAL, "--k", "2", "--threshold", "inf"],
          "threshold must be finite and >= 0"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--tol", "nan"], "--tol must be finite and >= 0"),
         *[(["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
             "--beta", "3", "--threshold", t], "threshold must be finite and >= 0")
           for t in ("nan", "inf", "-1")],
-        (["glm-verify", *DIRECTIONS, "--k", "2", "--tol", "nan"], "--tol must be finite and >= 0"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":

@@ -149,11 +149,16 @@ class TestCanonicalText:
         assert p.to_text(("a", "b")) == "1*a^1*b^1"
         assert parse_poly("1*a^1*b^1", 2, ("a", "b")) == p
 
+    def test_binary_minus_and_bare_signs(self):
+        assert parse_poly("x0^2 - x1", 2) == parse_poly("x0^2 + -1*x1", 2)
+        assert parse_poly("-x0 - 1/2*x1^3 - 2", 2) == parse_poly("-1*x0 + -1/2*x1^3 + -2", 2)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("1*q^2", 2)
-        with pytest.raises(ValueError):
-            parse_poly("x0 ++ 1", 2)
+        for text in ("x0 ++ 1", "x0 - - 1", "x0 -", "x0^-1"):
+            with pytest.raises(ValueError):
+                parse_poly(text, 2)
 
 
 class TestDivision:
