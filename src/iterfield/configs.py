@@ -15,6 +15,10 @@ from .polynomials import PolyField
 from .reports import ConfigError
 
 SCHEMA_VERSION = 1
+# Deeper than any hand-written field, far inside what the recursive walks
+# over a field (parsing, describing, hashing, evaluating) reach before
+# Python's default recursion limit: a chain of 450 scale fields scans.
+MAX_FIELD_DEPTH = 100
 
 
 def _object(obj, context: str) -> dict:
@@ -51,7 +55,11 @@ def coordwise_maps_from_names(names) -> list[ScalarMap]:
     return maps
 
 
-def field_from_obj(obj) -> Field:
+def field_from_obj(obj, depth: int = 1) -> Field:
+    """The field a definition at nesting level ``depth`` describes; past
+    ``MAX_FIELD_DEPTH`` it is refused before any field is built."""
+    if depth > MAX_FIELD_DEPTH:
+        raise ConfigError(f"field definition nested deeper than {MAX_FIELD_DEPTH} levels")
     variant = _need(_object(obj, "field definition"), "variant", "field")
     try:
         if variant == "constant":
@@ -65,20 +73,20 @@ def field_from_obj(obj) -> Field:
         if variant in ("glm", "glm_gradient"):
             return glm_gradient(glm_spec_from_obj(obj))
         if variant in ("gd", "gd_map"):
-            return GdMap(field_from_obj(_need(obj, "inner", variant)),
+            return GdMap(field_from_obj(_need(obj, "inner", variant), depth + 1),
                          float(_need(obj, "gamma", variant)))
         if variant == "iterate":
-            return Iterate(field_from_obj(_need(obj, "inner", variant)),
+            return Iterate(field_from_obj(_need(obj, "inner", variant), depth + 1),
                            int(_need(obj, "k", variant)))
         if variant == "sum":
-            fields = [field_from_obj(f) for f in _need(obj, "fields", variant)]
+            fields = [field_from_obj(f, depth + 1) for f in _need(obj, "fields", variant)]
             return Sum(fields, obj.get("weights"))
         if variant == "scale":
             return Scale(float(_need(obj, "c", variant)),
-                         field_from_obj(_need(obj, "inner", variant)))
+                         field_from_obj(_need(obj, "inner", variant), depth + 1))
         if variant == "compose":
-            return Compose(field_from_obj(_need(obj, "outer", variant)),
-                           field_from_obj(_need(obj, "inner", variant)))
+            return Compose(field_from_obj(_need(obj, "outer", variant), depth + 1),
+                           field_from_obj(_need(obj, "inner", variant), depth + 1))
         if variant == "poly":
             components = _need(obj, "components", variant)
             nvars = int(obj.get("nvars", len(components)))

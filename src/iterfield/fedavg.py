@@ -256,7 +256,7 @@ def _walked_models(walks, groups, x: np.ndarray, last: float = math.inf):
     grouped = {}
     for members, walk in groups:
         try:
-            Y = walk._evaluate(np.tile(x, len(members)))
+            Y = walk._evaluate(np.concatenate([x] * len(members)))
         except Exception:  # any error: each member raises it again alone, in turn
             continue
         grouped.update(zip(members, Y.reshape(len(members), -1)))
@@ -314,9 +314,9 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     until the field norm drops below tol.  Its rounds walk the clients
     through ``run_fedavg``'s ``_walked_models``, grouped GLM clients as one
     stacked orbit, and accumulate V_s as ``build_server_field_only``'s Sum
-    does, so the point is bit-equal to descending that Sum; a round whose
-    value is not finite is left to the Sum, which raises the first failing
-    client's error.
+    does, so the point is bit-equal to descending that Sum; a round's total
+    is checked once, and a round whose total is not finite is left to the
+    Sum, which raises the first failing client's error.
     Returns (point, method).
     """
     if all(isinstance(c, QuadraticClient) for c in clients):
@@ -336,12 +336,18 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
     weight = 1.0 / len(clients)
 
     def server_value(x):
-        # the Sum accumulates from zeros, where cumsum would keep a -0.0
+        # The Sum accumulates from zeros, where cumsum would keep a -0.0.  A
+        # non-finite total stays so, and the Sum decides that round, also
+        # when a later client's walk raised: it may stop at an earlier one.
         total = np.zeros(n)
-        for _, y in _walked_models(walks, groups, x):
-            total += weight * (x - y)
-            if not np.isfinite(total).all():
-                return build_server_field_only(clients, gamma, k)(x)
+        try:
+            for _, y in _walked_models(walks, groups, x):
+                total += weight * (x - y)
+        except Exception:  # any error
+            if np.isfinite(total).all():
+                raise
+        if not np.isfinite(total).all():
+            return build_server_field_only(clients, gamma, k)(x)
         return total
 
     return _descend(server_value, n, 1.0, x0, tol, max_iterations), "iterative"
@@ -439,6 +445,20 @@ def _lowered(form):
         return None
 
 
+def _check_model_average(xs: np.ndarray, models: np.ndarray):
+    """Raise at the first round t whose x_(t+1), row t of xs, is not the
+    average of round t's models, row t of the (T, m, n) stack, to 1e-12
+    times max(1, |average|_inf).  The cumsum adds the clients in order, as
+    a round's own cumsum does, so each average has that round's bits."""
+    avg = models.cumsum(axis=1)[:, -1] / models.shape[1]
+    gap = np.abs(xs - avg).max(axis=1)
+    bad = np.flatnonzero(gap > EQUIVALENCE_TOL * np.maximum(1.0, np.abs(avg).max(axis=1)))
+    if bad.size:
+        t = int(bad[0])
+        raise RuntimeError(
+            f"delta update and model average disagree by {gap[t]:.3e} at round {t}")
+
+
 def _distances(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     """|x - p| for every row x of X, as ``np.linalg.norm`` gives it (the
     square root of the row's dot with itself).  A finite row whose sum of
@@ -467,11 +487,13 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     every other client alone.  When a group's walk raises, its clients
     walk alone that round, in index order with the rest, so the first
     client that fails raises its own error; the trace is the one walking
-    every client alone gives.  With eta = 1 every round is verified
-    against the plain model-average recursion, which the delta update must
-    reproduce to 1e-12 times max(1, |model average|_inf).  A non-finite
-    model or iterate truncates the trace with a diagnostic instead of
-    poisoning it, and numpy's overflow warnings are off for the whole run.
+    every client alone gives.  With eta = 1 the run is verified against the
+    plain model-average recursion, which the delta update must reproduce
+    to 1e-12 times max(1, |model average|_inf): once per run, after the
+    rounds, over every completed round's kept models, raising at the first
+    round that disagrees (``_check_model_average``).  A non-finite model or
+    iterate truncates the trace with a diagnostic instead of poisoning it,
+    and numpy's overflow warnings are off for the whole run.
     The fixed point's affine solve reads the same exact forms.  The
     surrogate is evaluated in one call over the distinct iterates and the
     fixed point.
@@ -495,14 +517,17 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
         """Every client's model at x, one row per client.  As when every
         client walked, the first client in index order whose model is
         non-finite raises, and no later client walks."""
-        rows = (A @ x + b).reshape(-1, n)
         first_bad = m
-        if not np.isfinite(rows).all():
-            first_bad = stacked[int(np.argmin(np.isfinite(rows).all(axis=1)))]
-        ys = rows
-        if walks:
+        if stacked:
+            rows = (A @ x + b).reshape(-1, n)
+            if not np.isfinite(rows).all():
+                first_bad = stacked[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        if not walks:
+            ys = rows
+        else:
             ys = np.empty((m, n))
-            ys[stacked] = rows
+            if stacked:
+                ys[stacked] = rows
             for i, y in _walked_models(walks, groups, x, first_bad):
                 ys[i] = y
         if first_bad < m:
@@ -512,32 +537,30 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
 
     weight = 1.0 / m
     xs = [np.array(config.x0, dtype=float)]
-    values = []
+    values, round_models = [], []
     note = None
     x = xs[0]
-    for t in range(config.rounds):
-        try:
-            # One evaluation of the client models feeds both the server
-            # field mean(x - y_c) and the model average mean(y_c); cumsum
-            # adds the rows in client order, where sum may pair them.
-            ys = models(x)
-            v = (weight * (x - ys)).cumsum(axis=0)[-1]
-            x_next = x - config.eta * v
-            if not np.isfinite(x_next).all():
-                raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
-            if config.eta == 1.0:
-                # x_next is x - v here
-                avg = ys.cumsum(axis=0)[-1] / m
-                gap = float(np.abs(x_next - avg).max())
-                if gap > EQUIVALENCE_TOL * max(1.0, float(np.abs(avg).max())):
-                    raise RuntimeError(
-                        f"delta update and model average disagree by {gap:.3e} at round {t}")
-            x = x_next
-        except NonFiniteValueError as err:
-            note = f"trace truncated at round {t}: {err}"
-            break
-        values.append(v)
-        xs.append(x)
+    try:
+        for t in range(config.rounds):
+            try:
+                # One evaluation of the client models feeds both the server
+                # field mean(x - y_c) and, kept, the model average mean(y_c);
+                # cumsum adds the rows in client order, where sum may pair them.
+                ys = models(x)
+                v = (weight * (x - ys)).cumsum(axis=0)[-1]
+                x = x - config.eta * v
+                if not np.isfinite(x).all():
+                    raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
+            except NonFiniteValueError as err:
+                note = f"trace truncated at round {t}: {err}"
+                break
+            round_models.append(ys)
+            values.append(v)
+            xs.append(x)
+    finally:
+        # also when a round raised: an earlier round that disagrees comes first
+        if config.eta == 1.0 and round_models:
+            _check_model_average(np.array(xs[1:]), np.array(round_models))
     trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, n)),
                         note=note)
 

@@ -143,10 +143,14 @@ class Field:
         silences numpy's overflow warnings once."""
         Y = self._rows(X)
         if not _all_finite(Y):
-            bad = ~np.isfinite(Y).all(axis=1)
-            raise NonFiniteValueError(f"{self.describe()} produced a non-finite value "
-                                      f"at x={X[np.argmax(bad)].tolist()}")
+            raise self._nonfinite(X, Y)
         return Y
+
+    def _nonfinite(self, X: np.ndarray, Y: np.ndarray) -> NonFiniteValueError:
+        """The error naming the first row of X whose value in Y is not finite."""
+        bad = ~np.isfinite(Y).all(axis=1)
+        return NonFiniteValueError(f"{self.describe()} produced a non-finite value "
+                                   f"at x={X[np.argmax(bad)].tolist()}")
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """Raw values at every row, for ``_evaluate_rows`` to check.  This
@@ -212,8 +216,10 @@ class Field:
                         f"Jacobian of {self.describe()} overflowed at x={X[r].tolist()}")
                     errors[r].__cause__ = err
             if J is None and isinstance(base, Analytic):
-                raise JacobianMethodError(
+                missing = JacobianMethodError(
                     f"{self.describe()} has no analytic Jacobian; use central differences")
+                missing.errors = errors  # the rows that raised before the lack showed
+                raise missing
         if J is None:
             h = getattr(base, "h", DEFAULT_FD_STEP)
             J = _rows_left(lambda P: _stack_rows(
@@ -382,7 +388,12 @@ class CoordWise1D(Field):
 
 
 class GdMap(Field):
-    """The gradient-descent map x -> x - gamma * G(x) for a gradient field G."""
+    """The gradient-descent map x -> x - gamma * G(x) for a gradient field G.
+
+    A step is built from G's raw rows and checked once: with x finite and
+    gamma > 0, a non-finite row of G gives a non-finite step row.  Only a
+    step that fails evaluates G again, with its checks, so the innermost
+    failing field raises its own message (the step's own, if G passes)."""
 
     def __init__(self, inner: Field, gamma: float):
         if not (gamma > 0):
@@ -393,7 +404,14 @@ class GdMap(Field):
         self._eye = np.eye(self.dimension)
 
     def _rows(self, X):
-        return X - self.gamma * self.inner._evaluate_rows(X)
+        return X - self.gamma * self.inner._rows(X)
+
+    def _evaluate_rows(self, X):
+        Y = self._rows(X)
+        if not _all_finite(Y):
+            self.inner._evaluate_rows(X)
+            raise self._nonfinite(X, Y)
+        return Y
 
     jacobian_analytic = _one_row_jacobian
 
@@ -443,13 +461,27 @@ class Iterate(Field):
         # the walk has checked every step, and raises tagged with its index
         return next(_walk_rows(self, X, 1, strict=True))[1]
 
-    def jacobian_analytic(self, x):
+    _rows = _evaluate_rows
+
+    jacobian_analytic = _one_row_jacobian
+
+    def _analytic_rows(self, X):
+        """The chain Jacobians of one walk of every row of X.  A dropped row
+        raised what its own walk raises, kept by the walk, so each leaf is
+        called as often as walking the rows one at a time calls it.  A
+        missing analytic form shows at the first step, before any row left:
+        whether a leaf has one does not depend on the point."""
+        dropped = {}
         try:
-            ((_, _, J),) = _walk_rows(self, x[None, :], 1, jacobians=True, base=Analytic(),
-                                      strict=True)
-        except JacobianMethodError:
-            return None
-        return J[0]
+            ((live, _, J),) = _walk_rows(self, X, 1, jacobians=True, base=Analytic(),
+                                         dropped=dropped)
+        except JacobianMethodError as missing:
+            return None, missing.errors
+        if len(live) < X.shape[0]:
+            full = np.zeros((X.shape[0], *J.shape[1:]))
+            full[live] = J
+            J = full
+        return J, dropped
 
     def _affine_form(self):
         inner = self.inner._affine_form()
@@ -814,13 +846,16 @@ def raise_dropped(field: Field, points, live, k_max: int, jacobians: bool = Fals
 
 
 def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
-               base: Analytic | CentralDifference | None = None, strict: bool = False):
+               base: Analytic | CentralDifference | None = None, strict: bool = False,
+               dropped: dict | None = None):
     """walk_rows on checked points.  The one place that decides what a
     failing row does: it leaves the walk, or with ``strict`` (one-row walks
     and Iterate values) raises its error, a value's tagged with the step of
-    V.  A step's Jacobians are one ``_jacobian_rows`` batch of V: stacked
-    per batch through composites and per point at leaves.  Each step of F
-    silences numpy's overflow warnings once, and never across a yield."""
+    V.  A row that leaves puts the error its own one-row walk raises into
+    ``dropped``, when given, by its row of X.  A step's Jacobians are one
+    ``_jacobian_rows`` batch of V: stacked per batch through composites and
+    per point at leaves.  Each step of F silences numpy's overflow warnings
+    once, and never across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
     live = np.arange(X.shape[0])
@@ -836,8 +871,9 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                     break
                 # V^(i-1)(x) is computed only where its Jacobian is needed
                 if not jacobians or i > 1:
-                    X, keep = _advance_rows(inner, X, i - 1 if jacobians else i, total, strict)
-                    if keep is not None:
+                    X, errors = _advance_rows(inner, X, i - 1 if jacobians else i, total, strict)
+                    if errors:
+                        keep = _leave(live, errors, dropped)
                         live, X = live[keep], X[keep]
                         if jacobians:
                             step, prefix = step[keep], prefix[keep]
@@ -853,34 +889,51 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                 bad = ~np.isfinite(prefix).all(axis=(1, 2))
                 if stride > 1:
                     bad |= ~np.isfinite(step).all(axis=(1, 2))
-                if strict and bad.any():
-                    raise NonFiniteValueError(
-                        f"chain Jacobian of {inner.describe()} is non-finite at iterate "
-                        f"{i} of {total}", iterate_index=i)
-                bad[list(errors)] = True
-                keep = ~bad
+                bad[list(errors)] = False
+                errors.update((int(r), NonFiniteValueError(
+                    f"chain Jacobian of {inner.describe()} is non-finite at iterate "
+                    f"{i} of {total}", iterate_index=i)) for r in np.flatnonzero(bad))
+                if strict:
+                    raise next(iter(errors.values()))
+                keep = _leave(live, errors, dropped)
                 live, X, step, prefix = live[keep], X[keep], step[keep], prefix[keep]
         yield (live, step, prefix) if jacobians else (live, X)
 
 
+def _leave(live: np.ndarray, errors: dict, dropped: dict | None) -> np.ndarray:
+    """The rows a walk keeps, as a mask over ``live``, when the rows in
+    ``errors`` (by position in ``live``) leave it; their errors go into
+    ``dropped``, by original row, when it is given."""
+    keep = np.ones(len(live), dtype=bool)
+    keep[list(errors)] = False
+    if dropped is not None:
+        dropped.update((int(live[r]), err) for r, err in errors.items())
+    return keep
+
+
+def _tagged(err: NonFiniteValueError, i: int, total: int) -> NonFiniteValueError:
+    """A value's error as a walk raises it at step i of total: tagged with
+    i, unless a walk inside V tagged it already."""
+    if err.iterate_index is not None:
+        return err
+    tagged = NonFiniteValueError(f"{err} (at iterate {i} of {total})", iterate_index=i)
+    tagged.__cause__ = err
+    return tagged
+
+
 def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
-    """Step i of a walk: (V at every row, the rows to keep or None when all
-    stay).  When the batch raises, ``_split_rows`` finds the rows that
-    raise alone, and they are dropped; with ``strict`` the error raises
-    instead, tagged with i."""
+    """Step i of a walk: (V at every row, the error of each row that raises
+    alone, tagged with i, by row).  When the batch raises,
+    ``_split_rows`` finds the rows that raise alone; with ``strict`` the
+    batch's error raises instead, tagged with i."""
     try:
-        return inner._evaluate_rows(X), None
+        return inner._evaluate_rows(X), {}
     except NonFiniteValueError as raised:
         if strict:
-            if raised.iterate_index is None:
-                raise NonFiniteValueError(
-                    f"{raised} (at iterate {i} of {total})", iterate_index=i) from raised
-            raise
+            raise _tagged(raised, i, total)
         err = raised
     Y, errors = _split_rows(inner._evaluate_rows, X, err)
-    keep = np.ones(X.shape[0], dtype=bool)
-    keep[list(errors)] = False
-    return Y, keep
+    return Y, {r: _tagged(e, i, total) for r, e in errors.items()}
 
 
 def jacobian(field: Field, x, method=None) -> np.ndarray:

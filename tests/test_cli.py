@@ -276,6 +276,14 @@ def _scan_field(obj):
     return ["scan", "--field", json.dumps(obj), "--k-max", "2"]
 
 
+def _nested_scales(depth):
+    """LINEAR_FIELD inside ``depth`` nested scale fields."""
+    field = LINEAR_FIELD
+    for _ in range(depth):
+        field = {"variant": "scale", "c": 1, "inner": field}
+    return field
+
+
 class TestBoundaryRefusals:
     """Arguments and configs the library refuses exit 2 with one error line,
     instead of a traceback (exit 1) or a pass that checked nothing."""
@@ -335,6 +343,7 @@ class TestBoundaryRefusals:
         *[(["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
             "--beta", "3", "--threshold", t], "threshold must be finite and >= 0")
           for t in ("nan", "inf", "-1")],
+        (_scan_field(_nested_scales(700)), "field definition nested deeper than 100 levels"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":
@@ -357,15 +366,21 @@ class TestBoundaryRefusals:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), err
 
-    def test_any_other_exception_exits_two_with_its_traceback(self, capsys):
-        # 700 nested scale fields exhaust the interpreter's recursion limit:
-        # a failure, neither a refusal nor a verdict
-        field = LINEAR_FIELD
-        for _ in range(700):
-            field = {"variant": "scale", "c": 1, "inner": field}
-        assert main(_scan_field(field)) == 2
+    def test_any_other_exception_exits_two_with_its_traceback(self, capsys, monkeypatch):
+        # an exception that is not the library's is a failure, neither a
+        # refusal nor a verdict
+        def scan_k(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(iterfield.conservatism, "scan_k", scan_k)
+        assert main(_scan_field(LINEAR_FIELD)) == 2
         err = capsys.readouterr().err
         assert "Traceback" in err and "RecursionError" in err
+
+    def test_field_nesting_up_to_the_limit_is_accepted(self, capsys):
+        assert main(_scan_field(_nested_scales(99))) == 0
+        assert main(_scan_field(_nested_scales(100))) == 2
+        assert "nested deeper than 100 levels" in capsys.readouterr().err
 
     def test_every_library_exception_is_an_iterfield_error(self):
         classes = []

@@ -142,12 +142,29 @@ class TestRunFedavg:
             np.testing.assert_allclose(trace.xs[t], 0.25 ** t * np.ones(2), atol=1e-14)
 
     def test_eta_one_matches_model_average(self):
-        # run_fedavg verifies this internally every round at 1e-12; reaching
-        # the end without a RuntimeError is the assertion
+        # run_fedavg verifies this internally at 1e-12, once over every
+        # round; reaching the end without a RuntimeError is the assertion
         config = fa.FedAvgConfig(hetero_clients(), gamma=0.5, eta=1.0, k=2,
                                  rounds=25, x0=[4.0, 4.0])
         trace = fa.run_fedavg(config)
         assert trace.rounds_completed == 25
+
+    def test_eta_one_check_names_the_first_failing_round(self, monkeypatch):
+        # the growing run below agrees exactly for 9 rounds; rounds 9, 10
+        # and 11 disagree by 1.4e-16, 6.9e-17 and 1.4e-16 of the model
+        # average, and the run truncates at round 127, after the check's
+        # first failing round
+        monkeypatch.setattr(fa, "EQUIVALENCE_TOL", 1e-16)
+        config = fa.FedAvgConfig(hetero_clients(), gamma=3.0, eta=1.0, k=3,
+                                 rounds=2000, x0=[0.5, -0.75])
+        with pytest.raises(RuntimeError, match=r"^delta update and model average "
+                                               r"disagree by 5\.369e\+08 at round 9$"):
+            fa.run_fedavg(config)
+        # only eta = 1 runs are checked
+        monkeypatch.setattr(fa, "EQUIVALENCE_TOL", -1.0)
+        config = fa.FedAvgConfig(hetero_clients(), gamma=0.5, eta=0.5, k=2, rounds=10,
+                                 x0=[4.0, 4.0])
+        assert fa.run_fedavg(config).rounds_completed == 10
 
     def test_eta_one_check_on_growing_run(self):
         # gamma = 3 expands both local maps, so the iterates grow about

@@ -8,7 +8,7 @@ from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, Cha
                               GdMap, Iterate, JacobianMethodError, Linear,
                               NonFiniteValueError, PolyExact, Rotation2D, Scale,
                               ScalarMap, Sum, asymmetry, compose, evaluate, gd_map,
-                              identity_field, jacobian)
+                              identity_field, jacobian, raise_dropped, walk_orbit, walk_rows)
 from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
 
@@ -201,6 +201,47 @@ class TestGdMap:
     def test_geometric_contraction(self):
         field = Iterate(gd_map(Linear(np.eye(2)), 0.5), 3)
         np.testing.assert_allclose(field([8.0, 0.0]), [1.0, 0.0], atol=1e-15)
+
+    @staticmethod
+    def _past_five(value):
+        """G(x) = -x, so that a unit step doubles x, until |x| passes 5,
+        where G gives ``value`` or raises it."""
+        def fn(x):
+            if abs(x[0]) <= 5:
+                return -x
+            if isinstance(value, type):
+                raise value("math range error")
+            return np.full(1, value)
+
+        return fn
+
+    @pytest.mark.parametrize("leaf, x0, message, index", [
+        (Callback(_past_five(np.inf), 1, name="inf"), [1.0],
+         "callback(inf) produced a non-finite value at x=[8.0] (at iterate 4 of 5)", 4),
+        (Callback(_past_five(np.nan), 1, name="nan"), [1.0],
+         "callback(nan) produced a non-finite value at x=[8.0] (at iterate 4 of 5)", 4),
+        (Callback(_past_five(OverflowError), 1, name="raise"), [1.0],
+         "callback(raise) overflowed at x=[8.0] (at iterate 4 of 5)", 4),
+        (glm_gradient(GlmSpec([[1.0]], "exp")), [800.0],
+         "glm(exp, m=1, n=1) overflowed at x=[800.0] (at iterate 1 of 5)", 1),
+        # G is finite here, the step is not: the step names itself
+        (Linear([[-1.0]]), [1e308], "gd(gamma=1.0, linear([[-1.0]])) produced a non-finite "
+         "value at x=[1e+308] (at iterate 1 of 5)", 1),
+    ])
+    def test_a_walk_raises_the_innermost_failing_fields_message(self, leaf, x0, message, index):
+        # the step checks its own rows once; a failing step evaluates G
+        # again with its checks, so the leaf that failed names itself
+        step = GdMap(leaf, 1.0)
+        X = [[0.0], x0]
+        *_, (live, _) = walk_rows(step, X, 5)
+        assert live.tolist() == [0]
+        raised = []
+        for walk in (lambda: list(walk_orbit(step, x0, 5)), lambda: Iterate(step, 5)(x0),
+                     lambda: raise_dropped(step, X, live, 5)):
+            with pytest.raises(NonFiniteValueError) as err:
+                walk()
+            raised.append((str(err.value), err.value.iterate_index))
+        assert raised == [(message, index)] * 3
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):

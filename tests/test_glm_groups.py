@@ -3,7 +3,8 @@
 direction count as one stacked orbit, and must give, bit for bit, what
 walking every client alone gives.  The reference here is that per-client
 loop: each walking client evaluated alone through its public call, in
-index order, and the oracle descending the server field's own Sum."""
+index order, each round checked against the model average as it ends, and
+the oracle descending the server field's own Sum."""
 
 import math
 
@@ -35,7 +36,9 @@ class CallbackClient:
 def reference_run(config):
     """(xs, server values, note, fixed point, method) with every walking
     client evaluated alone, in index order, and quadratic clients lowered
-    and stacked as ``run_fedavg`` does."""
+    and stacked as ``run_fedavg`` does.  With eta = 1 each round is checked
+    against the plain model average as it ends, raising RuntimeError at the
+    first round that disagrees."""
     clients, gamma, k = config.clients, config.gamma, config.k
     m, n = len(clients), config.x0.shape[0]
     lowered, walks = {}, []
@@ -74,6 +77,12 @@ def reference_run(config):
             x_next = x - config.eta * v
             if not np.isfinite(x_next).all():
                 raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
+            if config.eta == 1.0:
+                avg = ys.cumsum(axis=0)[-1] / m
+                gap = float(np.abs(x_next - avg).max())
+                if gap > fa.EQUIVALENCE_TOL * max(1.0, float(np.abs(avg).max())):
+                    raise RuntimeError(
+                        f"delta update and model average disagree by {gap:.3e} at round {t}")
             x = x_next
         except NonFiniteValueError as err:
             note = f"trace truncated at round {t}: {err}"
@@ -210,8 +219,15 @@ class TestGroupsEqualClientsAlone:
     @SETTINGS
     @given(client_sets())
     def test_trace_and_fixed_points(self, config):
+        try:
+            xs, values, note, point, method = reference_run(config)
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError) as raised:
+                fa.run_fedavg(config)
+            assert str(raised.value) == str(err)
+            return
         trace = fa.run_fedavg(config)
-        xs, values, note, point, method = reference_run(config)
+        assert trace.rounds_completed == len(xs) - 1
         assert trace.xs.tobytes() == xs.tobytes()
         assert trace.server_values.tobytes() == values.tobytes()
         assert trace.note == note

@@ -4,7 +4,8 @@ and message for message, what a per-point recursion through the parts
 gives.  The reference here recurses as a composite's analytic Jacobian is
 defined, one point at a time: J(gd) = I - gamma J(inner), J(scale) =
 c J(inner), J(sum) = sum of w J(part) in order, J(outer o inner) =
-J(outer)(inner(x)) @ J(inner)(x), stopping at the first part that raises
+J(outer)(inner(x)) @ J(inner)(x), J(V^k) = the chain product of V's
+Jacobians along the orbit of x, stopping at the first part that raises
 or has no analytic form; the step then names the field it was asked of
 when a part overflows, and differences the whole field when a part has
 no analytic form."""
@@ -15,17 +16,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, Compose, GdMap,
-                              JacobianMethodError, Linear, NonFiniteValueError, PolyExact,
-                              Scale, Sum, _finite_difference_jacobian, jacobian, raise_dropped,
-                              walk_rows)
+                              Iterate, JacobianMethodError, Linear, NonFiniteValueError,
+                              PolyExact, Scale, Sum, _finite_difference_jacobian, jacobian,
+                              raise_dropped, walk_rows)
 from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, parse_poly
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
 
+def tagged(err, i, total):
+    """A value's error as a walk raises it at step i of total."""
+    if err.iterate_index is not None:
+        return err
+    return NonFiniteValueError(f"{err} (at iterate {i} of {total})", iterate_index=i)
+
+
+def reference_iterate(field, x):
+    """J(V^k) at x, one step of V after another along the orbit of x, as
+    a one-point walk raises: a value's error tagged with its step, an
+    overflowing step Jacobian naming V, a non-finite chain product."""
+    inner, k = field.inner, field.k
+    point, prefix = x, None
+    for i in range(1, k + 1):
+        if i > 1:
+            try:
+                point = inner._evaluate_rows(point[None, :])[0]
+            except NonFiniteValueError as err:
+                raise tagged(err, i - 1, k) from err
+        try:
+            J = reference_analytic(inner, point)
+        except OverflowError as err:
+            raise NonFiniteValueError(
+                f"Jacobian of {inner.describe()} overflowed at x={point.tolist()}") from err
+        if J is None:
+            return None
+        prefix = J if prefix is None else J @ prefix
+        if not np.isfinite(prefix).all():
+            raise NonFiniteValueError(f"chain Jacobian of {inner.describe()} is non-finite at "
+                                      f"iterate {i} of {k}", iterate_index=i)
+    return prefix
+
+
 def reference_analytic(field, x):
     """The analytic Jacobian at x, recursing per point through composites."""
+    if isinstance(field, Iterate):
+        return reference_iterate(field, x)
     if isinstance(field, (GdMap, Scale)):
         J = reference_analytic(field.inner, x)
         if J is None:
@@ -76,7 +112,7 @@ def reference_jacobian(field, x, method):
 def reference_walk(field, x, k_max):
     """(steps, prefixes, error) of the one-point Jacobian walk of x: each
     step's Jacobian and the running chain product, up to the first error,
-    worded as the walker raises it."""
+    as (message, iterate index) worded as the walker raises it."""
     steps, prefixes, point, prefix = [], [], x, None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, k_max + 1):
@@ -84,26 +120,27 @@ def reference_walk(field, x, k_max):
                 try:
                     point = field._evaluate_rows(point[None, :])[0]
                 except NonFiniteValueError as err:
-                    return steps, prefixes, f"{err} (at iterate {i - 1} of {k_max})"
+                    err = tagged(err, i - 1, k_max)
+                    return steps, prefixes, (str(err), err.iterate_index)
             try:
                 J = reference_step(field, point, None)
             except NonFiniteValueError as err:
-                return steps, prefixes, str(err)
+                return steps, prefixes, (str(err), err.iterate_index)
             prefix = J if prefix is None else J @ prefix
             if not np.isfinite(prefix).all():
                 return steps, prefixes, (f"chain Jacobian of {field.describe()} is non-finite "
-                                         f"at iterate {i} of {k_max}")
+                                         f"at iterate {i} of {k_max}", i)
             steps.append(J)
             prefixes.append(prefix)
     return steps, prefixes, None
 
 
 def outcome(fn, *args):
-    """("ok", value) or (exception type, message)."""
+    """("ok", value) or (exception type, message, iterate index)."""
     try:
         return "ok", fn(*args)
     except (NonFiniteValueError, JacobianMethodError, OverflowError) as err:
-        return type(err), str(err)
+        return type(err), str(err), getattr(err, "iterate_index", None)
 
 
 def same(a, b):
@@ -128,8 +165,8 @@ def counted(leaf, calls):
 
 @st.composite
 def trees(draw):
-    """(field, points, k_max, calls): a tree of descent maps, scales, sums and
-    compositions over model gradients, Linear, Affine, polynomial and
+    """(field, points, k_max, calls): a tree of descent maps, scales, sums,
+    compositions and, below the root, iterates (k <= 3) over model gradients, Linear, Affine, polynomial and
     no-Jacobian callback leaves on R^n, and 1-6 points of which every
     other one lies far out: where exp gradients overflow, or where
     polynomial values overflow and their Jacobians do not.  calls[0]
@@ -159,10 +196,13 @@ def trees(draw):
         A, fn = matrix(), draw(st.sampled_from((np.tanh, np.exp)))
         return Callback(lambda x, A=A: fn(A @ x), n, name=fn.__name__)
 
-    def tree(depth):
+    def tree(depth, root=False):
         if depth == 0 or draw(st.integers(0, 3)) == 0:
             return counted(leaf(), calls)
-        kind = draw(st.sampled_from(("gd", "scale", "sum", "compose")))
+        kind = draw(st.sampled_from(("gd", "scale", "sum", "compose")
+                                    + (() if root else ("iterate",))))
+        if kind == "iterate":
+            return Iterate(tree(depth - 1), draw(st.integers(1, 3)))
         if kind == "gd":
             return GdMap(tree(depth - 1), draw(st.sampled_from((0.1, 0.4))))
         if kind == "scale":
@@ -172,7 +212,7 @@ def trees(draw):
             return Sum(parts, [draw(st.sampled_from((0.5, -1.0, 3.0))) for _ in parts])
         return Compose(tree(depth - 1), tree(depth - 1))
 
-    field = tree(3)
+    field = tree(3, root=True)
     points = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
                                              min_size=n, max_size=n), min_size=1, max_size=6)))
     points[1::2] *= draw(st.sampled_from((3.0, 300.0, 1e160)))
@@ -198,7 +238,7 @@ class TestBatchedJacobians:
         try:
             raise_dropped(field, X, live, k_max, jacobians=True)
         except NonFiniteValueError as err:
-            assert dropped and str(err) == dropped[0]
+            assert dropped and (str(err), err.iterate_index) == dropped[0]
         else:
             assert not dropped
 
@@ -228,6 +268,24 @@ class TestBatchedJacobians:
                 jacobian(field, far, method)
         with pytest.raises(JacobianMethodError, match="has no analytic Jacobian"):
             jacobian(field, near, Analytic())
+        assert np.array_equal(jacobian(field, near), reference_jacobian(field, near, None))
+        live, step, _ = next(walk_rows(field, [near, far, near], 1, jacobians=True))
+        assert live.tolist() == [0, 2] and np.array_equal(step[0], step[1])
+
+    def test_an_iterate_keeps_the_rows_that_raised_before_its_missing_form(self):
+        # inside the iterate, the first part's Jacobian overflows at the far
+        # point, where its value is finite, before the second part shows
+        # that the sum has no analytic form: that row keeps the iterate's
+        # error and leaves the walk, the others are differenced
+        def jac(x):
+            if abs(x[0]) > 100:
+                raise OverflowError("math range error")
+            return np.diag(1.0 - np.tanh(x) ** 2)
+
+        field = Scale(1.0, Iterate(Sum([Callback(np.tanh, 2, jac), Callback(np.tanh, 2)]), 2))
+        far, near = np.array([800.0, 0.0]), np.array([0.5, -0.5])
+        with pytest.raises(NonFiniteValueError, match=r"^Jacobian of sum\(.* overflowed"):
+            jacobian(field, far)
         assert np.array_equal(jacobian(field, near), reference_jacobian(field, near, None))
         live, step, _ = next(walk_rows(field, [near, far, near], 1, jacobians=True))
         assert live.tolist() == [0, 2] and np.array_equal(step[0], step[1])
