@@ -446,13 +446,16 @@ def _lowered(form):
 
 
 def _check_model_average(xs: np.ndarray, models: np.ndarray):
-    """Raise at the first round t whose x_(t+1), row t of xs, is not the
-    average of round t's models, row t of the (T, m, n) stack, to 1e-12
-    times max(1, |average|_inf).  The cumsum adds the clients in order, as
-    a round's own cumsum does, so each average has that round's bits."""
+    """Raise at the first round t whose x_(t+1), row t + 1 of the (T + 1, n)
+    iterates xs, is not the average of round t's models, row t of the
+    (T, m, n) stack, to 1e-12 times max(1, |average|_inf, |x_t|_inf): the
+    delta update's x_t - (x_t - y) keeps only the digits of y at and above
+    x_t's last place.  The cumsum adds the clients in order, as a round's
+    own cumsum does, so each average has that round's bits."""
     avg = models.cumsum(axis=1)[:, -1] / models.shape[1]
-    gap = np.abs(xs - avg).max(axis=1)
-    bad = np.flatnonzero(gap > EQUIVALENCE_TOL * np.maximum(1.0, np.abs(avg).max(axis=1)))
+    gap = np.abs(xs[1:] - avg).max(axis=1)
+    scale = np.maximum(np.abs(avg).max(axis=1), np.abs(xs[:-1]).max(axis=1))
+    bad = np.flatnonzero(gap > EQUIVALENCE_TOL * np.maximum(1.0, scale))
     if bad.size:
         t = int(bad[0])
         raise RuntimeError(
@@ -489,11 +492,12 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     client that fails raises its own error; the trace is the one walking
     every client alone gives.  With eta = 1 the run is verified against the
     plain model-average recursion, which the delta update must reproduce
-    to 1e-12 times max(1, |model average|_inf): once per run, after the
-    rounds, over every completed round's kept models, raising at the first
-    round that disagrees (``_check_model_average``).  A non-finite model or
-    iterate truncates the trace with a diagnostic instead of poisoning it,
-    and numpy's overflow warnings are off for the whole run.
+    to 1e-12 times max(1, |model average|_inf, |x_t|_inf): once per run,
+    after the rounds, over every completed round's kept models, raising at
+    the first round that disagrees (``_check_model_average``).  A
+    non-finite model or iterate truncates the trace with a diagnostic
+    instead of poisoning it, and numpy's overflow warnings are off for the
+    whole run.
     The fixed point's affine solve reads the same exact forms.  The
     surrogate is evaluated in one call over the distinct iterates and the
     fixed point.
@@ -560,7 +564,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     finally:
         # also when a round raised: an earlier round that disagrees comes first
         if config.eta == 1.0 and round_models:
-            _check_model_average(np.array(xs[1:]), np.array(round_models))
+            _check_model_average(np.array(xs), np.array(round_models))
     trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, n)),
                         note=note)
 

@@ -56,7 +56,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise NonFiniteValueError(f"point has non-finite entries: {v}")
     return v
 
@@ -181,23 +181,25 @@ class Field:
         """(J, raised): ``jacobian_analytic`` at every row of X, stacked
         (N, n, n), or J None when the field has no analytic form, and the
         OverflowError or NonFiniteValueError of each row that raised one, by
-        row (its row of J holds no Jacobian).  A leaf looks its method up once per
-        batch and calls it once per row; a composite builds its stack from
-        its parts' stacks, each part at the rows no earlier part raised at."""
-        analytic = self.jacobian_analytic
-        J = np.zeros((X.shape[0], self.dimension, self.dimension))
-        raised, missing = {}, False
+        row (its row of J is zero).  A leaf looks its method up once per
+        batch, calls it once per row (also after a row gave None) and
+        builds the float stack once from the rows it collected; a composite
+        builds its stack from its parts' stacks, each part at the rows no
+        earlier part raised at."""
+        analytic, shape = self.jacobian_analytic, (self.dimension, self.dimension)
+        rows, raised, missing = [], {}, False
         for r, x in enumerate(X):
             try:
                 Jr = analytic(x)
             except (OverflowError, NonFiniteValueError) as err:
                 raised[r] = err
-                continue
+                Jr = np.zeros(shape)
             if Jr is None:
                 missing = True
-            else:
-                J[r] = Jr
-        return (None if missing else J), raised
+            rows.append(Jr)
+        if missing:
+            return None, raised
+        return (np.array(rows, dtype=float) if rows else np.zeros((0, *shape))), raised
 
     def _jacobian_rows(self, X: np.ndarray, base):
         """(J, errors): the step Jacobian at every row of X, stacked
@@ -443,7 +445,10 @@ class Iterate(Field):
     """The k-fold self-composition of a field.
 
     Nested iterates normalize multiplicatively: Iterate(Iterate(V, a), b)
-    stores Iterate(V, a*b).
+    stores Iterate(V, a*b).  A value takes the k steps of V through the
+    walker's strict step (``_advance_rows``), so a failing step raises
+    tagged with its index, as ``walk_orbit`` raises it; the public call or
+    walk that leads here has silenced numpy's overflow warnings.
     """
 
     def __init__(self, inner: Field, k: int):
@@ -458,8 +463,11 @@ class Iterate(Field):
         self.dimension = inner.dimension
 
     def _evaluate_rows(self, X):
-        # the walk has checked every step, and raises tagged with its index
-        return next(_walk_rows(self, X, 1, strict=True))[1]
+        # an empty batch calls nothing, as a walk with no row left
+        if X.shape[0]:
+            for i in range(1, self.k + 1):
+                X = _advance_rows(self.inner, X, i, self.k, True)[0]
+        return X
 
     _rows = _evaluate_rows
 
@@ -849,9 +857,9 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                base: Analytic | CentralDifference | None = None, strict: bool = False,
                dropped: dict | None = None):
     """walk_rows on checked points.  The one place that decides what a
-    failing row does: it leaves the walk, or with ``strict`` (one-row walks
-    and Iterate values) raises its error, a value's tagged with the step of
-    V.  A row that leaves puts the error its own one-row walk raises into
+    failing row does: it leaves the walk, or with ``strict`` (one-row walks;
+    an Iterate value takes the same strict step) raises its error, a
+    value's tagged with the step of V.  A row that leaves puts the error its own one-row walk raises into
     ``dropped``, when given, by its row of X.  A step's Jacobians are one
     ``_jacobian_rows`` batch of V: stacked per batch through composites and
     per point at leaves.  Each step of F silences numpy's overflow warnings
@@ -922,8 +930,8 @@ def _tagged(err: NonFiniteValueError, i: int, total: int) -> NonFiniteValueError
 
 
 def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
-    """Step i of a walk: (V at every row, the error of each row that raises
-    alone, tagged with i, by row).  When the batch raises,
+    """Step i of a walk or of an Iterate value: (V at every row, the error
+    of each row that raises alone, tagged with i, by row).  When the batch raises,
     ``_split_rows`` finds the rows that raise alone; with ``strict`` the
     batch's error raises instead, tagged with i."""
     try:

@@ -327,10 +327,16 @@ class GlmGradient(GlmGradientStack):
         self.spec = spec
 
     def jacobian_analytic(self, x):
+        """sum_i sigma''(<x, z_i>) z_i z_i^T, the inner products from one
+        ``ndarray.dot``: the BLAS product ``@`` takes, without its dispatch.
+        The two differ only at n = 1, and only in the sign of a zero
+        product; sigma'' takes one value at -0 and +0 unless its formula
+        tests the sign of a zero, and a zero weight adds +0 to the sum,
+        which starts from +0."""
         second = self.spec.activation.second
         if second is None:
             return None
-        return _combine_outer(self.spec, [second(t) for t in _inner_products(self.spec, x)])
+        return _combine_outer(self.spec, list(map(second, self.spec.directions.dot(x).tolist())))
 
     def describe(self):
         return self.spec.describe()

@@ -27,14 +27,42 @@ class ConfigError(IterfieldError, ValueError):
     """Malformed configuration: bad JSON, unknown names, missing keys."""
 
 
+# Deeper than any config needs: a field definition MAX_FIELD_DEPTH = 100
+# levels deep nests at most 201 JSON levels (a chain of sums around a
+# matrix leaf).  The recursive walks over a loaded document
+# (``jsonable`` takes two frames a level) stay far inside Python's default
+# recursion limit.
+MAX_JSON_DEPTH = 256
+
+
+def _nesting(obj) -> int:
+    """How many levels of lists and objects obj nests, found without
+    recursion; 0 for a scalar."""
+    deepest, stack = 0, [(obj, 1)]
+    while stack:
+        item, depth = stack.pop()
+        if isinstance(item, dict):
+            item = item.values()
+        elif not isinstance(item, list):
+            continue
+        deepest = max(deepest, depth)
+        stack.extend((v, depth + 1) for v in item)
+    return deepest
+
+
 def load_json_text(text: str, origin: str = "<config>"):
+    """The document in text; one nested deeper than ``MAX_JSON_DEPTH`` is
+    refused before anything reads it."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{origin}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
     except RecursionError as err:
         raise ConfigError(f"{origin}: JSON nested too deeply to parse") from err
+    if _nesting(obj) > MAX_JSON_DEPTH:
+        raise ConfigError(f"{origin}: JSON nested deeper than {MAX_JSON_DEPTH} levels")
+    return obj
 
 
 def load_json_file(path: str):

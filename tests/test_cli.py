@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import iterfield
+from iterfield import reports
 from iterfield.cli import main
 
 FED_CONFIG = {
@@ -236,6 +237,16 @@ class TestFedavg:
         config = write_config(tmp_path, bad)
         assert main(["fedavg", "--config", config, "--outdir", str(tmp_path)]) == 2
 
+    def test_eta_one_run_far_from_the_model_average_exits_zero(self, tmp_path):
+        # x_t - (x_t - y) keeps y only to x_t's last place, 1.2e-10 near 1e6:
+        # the first round's update and model average differ by 4.7e-11,
+        # inside 1e-12 of |x_0|
+        config = write_config(tmp_path, {
+            "schema_version": 1, "gamma": 1.0, "eta": 1.0, "k": 1, "rounds": 3,
+            "clients": [{"kind": "quadratic", "matrix": [[1.0]], "center": [0.3]}],
+            "x0": [1000000.1]})
+        assert main(["fedavg", "--config", config, "--outdir", str(tmp_path / "run")]) == 0
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["fedavg", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -282,6 +293,14 @@ def _nested_scales(depth):
     for _ in range(depth):
         field = {"variant": "scale", "c": 1, "inner": field}
     return field
+
+
+def _nested_lists(depth):
+    """0 inside ``depth`` nested lists."""
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 class TestBoundaryRefusals:
@@ -343,7 +362,12 @@ class TestBoundaryRefusals:
         *[(["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
             "--beta", "3", "--threshold", t], "threshold must be finite and >= 0")
           for t in ("nan", "inf", "-1")],
-        (_scan_field(_nested_scales(700)), "field definition nested deeper than 100 levels"),
+        (_scan_field(_nested_scales(150)), "field definition nested deeper than 100 levels"),
+        # an unknown key nested deeper than any config needs, in both ways a
+        # config enters
+        (_scan_field({**LINEAR_FIELD, "note": _nested_lists(700)}),
+         "JSON nested deeper than 256 levels"),
+        (_fedavg(note=_nested_lists(700)), "JSON nested deeper than 256 levels"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":
@@ -381,6 +405,17 @@ class TestBoundaryRefusals:
         assert main(_scan_field(_nested_scales(99))) == 0
         assert main(_scan_field(_nested_scales(100))) == 2
         assert "nested deeper than 100 levels" in capsys.readouterr().err
+
+    def test_json_depth_bound_admits_the_deepest_field(self, capsys):
+        # a chain of sums nests two JSON levels per field level: 100 field
+        # levels around a matrix leaf take 201, inside the bound
+        field = LINEAR_FIELD
+        for _ in range(99):
+            field = {"variant": "sum", "fields": [field]}
+        assert reports._nesting(field) == 201 <= reports.MAX_JSON_DEPTH
+        assert main(_scan_field(field)) == 0
+        assert main(_scan_field({"variant": "sum", "fields": [field]})) == 2
+        assert "field definition nested deeper than 100 levels" in capsys.readouterr().err
 
     def test_every_library_exception_is_an_iterfield_error(self):
         classes = []

@@ -166,6 +166,16 @@ class TestRunFedavg:
                                  x0=[4.0, 4.0])
         assert fa.run_fedavg(config).rounds_completed == 10
 
+    def test_eta_one_check_scales_with_the_iterate(self):
+        # round 0 starts at 1e6, where the update keeps the average only to
+        # 1.2e-10, and passes; round 1 starts at 0.3 and disagrees by 1e-9
+        xs = np.array([[1e6], [0.3 + 4.657e-11], [0.3]])
+        models = np.array([[[0.3]], [[0.3 + 1e-9]]])
+        with pytest.raises(RuntimeError, match=r"^delta update and model average "
+                                               r"disagree by 1\.000e-09 at round 1$"):
+            fa._check_model_average(xs, models)
+        fa._check_model_average(xs[:2], models[:1])
+
     def test_eta_one_check_on_growing_run(self):
         # gamma = 3 expands both local maps, so the iterates grow about
         # 256-fold per round; the delta update and the model average still

@@ -80,7 +80,8 @@ def reference_run(config):
             if config.eta == 1.0:
                 avg = ys.cumsum(axis=0)[-1] / m
                 gap = float(np.abs(x_next - avg).max())
-                if gap > fa.EQUIVALENCE_TOL * max(1.0, float(np.abs(avg).max())):
+                scale = max(1.0, float(np.abs(avg).max()), float(np.abs(x).max()))
+                if gap > fa.EQUIVALENCE_TOL * scale:
                     raise RuntimeError(
                         f"delta update and model average disagree by {gap:.3e} at round {t}")
             x = x_next
@@ -125,19 +126,20 @@ def outcome(fn):
 
 
 def run_counting_walks(monkeypatch, config):
-    """``run_fedavg(config)`` and the number of orbit walks it made."""
+    """``run_fedavg(config)`` and the number of orbit walks it made: one
+    per evaluation of an ``Iterate``, which walks its steps itself."""
     walks = []
-    original = fields._walk_rows
+    original = fields.Iterate._evaluate_rows
 
-    def counting(*args, **kwargs):
-        walks.append(args[0])
-        return original(*args, **kwargs)
+    def counting(self, X):
+        walks.append(self)
+        return original(self, X)
 
-    monkeypatch.setattr(fields, "_walk_rows", counting)
+    monkeypatch.setattr(fields.Iterate, "_evaluate_rows", counting)
     try:
         trace = fa.run_fedavg(config)
     finally:
-        monkeypatch.setattr(fields, "_walk_rows", original)
+        monkeypatch.setattr(fields.Iterate, "_evaluate_rows", original)
     return trace, len(walks)
 
 
