@@ -249,7 +249,6 @@ def _cmd_fedavg(args) -> int:
     outdir = args.outdir
     csv_path = os.path.join(outdir, "fedavg_trace.csv")
     summary_path = os.path.join(outdir, "fedavg_summary.json")
-    write_trace_csv(csv_path, trace)
     resolved = dict(obj)
     resolved["seed"] = config.seed
     summary = {
@@ -274,6 +273,8 @@ def _cmd_fedavg(args) -> int:
         rate = fa.verify_rate(trace, config.alpha, config.beta, config.k, config.mode)
         summary["rate"] = rate.to_dict()
         code = 0 if rate.passed else VERIFIED_FAIL
+    # written only after the rate check, so a refused run leaves no file
+    write_trace_csv(csv_path, trace)
     write_json(summary_path, summary)
     print(csv_path)
     print(summary_path)

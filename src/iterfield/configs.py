@@ -33,6 +33,15 @@ def _need(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _integer(value, what: str) -> int:
+    """A count or seed as an int.  A boolean or a fractional number is
+    refused: truncating it would run another value than the one the
+    config, and its hash, names."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def glm_spec_from_obj(obj: dict) -> GlmSpec:
     name = _need(obj, "activation", "glm spec")
     try:
@@ -69,7 +78,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
         if variant == "affine":
             return Affine(_need(obj, "matrix", variant), _need(obj, "offset", variant))
         if variant == "rotation":
-            return Rotation2D(int(_need(obj, "j", variant)))
+            return Rotation2D(_integer(_need(obj, "j", variant), "rotation j"))
         if variant in ("glm", "glm_gradient"):
             return glm_gradient(glm_spec_from_obj(obj))
         if variant in ("gd", "gd_map"):
@@ -77,7 +86,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
                          float(_need(obj, "gamma", variant)))
         if variant == "iterate":
             return Iterate(field_from_obj(_need(obj, "inner", variant), depth + 1),
-                           int(_need(obj, "k", variant)))
+                           _integer(_need(obj, "k", variant), "iterate k"))
         if variant == "sum":
             fields = [field_from_obj(f, depth + 1) for f in _need(obj, "fields", variant)]
             return Sum(fields, obj.get("weights"))
@@ -89,7 +98,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
                            field_from_obj(_need(obj, "inner", variant), depth + 1))
         if variant == "poly":
             components = _need(obj, "components", variant)
-            nvars = int(obj.get("nvars", len(components)))
+            nvars = _integer(obj.get("nvars", len(components)), "poly nvars")
             return PolyExact(PolyField.from_texts(components, nvars))
         if variant == "coordwise":
             return CoordWise1D(coordwise_maps_from_names(_need(obj, "functions", variant)))
@@ -128,13 +137,14 @@ def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAv
     if rounds is None:
         raise ConfigError("run config: missing key 'rounds'")
     try:
-        seed = int(obj.get("seed", 0)) if seed_override is None else int(seed_override)
+        seed = (_integer(obj.get("seed", 0), "seed") if seed_override is None
+                else int(seed_override))
         return FedAvgConfig(
             clients=clients,
             gamma=float(_need(obj, "gamma", "run config")),
             eta=float(obj.get("eta", 1.0)),
-            k=int(_need(obj, "k", "run config")),
-            rounds=int(rounds),
+            k=_integer(_need(obj, "k", "run config"), "k"),
+            rounds=_integer(rounds, "rounds"),
             x0=_need(obj, "x0", "run config"),
             seed=seed,
             mode=obj.get("mode"),

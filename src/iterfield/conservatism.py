@@ -161,20 +161,19 @@ def check_poly(polyfield: PolyField, k: int, max_terms: int = DEFAULT_MAX_TERMS)
 def _orbit_residuals(field: Field, k_max: int, points: np.ndarray):
     """Per k = 1..k_max: worst residual, its witness (the first strict
     maximum, in point order) and the skip count, from one walk of all the
-    points.  A point whose walk fails at step j, or that is not finite, is
-    skipped for every k >= j."""
+    points.  A point whose walk fails at step j is skipped for every
+    k >= j; a point that is not finite is refused, by ``walk_rows``."""
     worst = [-1.0] * k_max
     witness = [None] * k_max
     skipped = [0] * k_max
-    rows = np.flatnonzero(np.isfinite(points).all(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = walk_rows(field, points[rows], k_max, jacobians=True)
+        walk = walk_rows(field, points, k_max, jacobians=True)
         for j, (live, _, prefix) in enumerate(walk):
             skipped[j] = len(points) - len(live)
             if len(live):
                 residuals = _asymmetry(prefix)
                 r = int(np.argmax(residuals))
-                worst[j], witness[j] = float(residuals[r]), points[rows[live[r]]]
+                worst[j], witness[j] = float(residuals[r]), points[live[r]]
     return worst, witness, skipped
 
 
@@ -200,8 +199,10 @@ def check_numeric(field: Field, k: int, samples=None,
     """Sampled Jacobian-symmetry residuals of the k-fold iterate.
 
     Non-finite evaluations skip the sample; at least half the samples
-    must survive.  Pass/fail compares the worst residual against the
-    threshold; failure records the witness point.
+    must survive.  An explicit sample point that is not finite is
+    refused, as every sampled check refuses it.  Pass/fail compares the
+    worst residual against the threshold; failure records the witness
+    point.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

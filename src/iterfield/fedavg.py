@@ -302,21 +302,20 @@ def _affine_server_parts(clients, gamma: float, k: int):
     return [[wn * p / den for p in row] for row in P], [-wn * x / den for x in r]
 
 
-def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
-                       tol: float = FIXED_POINT_TOL,
-                       max_iterations: int = FIXED_POINT_CAP):
+def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     """Zero of the server field.
 
     All-quadratic clients get the exact affine solve of M x = -v, posed as
     P x = r on ``_server_system``'s integers (the same equations scaled by
     d / w, so the same solution); anything else is refined iteratively with
     the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
-    until the field norm drops below tol.  Its rounds walk the clients
-    through ``run_fedavg``'s ``_walked_models``, grouped GLM clients as one
-    stacked orbit, and accumulate V_s as ``build_server_field_only``'s Sum
-    does, so the point is bit-equal to descending that Sum; a round's total
-    is checked once, and a round whose total is not finite is left to the
-    Sum, which raises the first failing client's error.
+    until the field norm drops below FIXED_POINT_TOL (``_descend``).  Its
+    rounds walk the clients through ``run_fedavg``'s ``_walked_models``,
+    grouped GLM clients as one stacked orbit, and accumulate V_s as
+    ``build_server_field_only``'s Sum does, so the point is bit-equal to
+    descending that Sum; a round's total is checked once, and a round
+    whose total is not finite is left to the Sum, which raises the first
+    failing client's error.
     Returns (point, method).
     """
     if all(isinstance(c, QuadraticClient) for c in clients):
@@ -350,24 +349,25 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None,
             return build_server_field_only(clients, gamma, k)(x)
         return total
 
-    return _descend(server_value, n, 1.0, x0, tol, max_iterations), "iterative"
+    return _descend(server_value, n, 1.0, x0), "iterative"
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _descend(value, dimension: int, step: float, x0=None, tol: float = FIXED_POINT_TOL,
-             max_iterations: int = FIXED_POINT_CAP) -> np.ndarray:
-    """Iterate x -> x - step * value(x) from x0 (default 0) until |value(x)| <= tol.
-    A norm past float range is inf, without numpy's overflow warning."""
+def _descend(value, dimension: int, step: float, x0=None) -> np.ndarray:
+    """Iterate x -> x - step * value(x) from x0 (default 0) until
+    |value(x)| <= FIXED_POINT_TOL, for at most FIXED_POINT_CAP steps.  A
+    norm past float range is inf, without numpy's overflow warning."""
     x = np.zeros(dimension) if x0 is None else as_vector(x0, dimension)
-    for _ in range(max_iterations):
+    for _ in range(FIXED_POINT_CAP):
         v = value(x)
-        if float(np.linalg.norm(v)) <= tol:
+        if float(np.linalg.norm(v)) <= FIXED_POINT_TOL:
             return x
         x = x - step * v
         if float(np.linalg.norm(x)) > 1e12:
             raise ConvergenceError("fixed-point iteration diverged")
     raise ConvergenceError(
-        f"fixed-point iteration did not reach {tol:g} within {max_iterations} steps")
+        f"fixed-point iteration did not reach {FIXED_POINT_TOL:g} "
+        f"within {FIXED_POINT_CAP} steps")
 
 
 def _oracle_eligible(clients) -> bool:

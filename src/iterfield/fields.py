@@ -445,10 +445,10 @@ class Iterate(Field):
     """The k-fold self-composition of a field.
 
     Nested iterates normalize multiplicatively: Iterate(Iterate(V, a), b)
-    stores Iterate(V, a*b).  A value takes the k steps of V through the
-    walker's strict step (``_advance_rows``), so a failing step raises
-    tagged with its index, as ``walk_orbit`` raises it; the public call or
-    walk that leads here has silenced numpy's overflow warnings.
+    stores Iterate(V, a*b).  A value takes the k steps of V as batches, and
+    a failing step raises for the whole batch, tagged with its index, as a
+    one-row walk records it; the public call or walk that leads here has
+    silenced numpy's overflow warnings.
     """
 
     def __init__(self, inner: Field, k: int):
@@ -466,7 +466,10 @@ class Iterate(Field):
         # an empty batch calls nothing, as a walk with no row left
         if X.shape[0]:
             for i in range(1, self.k + 1):
-                X = _advance_rows(self.inner, X, i, self.k, True)[0]
+                try:
+                    X = self.inner._evaluate_rows(X)
+                except NonFiniteValueError as err:
+                    raise _tagged(err, i, self.k)
         return X
 
     _rows = _evaluate_rows
@@ -481,8 +484,7 @@ class Iterate(Field):
         whether a leaf has one does not depend on the point."""
         dropped = {}
         try:
-            ((live, _, J),) = _walk_rows(self, X, 1, jacobians=True, base=Analytic(),
-                                         dropped=dropped)
+            ((live, _, J),) = _walk_rows(self, X, 1, dropped, jacobians=True, base=Analytic())
         except JacobianMethodError as missing:
             return None, missing.errors
         if len(live) < X.shape[0]:
@@ -796,74 +798,42 @@ def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None):
     return np.concatenate([Y0, Y1]), {**e0, **{h + r: e for r, e in e1.items()}}
 
 
-def walk_orbit(field: Field, x, k_max: int, jacobians: bool = False,
-               base: Analytic | CentralDifference | None = None):
-    """Walk the orbit x, F(x), ..., F^k_max(x) of a field F in one pass.
-
-    Iterate(V, m) is walked as m steps of V per step of F.  Yields F^j(x)
-    for j = 1..k_max, or with ``jacobians`` the pair (J(F) at F^(j-1)(x),
-    J(F^j)(x)), accumulated per step of V as ``step @ prefix``
-    (forward-mode chain accumulation).  Step Jacobians are analytic when
-    V has one, else central differences; ``base`` forces a method as in
-    ChainProduct.  A Jacobian walk never evaluates F^k_max(x).  A
-    non-finite value raises NonFiniteValueError with the 1-based step of
-    V; what was yielded before stays valid.  The one-row case of
-    ``walk_rows``.
-    """
-    steps = _walk_rows(field, as_vector(x, field.dimension)[None, :], k_max, jacobians, base,
-                       strict=True)
-    if jacobians:
-        return ((step[0], prefix[0]) for _, step, prefix in steps)
-    return (Y[0] for _, Y in steps)
-
-
 def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
-              base: Analytic | CentralDifference | None = None):
-    """Walk the orbits of every row of an (N, n) array of points together.
+              base: Analytic | CentralDifference | None = None, dropped: dict | None = None):
+    """Walk the orbits x, F(x), ..., F^k_max(x) of every row of an (N, n)
+    array of points together, in one pass.
 
-    Yields, for j = 1..k_max, ``(live, Y)`` with Y[r] = F^j of row live[r],
-    or with ``jacobians`` ``(live, step, prefix)``: the stacked pairs of
-    ``walk_orbit``.  ``live`` holds the indices of the rows still walking,
-    in order.  A row whose value or chain Jacobian is not finite leaves
-    ``live`` at the step where its own ``walk_orbit`` would have raised,
-    and stays out; ``raise_dropped`` raises that error.  Each step makes
-    one batched value evaluation, one stack of step Jacobians and one
-    stacked chain product.  Composites take the step Jacobians per batch,
-    from their parts' stacks; leaves take them per point, one leaf
-    Jacobian call per live row (as ``walk_orbit`` does).  A step whose
-    batched evaluation raises is evaluated again in halves, down to the
-    rows that fail alone, so it costs O(f log N) more evaluations for f
-    failing rows.
+    Iterate(V, m) is walked as m steps of V per step of F.  Yields, for
+    j = 1..k_max, ``(live, Y)`` with Y[r] = F^j of row live[r], or with
+    ``jacobians`` ``(live, step, prefix)``: the stacked pairs (J(F) at
+    F^(j-1)(x), J(F^j)(x)), accumulated per step of V as ``step @ prefix``
+    (forward-mode chain accumulation).  Step Jacobians are analytic when V
+    has one, else central differences; ``base`` forces a method as in
+    ChainProduct.  A Jacobian walk never evaluates F^k_max(x).  ``live``
+    holds the indices of the rows still walking, in order.  A row whose
+    value or chain Jacobian is not finite leaves ``live`` at that step and
+    stays out; its NonFiniteValueError, a value's tagged with the 1-based
+    step of V, goes into ``dropped``, when given, by row: what walking
+    that row alone records.  Each step makes one batched value evaluation,
+    one stack of step Jacobians and one stacked chain product.
+    Composites take the step Jacobians per batch, from their parts'
+    stacks; leaves take them per point, one leaf Jacobian call per live
+    row.  A step whose batched evaluation raises is evaluated again in
+    halves, down to the rows that fail alone, so it costs O(f log N) more
+    evaluations for f failing rows.
     """
-    return _walk_rows(field, as_points(points, field.dimension), k_max, jacobians, base)
+    return _walk_rows(field, as_points(points, field.dimension), k_max,
+                      {} if dropped is None else dropped, jacobians, base)
 
 
-def raise_dropped(field: Field, points, live, k_max: int, jacobians: bool = False):
-    """Raise the error of the first row a ``walk_rows`` walk dropped, from
-    that row's own ``walk_orbit``: what walking the rows one after another
-    would have raised.  Does nothing when every row stayed live."""
-    X = as_points(points, field.dimension)
-    if len(live) == X.shape[0]:
-        return
-    missing = np.flatnonzero(np.asarray(live) != np.arange(len(live)))
-    first = int(missing[0]) if missing.size else len(live)
-    for _ in walk_orbit(field, X[first], k_max, jacobians):
-        pass
-    raise NonFiniteValueError(f"the orbit of {X[first].tolist()} under {field.describe()} "
-                              "failed only when walked with other points")
-
-
-def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
-               base: Analytic | CentralDifference | None = None, strict: bool = False,
-               dropped: dict | None = None):
+def _walk_rows(field: Field, X: np.ndarray, k_max: int, dropped: dict,
+               jacobians: bool = False, base: Analytic | CentralDifference | None = None):
     """walk_rows on checked points.  The one place that decides what a
-    failing row does: it leaves the walk, or with ``strict`` (one-row walks;
-    an Iterate value takes the same strict step) raises its error, a
-    value's tagged with the step of V.  A row that leaves puts the error its own one-row walk raises into
-    ``dropped``, when given, by its row of X.  A step's Jacobians are one
-    ``_jacobian_rows`` batch of V: stacked per batch through composites and
-    per point at leaves.  Each step of F silences numpy's overflow warnings
-    once, and never across a yield."""
+    failing row does: it leaves the walk, and the error its own one-row
+    walk records goes into ``dropped`` by its row of X.  A step's
+    Jacobians are one ``_jacobian_rows`` batch of V: stacked per batch
+    through composites and per point at leaves.  Each step of F silences
+    numpy's overflow warnings once, and never across a yield."""
     inner, stride = (field.inner, field.k) if isinstance(field, Iterate) else (field, 1)
     total = stride * k_max
     live = np.arange(X.shape[0])
@@ -879,7 +849,7 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                     break
                 # V^(i-1)(x) is computed only where its Jacobian is needed
                 if not jacobians or i > 1:
-                    X, errors = _advance_rows(inner, X, i - 1 if jacobians else i, total, strict)
+                    X, errors = _advance_rows(inner, X, i - 1 if jacobians else i, total)
                     if errors:
                         keep = _leave(live, errors, dropped)
                         live, X = live[keep], X[keep]
@@ -888,8 +858,6 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                 if not jacobians:
                     continue
                 J, errors = inner._jacobian_rows(X, base)
-                if errors and strict:
-                    raise next(iter(errors.values()))
                 step = J if i == j * stride + 1 else J @ step
                 prefix = step if i <= stride else J @ prefix
                 if not errors and _all_finite(prefix) and (stride == 1 or _all_finite(step)):
@@ -901,21 +869,18 @@ def _walk_rows(field: Field, X: np.ndarray, k_max: int, jacobians: bool = False,
                 errors.update((int(r), NonFiniteValueError(
                     f"chain Jacobian of {inner.describe()} is non-finite at iterate "
                     f"{i} of {total}", iterate_index=i)) for r in np.flatnonzero(bad))
-                if strict:
-                    raise next(iter(errors.values()))
                 keep = _leave(live, errors, dropped)
                 live, X, step, prefix = live[keep], X[keep], step[keep], prefix[keep]
         yield (live, step, prefix) if jacobians else (live, X)
 
 
-def _leave(live: np.ndarray, errors: dict, dropped: dict | None) -> np.ndarray:
+def _leave(live: np.ndarray, errors: dict, dropped: dict) -> np.ndarray:
     """The rows a walk keeps, as a mask over ``live``, when the rows in
     ``errors`` (by position in ``live``) leave it; their errors go into
-    ``dropped``, by original row, when it is given."""
+    ``dropped``, by original row."""
     keep = np.ones(len(live), dtype=bool)
     keep[list(errors)] = False
-    if dropped is not None:
-        dropped.update((int(live[r]), err) for r, err in errors.items())
+    dropped.update((int(live[r]), err) for r, err in errors.items())
     return keep
 
 
@@ -929,18 +894,14 @@ def _tagged(err: NonFiniteValueError, i: int, total: int) -> NonFiniteValueError
     return tagged
 
 
-def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int, strict: bool):
-    """Step i of a walk or of an Iterate value: (V at every row, the error
-    of each row that raises alone, tagged with i, by row).  When the batch raises,
-    ``_split_rows`` finds the rows that raise alone; with ``strict`` the
-    batch's error raises instead, tagged with i."""
+def _advance_rows(inner: Field, X: np.ndarray, i: int, total: int):
+    """Step i of a walk: (V at every row, the error of each row that raises
+    alone, tagged with i, by row).  When the batch raises, ``_split_rows``
+    finds the rows that raise alone."""
     try:
         return inner._evaluate_rows(X), {}
-    except NonFiniteValueError as raised:
-        if strict:
-            raise _tagged(raised, i, total)
-        err = raised
-    Y, errors = _split_rows(inner._evaluate_rows, X, err)
+    except NonFiniteValueError as err:
+        Y, errors = _split_rows(inner._evaluate_rows, X, err)
     return Y, {r: _tagged(e, i, total) for r, e in errors.items()}
 
 
@@ -956,8 +917,11 @@ def jacobian(field: Field, x, method=None) -> np.ndarray:
         if isinstance(method, ChainProduct):
             if not isinstance(field, Iterate):
                 raise JacobianMethodError("chain-product Jacobians require an iterated field")
-            ((_, _, J),) = _walk_rows(field, x[None, :], 1, jacobians=True, base=method.base,
-                                      strict=True)
+            dropped = {}
+            ((_, _, J),) = _walk_rows(field, x[None, :], 1, dropped, jacobians=True,
+                                      base=method.base)
+            if dropped:
+                raise dropped[0]
             J = J[0]
         elif method is None or isinstance(method, (Analytic, CentralDifference)):
             J, errors = field._jacobian_rows(x[None, :], method)

@@ -200,9 +200,5 @@ def solve_linear(A, b) -> list[Fraction]:
     return [Fraction(aug[i][n], prev) for i in range(n)]
 
 
-def to_float_matrix(A) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in A], dtype=float)
-
-
 def to_float_vector(v) -> np.ndarray:
     return np.array([float(x) for x in v], dtype=float)

@@ -16,7 +16,7 @@ import numpy as np
 from . import IterfieldError
 from .conservatism import DEFAULT_THRESHOLD, _require_threshold, sample_points
 from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_points, as_vector,
-                     identity_field, jacobian, raise_dropped, walk_rows)
+                     identity_field, jacobian, walk_rows)
 
 ZERO_BAND = 1e-10
 PROPAGATION_TOL = 1e-8
@@ -161,8 +161,7 @@ class PropagationReport:
 
 
 def check_propagation(f_grad: Field, k: int, samples=None,
-                      threshold: float = DEFAULT_THRESHOLD,
-                      tol_factor: float = PROPAGATION_TOL) -> PropagationReport:
+                      threshold: float = DEFAULT_THRESHOLD) -> PropagationReport:
     """Verify that iterate spectra stay inside powered eigen-bounds.
 
     alpha_hat and beta_hat calibrate over every point the check touches:
@@ -171,7 +170,7 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     compare iterate spectra against bounds the single-step Jacobian never
     promised along the orbit.  For each j <= k the sampled spectrum of
     the j-fold iterate's Jacobian (a chain product along the orbit) must
-    lie in [alpha_hat^j, beta_hat^j] up to tol_factor * m^j, where
+    lie in [alpha_hat^j, beta_hat^j] up to PROPAGATION_TOL * m^j, where
     m = max(|alpha_hat|, |beta_hat|).  Uses the per-level exponent j; the
     report also records whether the looser exponent-k interval holds, so
     the statement-level bound stays visible without being silently
@@ -193,9 +192,10 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
     per_j_asym = [0.0] * (k + 1)
+    dropped = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = walk_rows(f_grad, points, k, jacobians=True)
-        for j, (live, step, prefix) in enumerate(walk, start=1):
+        walk = walk_rows(f_grad, points, k, jacobians=True, dropped=dropped)
+        for j, (_, step, prefix) in enumerate(walk, start=1):
             lows, highs = _eigen_intervals(step)
             step_low.append(lows)
             step_high.append(highs)
@@ -203,7 +203,8 @@ def check_propagation(f_grad: Field, k: int, samples=None,
             lows, highs = _eigen_intervals(prefix)
             per_j_low[j] = min([np.inf, *lows.tolist()])
             per_j_high[j] = max([-np.inf, *highs.tolist()])
-    raise_dropped(f_grad, points, live, k, jacobians=True)
+    if dropped:
+        raise dropped[min(dropped)]
     # the step spectra in point order, as a loop over the points meets them,
     # so that a tie between 0.0 and -0.0 resolves the same way
     alpha_hat = min([np.inf, *np.column_stack(step_low).ravel().tolist()])
@@ -216,7 +217,7 @@ def check_propagation(f_grad: Field, k: int, samples=None,
                 f"iterate {j} failed the sampled gradient check "
                 f"(residual {per_j_asym[j]:.3e})")
         lo, hi = per_j_low[j], per_j_high[j]
-        tol = tol_factor * m ** j
+        tol = PROPAGATION_TOL * m ** j
         if alpha_hat < 0:
             low_j, high_j, low_k, high_k = -m ** j, m ** j, -m ** k, m ** k
         else:
@@ -266,7 +267,7 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
                          claimed: str = "strongly-convex",
                          alpha: float | None = None, beta: float | None = None,
                          delta: float | None = None,
-                         critical_points=(), tol: float = PROPAGATION_TOL) -> GdPropagationReport:
+                         critical_points=()) -> GdPropagationReport:
     """Verify spectra of the model-delta fields x - (gd map)^j against
     the contraction bounds the claimed convexity class implies.
 
@@ -276,7 +277,7 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
         delta field is 1-Lipschitz);
       weakly-convex: delta <= beta and gamma <= 2/beta, contraction
         1 + gamma*delta.
-    Spectra must lie in [1 - lambda^j, 1 + lambda^j] up to tol; supplied
+    Spectra must lie in [1 - lambda^j, 1 + lambda^j] up to PROPAGATION_TOL; supplied
     critical points of the underlying potential must stay critical for
     every delta field, to evaluation precision.
     """
@@ -319,20 +320,24 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
     eye = np.eye(f_grad.dimension)
     per_j_low = [np.inf] * (k + 1)
     per_j_high = [-np.inf] * (k + 1)
-    for j, (live, _, prefix) in enumerate(walk_rows(descent, points, k, jacobians=True),
-                                          start=1):
+    dropped = {}
+    walk = walk_rows(descent, points, k, jacobians=True, dropped=dropped)
+    for j, (_, _, prefix) in enumerate(walk, start=1):
         lows, highs = _eigen_intervals(eye - prefix)
         per_j_low[j] = min([np.inf, *lows.tolist()])
         per_j_high[j] = max([-np.inf, *highs.tolist()])
-    raise_dropped(descent, points, live, k, jacobians=True)
+    if dropped:
+        raise dropped[min(dropped)]
     Y = as_points(critical_points, f_grad.dimension)
     residuals = np.empty((k, Y.shape[0]))
-    for j, (live, images) in enumerate(walk_rows(descent, Y, k)):
+    for j, (live, images) in enumerate(walk_rows(descent, Y, k, dropped=dropped)):
         D = Y[live] - images
         residuals[j, live] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-    raise_dropped(descent, Y, live, k)
+    if dropped:
+        raise dropped[min(dropped)]
     residuals = residuals.T.tolist()
     report = GdPropagationReport(claimed, gamma, lam, k)
+    tol = PROPAGATION_TOL
     for j in range(1, k + 1):
         lo, hi = per_j_low[j], per_j_high[j]
         if claimed == "convex":

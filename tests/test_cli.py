@@ -237,6 +237,30 @@ class TestFedavg:
         config = write_config(tmp_path, bad)
         assert main(["fedavg", "--config", config, "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("changes", [
+        {"gamma": 0.4}, {"alpha": None}, {"mode": "linear"}])
+    def test_refused_rate_check_writes_no_file(self, tmp_path, changes):
+        # a refused run neither overwrites an earlier run's pair nor starts
+        # a new one
+        outdir, empty = tmp_path / "run", tmp_path / "empty"
+        assert main(["fedavg", "--config", write_config(tmp_path, FED_CONFIG),
+                     "--outdir", str(outdir)]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        config = write_config(tmp_path, {**FED_CONFIG, **changes}, "refused.json")
+        for target in (outdir, empty):
+            assert main(["fedavg", "--config", config, "--outdir", str(target)]) == 2
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+        assert not empty.exists()
+
+    def test_integral_float_counts_run_as_integers(self, tmp_path):
+        blobs = []
+        for k, rounds in ((2, 15), (2.0, 15.0)):
+            outdir = tmp_path / f"run-{k}"
+            config = write_config(tmp_path, {**FED_CONFIG, "k": k, "rounds": rounds})
+            assert main(["fedavg", "--config", config, "--outdir", str(outdir)]) == 0
+            blobs.append((outdir / "fedavg_trace.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_eta_one_run_far_from_the_model_average_exits_zero(self, tmp_path):
         # x_t - (x_t - y) keeps y only to x_t's last place, 1.2e-10 near 1e6:
         # the first round's update and model average differ by 4.7e-11,
@@ -368,6 +392,18 @@ class TestBoundaryRefusals:
         (_scan_field({**LINEAR_FIELD, "note": _nested_lists(700)}),
          "JSON nested deeper than 256 levels"),
         (_fedavg(note=_nested_lists(700)), "JSON nested deeper than 256 levels"),
+        # a fractional or boolean count would be truncated to another run
+        # than the one the config names
+        (_fedavg(k=2.7), "k must be an integer, got 2.7"),
+        (_fedavg(rounds=3.9), "rounds must be an integer, got 3.9"),
+        (_fedavg(seed=1.5), "seed must be an integer, got 1.5"),
+        (_fedavg(k=True), "k must be an integer, got True"),
+        (_scan_field({"variant": "iterate", "k": 1.5, "inner": LINEAR_FIELD}),
+         "iterate k must be an integer, got 1.5"),
+        (_scan_field({"variant": "rotation", "j": 2.5}), "rotation j must be an integer"),
+        (_scan_field({"variant": "rotation", "j": False}), "rotation j must be an integer"),
+        (_scan_field({"variant": "poly", "components": ["x0", "x1"], "nvars": 2.5}),
+         "poly nvars must be an integer"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":

@@ -136,6 +136,22 @@ class TestCheckNumeric:
         verdict = check_numeric(field, 2, np.array([[0.1, 0.2], [0.3, -0.4]]))
         assert verdict.kind == "numeric-pass"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_explicit_sample_is_refused_as_everywhere(self, bad):
+        # a sample that is not finite is refused, not skipped as if the
+        # field had failed there
+        field = glm_gradient(GlmSpec([[1.0, 0.0], [0.0, 1.0]], "logistic"))
+        samples = np.array([[0.1, 0.2], [bad, 0.3], [0.3, -0.4]])
+        messages = []
+        for check in (check_numeric, check_propagation):
+            with pytest.raises(NonFiniteValueError) as info:
+                check(field, 2, samples)
+            messages.append(str(info.value))
+        with pytest.raises(NonFiniteValueError) as info:
+            classify(field, samples)
+        assert messages == [str(info.value)] * 2
+        assert "point has non-finite entries" in messages[0]
+
     def test_overflowing_residual_still_fails(self):
         # Entries of A^4 near 1e160 overflow a direct Frobenius norm.
         field = Linear([[1e40, 1e39], [0.0, 1e40]])

@@ -8,9 +8,10 @@ from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, Cha
                               GdMap, Iterate, JacobianMethodError, Linear,
                               NonFiniteValueError, PolyExact, Rotation2D, Scale,
                               ScalarMap, Sum, asymmetry, compose, evaluate, gd_map,
-                              identity_field, jacobian, raise_dropped, walk_orbit, walk_rows)
+                              identity_field, jacobian, walk_rows)
 from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, RationalPoly
+from walks import walk_alone
 
 
 class TestEvaluation:
@@ -233,11 +234,11 @@ class TestGdMap:
         # again with its checks, so the leaf that failed names itself
         step = GdMap(leaf, 1.0)
         X = [[0.0], x0]
-        *_, (live, _) = walk_rows(step, X, 5)
-        assert live.tolist() == [0]
-        raised = []
-        for walk in (lambda: list(walk_orbit(step, x0, 5)), lambda: Iterate(step, 5)(x0),
-                     lambda: raise_dropped(step, X, live, 5)):
+        dropped = {}
+        *_, (live, _) = walk_rows(step, X, 5, dropped=dropped)
+        assert live.tolist() == [0] and list(dropped) == [1]
+        raised = [(str(dropped[1]), dropped[1].iterate_index)]
+        for walk in (lambda: list(walk_alone(step, x0, 5)), lambda: Iterate(step, 5)(x0)):
             with pytest.raises(NonFiniteValueError) as err:
                 walk()
             raised.append((str(err.value), err.value.iterate_index))

@@ -7,6 +7,7 @@ index order, each round checked against the model average as it ends, and
 the oracle descending the server field's own Sum."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,10 +238,13 @@ class TestGroupsEqualClientsAlone:
         assert (None if trace.fixed_point is None else trace.fixed_point.tobytes()) == (
             None if point is None else point.tobytes())
         clients, gamma, k = config.clients, config.gamma, config.k
-        for x0 in (None, config.x0):
-            got = outcome(lambda: fa.oracle_fixed_point(clients, gamma, k, x0, 1e-6, 200))
-            want = outcome(lambda: reference_oracle(clients, gamma, k, x0, 1e-6, 200))
-            assert got == want
+        # a looser tolerance and a shorter cap keep hunts that never
+        # converge short
+        with mock.patch.multiple(fa, FIXED_POINT_TOL=1e-6, FIXED_POINT_CAP=200):
+            for x0 in (None, config.x0):
+                got = outcome(lambda: fa.oracle_fixed_point(clients, gamma, k, x0))
+                want = outcome(lambda: reference_oracle(clients, gamma, k, x0, 1e-6, 200))
+                assert got == want
 
     def test_one_walk_per_group_and_round(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from iterfield.fields import (Affine, Analytic, Callback, CentralDifference, Compose, GdMap,
                               Iterate, JacobianMethodError, Linear, NonFiniteValueError,
                               PolyExact, Scale, Sum, _finite_difference_jacobian, jacobian,
-                              raise_dropped, walk_rows)
+                              walk_rows)
 from iterfield.glm import GlmSpec, glm_gradient
 from iterfield.polynomials import PolyField, parse_poly
 
@@ -226,21 +226,18 @@ class TestBatchedJacobians:
         field, X, k_max, calls = case
         walked = [reference_walk(field, x, k_max) for x in X]
         reference_calls, calls[0] = calls[0], 0
-        live = None
-        for j, (live, step, prefix) in enumerate(walk_rows(field, X, k_max, jacobians=True)):
+        dropped = {}
+        walk = walk_rows(field, X, k_max, jacobians=True, dropped=dropped)
+        for j, (live, step, prefix) in enumerate(walk):
             assert live.tolist() == [r for r, w in enumerate(walked) if len(w[0]) > j]
             for r, row in enumerate(live):
                 assert np.array_equal(step[r], walked[row][0][j])
                 assert np.array_equal(prefix[r], walked[row][1][j])
         # one leaf call per leaf, point and step that the point reaches
         assert calls[0] == reference_calls
-        dropped = [w[2] for w in walked if w[2] is not None]
-        try:
-            raise_dropped(field, X, live, k_max, jacobians=True)
-        except NonFiniteValueError as err:
-            assert dropped and (str(err), err.iterate_index) == dropped[0]
-        else:
-            assert not dropped
+        # every dropped row keeps the error of its own walk
+        assert {r: (str(err), err.iterate_index) for r, err in dropped.items()} == {
+            r: w[2] for r, w in enumerate(walked) if w[2] is not None}
 
     @SETTINGS
     @given(trees(), st.sampled_from((None, Analytic(), CentralDifference(1e-4))))

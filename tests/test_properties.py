@@ -406,7 +406,8 @@ def per_client_rounds(config):
         walk = Iterate(GdMap(c.gradient_field(), config.gamma), config.k)
         A, b = walk.as_affine()
         try:
-            maps.append(Affine(rationals.to_float_matrix(A), rationals.to_float_vector(b)))
+            A = [[float(x) for x in row] for row in A]
+            maps.append(Affine(A, rationals.to_float_vector(b)))
         except OverflowError:
             maps.append(walk)
     m = len(maps)

@@ -1,6 +1,7 @@
 """Property tests for the batched orbit walker: a batch of points walks
 every row exactly as that row walks alone (and as the reversed batch
-walks it), and each row's chain Jacobians agree with a plain per-point
+walks it), each row the batch drops records the error its walk alone
+raises, and each row's chain Jacobians agree with a plain per-point
 chain-product loop kept here.  The overflowing kinds make batches in
 which some rows fail, at every nesting depth, so the walker's per-row
 fallback runs through nested fields."""
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from iterfield.conservatism import DEFAULT_THRESHOLD, SamplingError, check_numeric
 from iterfield.fields import (Callback, CentralDifference, Compose, CoordWise1D, GdMap, Iterate,
                               Linear, NonFiniteValueError, ScalarMap, Scale, Sum, _asymmetry,
-                              asymmetry, jacobian, raise_dropped, walk_orbit, walk_rows)
+                              asymmetry, jacobian, walk_rows)
 from iterfield.glm import GlmGradientStack, GlmSpec, glm_gradient
+from walks import walk_alone
 
 SETTINGS = settings(max_examples=80, deadline=None)
 KINDS = ("grad", "gd", "linear-after", "linear-before", "sum", "scale", "iterate-2",
@@ -74,7 +76,7 @@ def solo_walk(field, x, k_max, jacobians):
     """The yields of the one-point walk of x, and its error or None."""
     out = []
     try:
-        for item in walk_orbit(field, x, k_max, jacobians):
+        for item in walk_alone(field, x, k_max, jacobians):
             out.append(item)
     except NonFiniteValueError as err:
         return out, err
@@ -136,17 +138,6 @@ class TestBatchEqualsRows:
                     items, got, got_reversed):
                 assert np.array_equal(step, b_step) and np.array_equal(prefix, b_prefix)
                 assert np.array_equal(step, r_step) and np.array_equal(prefix, r_prefix)
-        live = None
-        for live, _, _ in walk_rows(field, X, k_max, True):
-            pass
-        first = next((err for _, err in solo if err is not None), None)
-        if first is None:
-            raise_dropped(field, X, live, k_max, True)
-        else:
-            with pytest.raises(NonFiniteValueError) as info:
-                raise_dropped(field, X, live, k_max, True)
-            assert str(info.value) == str(first)
-            assert info.value.iterate_index == first.iterate_index
         residuals = [[asymmetry(prefix) for _, prefix in items] for items, _ in solo]
         for r, items in enumerate(batch):
             if items:
@@ -185,18 +176,23 @@ class TestBatchEqualsRows:
                 # a value walk fails at step i of V, in step ceil(i / stride) of F
                 assert err.iterate_index is not None
                 assert len(items) == -(-err.iterate_index // stride) - 1
-        # the batch raises what walking the rows one after another raises
-        first = next((err for _, err in solo if err is not None), None)
-        live = None
-        for live, _ in walk_rows(field, X, k_max):
-            pass
-        if first is None:
-            raise_dropped(field, X, live, k_max)
-        else:
-            with pytest.raises(NonFiniteValueError) as info:
-                raise_dropped(field, X, live, k_max)
-            assert str(info.value) == str(first)
-            assert info.value.iterate_index == first.iterate_index
+
+    @SETTINGS
+    @given(walk_cases(), st.booleans())
+    def test_dropped_rows_record_their_own_errors(self, case, jacobians):
+        # each dropped row, in either row order, keeps the error its walk
+        # alone raises, and no row that walks alone to the end is dropped
+        field, X, k_max = case
+        alone = [solo_walk(field, x, k_max, jacobians)[1] for x in X]
+        for order in (np.arange(len(X)), np.arange(len(X))[::-1]):
+            dropped = {}
+            for _ in walk_rows(field, X[order], k_max, jacobians, dropped=dropped):
+                pass
+            assert sorted(dropped) == [p for p, r in enumerate(order) if alone[r] is not None]
+            for p, err in dropped.items():
+                want = alone[order[p]]
+                assert (type(err), str(err), err.iterate_index) == (
+                    type(want), str(want), want.iterate_index)
 
 
 class TestAgainstPerPointLoop:
