@@ -18,7 +18,7 @@ import numpy as np
 
 from . import IterfieldError, rationals
 from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
-from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_polys, poly_iterates
+from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_pairs, poly_iterates
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -148,13 +148,12 @@ def check_rotation(j: int, k: int) -> Verdict:
 
 
 def check_poly(polyfield: PolyField, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> Verdict:
-    """Exact verdict for a polynomial field via the symbolic asymmetry matrix."""
-    D = asymmetry_polys(polyfield, k, max_terms=max_terms)
-    n = len(D)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not D[i][j].is_zero():
-                return Verdict("exact-no", certificate=D[i][j].to_text())
+    """Exact verdict for a polynomial field via the symbolic asymmetry matrix:
+    its first nonzero entry above the diagonal, in row order, is the
+    certificate, and the entries after it are not formed."""
+    for _, _, entry in asymmetry_pairs(polyfield, k, max_terms=max_terms):
+        if not entry.is_zero():
+            return Verdict("exact-no", certificate=entry.to_text())
     return Verdict("exact-yes")
 
 

@@ -1,10 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over big rationals.
 
-Polynomials are immutable values: a dict from exponent tuples to nonzero
-Fraction coefficients.  Composition towers (iterating a polynomial vector
-field) blow up coefficient sizes quickly, so coefficients are arbitrary
-precision rationals and every product goes through a term-count ceiling
-that turns an infeasible request into a clean error.
+Polynomials are immutable values: a dict from one packed int per monomial
+to its nonzero Fraction coefficient.  The packed int holds the total
+degree in its top field, then the exponents of x0 ... x(n-1) in fields of
+``EXPONENT_BITS`` bits each, so integer order is graded-lexicographic
+order, a product of monomials is a sum of keys and a partial derivative
+subtracts one key.  The width is the same for every ring, so equal
+polynomials have equal keys.  A polynomial's total degree is at most
+``MAX_DEGREE``: a constructor exponent, product or composition that could
+go past it, and so carry one exponent into its neighbour, raises
+``PolynomialSizeError``.
+
+Composition towers (iterating a polynomial vector field) blow up
+coefficient sizes quickly, so coefficients are arbitrary precision
+rationals and every product goes through a term-count ceiling that turns
+an infeasible request into a clean error.
 
 The canonical text form is ``coef*x0^e0*x1^e1 + ...`` with terms in
 descending graded-lexicographic order; rendering is deterministic so the
@@ -17,79 +27,119 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import IterfieldError
 from .rationals import to_fraction
 
 DEFAULT_MAX_TERMS = 10**6
+EXPONENT_BITS = 16
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1
 
 
 class PolynomialSizeError(IterfieldError, RuntimeError):
-    """A product or composition would exceed the term-count ceiling."""
+    """A product or composition would exceed the term-count ceiling or the
+    exponent width."""
 
 
 class PolyParseError(IterfieldError, ValueError):
     """Polynomial text does not match the canonical form."""
 
 
-def _grlex_key(exps: tuple[int, ...]):
-    return (sum(exps), exps)
+def _require_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise PolynomialSizeError(
+            f"{what} of degree {degree} exceeds the exponent width (degree at most {MAX_DEGREE})")
 
 
-def _peel(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(i, prefix) with exps = prefix + unit i, for the first variable i in exps."""
-    i = next(i for i, e in enumerate(exps) if e)
-    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+def _pack(exps: Sequence[int]) -> int:
+    """The key of the monomial with these exponents."""
+    key = sum(exps)
+    for e in exps:
+        key = key << EXPONENT_BITS | e
+    return key
 
 
-def _add_scaled(acc: dict, terms: Mapping[tuple[int, ...], Fraction], coeff) -> None:
+def _shifts(nvars: int) -> range:
+    """Bit offset of each variable's field, x0 first."""
+    return range((nvars - 1) * EXPONENT_BITS, -1, -EXPONENT_BITS)
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple(key >> s & MAX_DEGREE for s in _shifts(nvars))
+
+
+def _unit(nvars: int, var: int) -> int:
+    """The key of the monomial x_var."""
+    return (1 << nvars * EXPONENT_BITS) | (1 << (nvars - 1 - var) * EXPONENT_BITS)
+
+
+def _first_var(key: int, nvars: int) -> int:
+    """The first variable with a nonzero exponent in a non-constant monomial."""
+    fields = nvars * EXPONENT_BITS
+    low = key & ((1 << fields) - 1)
+    return (fields - low.bit_length()) // EXPONENT_BITS
+
+
+def _add_scaled(acc: dict, terms: Mapping[int, Fraction], coeff) -> None:
     """acc += coeff * terms, in place; a coefficient that cancels is removed."""
-    for exps, c in terms.items():
-        total = acc.get(exps)
+    for key, c in terms.items():
+        total = acc.get(key)
         total = coeff * c if total is None else total + coeff * c
         if total:
-            acc[exps] = total
+            acc[key] = total
         else:
-            del acc[exps]
+            del acc[key]
 
 
 class RationalPoly:
     """Sparse polynomial in ``nvars`` variables with Fraction coefficients.
 
-    Invariants: no stored zero coefficients; exponents are tuples of
-    ``nvars`` non-negative ints; coefficients are Fractions in lowest
-    terms with positive denominator (guaranteed by fractions.Fraction).
+    Invariants: no stored zero coefficients; each monomial is one packed
+    int key (see the module docstring) of total degree at most
+    ``MAX_DEGREE``; coefficients are Fractions in lowest terms with
+    positive denominator (guaranteed by fractions.Fraction).  ``terms``
+    gives the exponent tuples instead of the keys.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                key = tuple(int(e) for e in exps)
-                if len(key) != nvars or any(e < 0 for e in key):
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps!r} for {nvars} variables")
+                _require_degree(sum(exps), "monomial")
                 c = to_fraction(coeff)
                 if c != 0:
-                    clean[key] = c
+                    clean[_pack(exps)] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "RationalPoly":
+    def _trusted(cls, nvars: int, terms: dict[int, Fraction]) -> "RationalPoly":
         """Wrap ``terms`` as they are; the ring operations call this with
-        tuples of ``nvars`` ints and nonzero Fractions, so nothing is checked."""
+        keys of ``nvars`` variables and nonzero Fractions, so nothing is
+        checked."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_terms", terms)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only map from exponent tuples to coefficients, in the
+        polynomial's term order; built on each access."""
+        n = self.nvars
+        return MappingProxyType({_unpack(key, n): c for key, c in self._terms.items()})
 
     # ----- constructors -----
 
@@ -105,8 +155,7 @@ class RationalPoly:
     def variable(cls, nvars: int, index: int) -> "RationalPoly":
         if not (0 <= index < nvars):
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(int(i == index) for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._trusted(nvars, {_unit(nvars, index): Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars: int, coeff, exps: Sequence[int]) -> "RationalPoly":
@@ -115,30 +164,30 @@ class RationalPoly:
     # ----- queries -----
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> self.nvars * EXPONENT_BITS
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Largest term in graded-lexicographic order."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        key = max(self._terms)
+        return _unpack(key, self.nvars), self._terms[key]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == RationalPoly.constant(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     # ----- ring operations -----
 
@@ -151,14 +200,14 @@ class RationalPoly:
 
     def __add__(self, other) -> "RationalPoly":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        _add_scaled(terms, other.terms, 1)
+        terms = dict(self._terms)
+        _add_scaled(terms, other._terms, 1)
         return RationalPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return RationalPoly._trusted(self.nvars, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "RationalPoly":
         return self + (-self._coerce(other))
@@ -173,16 +222,17 @@ class RationalPoly:
 
     def mul(self, other, max_terms: int = DEFAULT_MAX_TERMS) -> "RationalPoly":
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps)
+        _require_degree(self.degree() + other.degree(), "product")
+        terms: dict[int, Fraction] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = k1 + k2
+                total = terms.get(key)
                 total = c1 * c2 if total is None else total + c1 * c2
                 if total:
-                    terms[exps] = total
+                    terms[key] = total
                 else:
-                    del terms[exps]
+                    del terms[key]
             if len(terms) > max_terms:
                 raise PolynomialSizeError(
                     f"product exceeds term ceiling ({max_terms} terms)")
@@ -208,14 +258,13 @@ class RationalPoly:
         """Termwise power-rule partial derivative with respect to variable ``var``."""
         if not (0 <= var < self.nvars):
             raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[var] = e - 1
-            terms[tuple(new)] = coeff * e
+        shift = (self.nvars - 1 - var) * EXPONENT_BITS
+        unit = _unit(self.nvars, var)
+        terms: dict[int, Fraction] = {}
+        for key, coeff in self._terms.items():
+            e = key >> shift & MAX_DEGREE
+            if e:
+                terms[key - unit] = coeff * e
         return RationalPoly._trusted(self.nvars, terms)
 
     def compose(self, subs: Sequence["RationalPoly"], max_terms: int = DEFAULT_MAX_TERMS) -> "RationalPoly":
@@ -227,10 +276,12 @@ class RationalPoly:
         """Evaluate at a point; exact for Fraction/int inputs, float for floats."""
         if len(point) != self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
+        shifts = _shifts(self.nvars)
         total = None
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             value = coeff
-            for x, e in zip(point, exps):
+            for x, s in zip(point, shifts):
+                e = key >> s & MAX_DEGREE
                 if e:
                     value = value * x**e
             total = value if total is None else total + value
@@ -242,19 +293,18 @@ class RationalPoly:
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
         """Canonical form ``coef*x0^e0*x1^e1 + ...``, descending graded-lex order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
         elif len(names) != self.nvars:
             raise ValueError("need one name per variable")
         pieces = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            factors = [str(coeff)]
-            for i, e in enumerate(exps):
+        for key in sorted(self._terms, reverse=True):
+            factors = [str(self._terms[key])]
+            for name, e in zip(names, _unpack(key, self.nvars)):
                 if e:
-                    factors.append(f"{names[i]}^{e}")
+                    factors.append(f"{name}^{e}")
             pieces.append("*".join(factors))
         return " + ".join(pieces)
 
@@ -314,18 +364,19 @@ def divide_exact(dividend: RationalPoly, divisor: RationalPoly) -> RationalPoly 
         raise ZeroDivisionError("division by the zero polynomial")
     if dividend.nvars != divisor.nvars:
         raise ValueError("operands have different numbers of variables")
-    lead_exps, lead_coeff = divisor.leading_term()
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder = dict(dividend.terms)
+    lead = max(divisor._terms)
+    lead_coeff = divisor._terms[lead]
+    shifts = _shifts(divisor.nvars)
+    quotient: dict[int, Fraction] = {}
+    remainder = dict(dividend._terms)
     while remainder:
-        r_exps = max(remainder, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(r_exps, lead_exps))
-        if any(d < 0 for d in diff):
+        r_key = max(remainder)
+        if any(r_key >> s & MAX_DEGREE < lead >> s & MAX_DEGREE for s in shifts):
             return None
+        diff = r_key - lead
         # leading terms strictly fall, so each quotient term is new
-        quotient[diff] = q = remainder[r_exps] / lead_coeff
-        _add_scaled(remainder, {tuple(a + b for a, b in zip(diff, e)): c
-                                for e, c in divisor.terms.items()}, -q)
+        quotient[diff] = q = remainder[r_key] / lead_coeff
+        _add_scaled(remainder, {diff + key: c for key, c in divisor._terms.items()}, -q)
     return RationalPoly._trusted(dividend.nvars, quotient)
 
 
@@ -338,12 +389,12 @@ def group_by_vars(poly: RationalPoly, group_vars: Sequence[int]) -> dict[tuple[i
     """
     group = tuple(group_vars)
     rest = [v for v in range(poly.nvars) if v not in group]
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for exps, coeff in poly.terms.items():
-        key = tuple(exps[v] for v in group)
-        rest_exps = tuple(exps[v] for v in rest)
-        buckets.setdefault(key, {})[rest_exps] = coeff
-    return {key: RationalPoly._trusted(len(rest), terms) for key, terms in buckets.items()}
+    buckets: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for key, coeff in poly._terms.items():
+        exps = _unpack(key, poly.nvars)
+        group_exps = tuple(exps[v] for v in group)
+        buckets.setdefault(group_exps, {})[_pack([exps[v] for v in rest])] = coeff
+    return {exps: RationalPoly._trusted(len(rest), terms) for exps, terms in buckets.items()}
 
 
 class PolyField:
@@ -426,40 +477,44 @@ class PolyField:
         out_nvars = subs[0].nvars
         if any(p.nvars != out_nvars for p in subs):
             raise ValueError("substituted polynomials must share a variable count")
+        n = self.nvars
+        _require_degree(max(p.degree() for p in self.components)
+                        * max(p.degree() for p in subs), "composition")
         # every monomial to form, and how many others are formed from each
-        todo: set[tuple[int, ...]] = set()
-        extenders: Counter[tuple[int, ...]] = Counter()
+        todo: set[int] = set()
+        extenders: Counter[int] = Counter()
         for comp in self.components:
-            for exps in comp.terms:
-                while exps not in todo:
-                    todo.add(exps)
-                    if sum(exps) < 2:
+            for key in comp._terms:
+                while key not in todo:
+                    todo.add(key)
+                    if key >> n * EXPONENT_BITS < 2:
                         break
-                    exps = _peel(exps)[1]
-                    extenders[exps] += 1
-        formed: dict[tuple[int, ...], RationalPoly] = {}
-        sums: list[dict[tuple[int, ...], Fraction]] = [{} for _ in self.components]
-        for exps in sorted(todo, key=_grlex_key):
-            degree = sum(exps)
+                    key -= _unit(n, _first_var(key, n))
+                    extenders[key] += 1
+        formed: dict[int, RationalPoly] = {}
+        sums: list[dict[int, Fraction]] = [{} for _ in self.components]
+        for key in sorted(todo):
+            degree = key >> n * EXPONENT_BITS
             if degree == 0:
                 value = RationalPoly.constant(out_nvars, 1)
             elif degree == 1:
-                value = subs[exps.index(1)]
+                value = subs[_first_var(key, n)]
             else:
-                var, prefix = _peel(exps)
+                var = _first_var(key, n)
+                prefix = key - _unit(n, var)
                 value = formed[prefix].mul(subs[var], max_terms=max_terms)
                 extenders[prefix] -= 1
                 if not extenders[prefix]:
                     del formed[prefix]
             for comp, acc in zip(self.components, sums):
-                coeff = comp.terms.get(exps)
+                coeff = comp._terms.get(key)
                 if coeff is not None:
-                    _add_scaled(acc, value.terms, coeff)
+                    _add_scaled(acc, value._terms, coeff)
                     if len(acc) > max_terms:
                         raise PolynomialSizeError(
                             f"composition exceeds term ceiling ({max_terms} terms)")
-            if extenders[exps]:
-                formed[exps] = value
+            if extenders[key]:
+                formed[key] = value
         return PolyField(RationalPoly._trusted(out_nvars, acc) for acc in sums)
 
     def to_texts(self, names: Sequence[str] | None = None) -> list[str]:
@@ -516,18 +571,32 @@ def jacobian_polys(field: PolyField, coord_vars: Sequence[int] | None = None) ->
     return [[comp.partial(v) for v in coords] for comp in field.components]
 
 
+def asymmetry_pairs(field: PolyField, k: int, coord_vars: Sequence[int] | None = None,
+                    max_terms: int = DEFAULT_MAX_TERMS) -> Iterator[tuple[int, int, RationalPoly]]:
+    """(i, j, J(V^k)[i][j] - J(V^k)[j][i]) for every i < j, in row order;
+    each entry and its two partials are formed only when asked for."""
+    iterated = iterate_poly_field(field, k, coord_vars=coord_vars, max_terms=max_terms)
+    coords = _resolve_coords(iterated, coord_vars)
+    comps = iterated.components
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        yield i, j, comps[i].partial(coords[j]) - comps[j].partial(coords[i])
+
+
 def asymmetry_polys(field: PolyField, k: int, coord_vars: Sequence[int] | None = None,
                     max_terms: int = DEFAULT_MAX_TERMS) -> list[list[RationalPoly]]:
     """J(V^k) - J(V^k)^T as a matrix of exact polynomials.
 
     The iterated field is a gradient field over all of R^n exactly when
     every entry is the zero polynomial; the matrix is antisymmetric, so
-    for n = 2 the (0, 1) entry determines it.
+    each pair i < j is formed once, its mirror is its negation and the
+    diagonal is zero; for n = 2 the (0, 1) entry determines it.
     """
-    iterated = iterate_poly_field(field, k, coord_vars=coord_vars, max_terms=max_terms)
-    jac = jacobian_polys(iterated, coord_vars=coord_vars)
-    n = len(jac)
-    return [[jac[i][j] - jac[j][i] for j in range(n)] for i in range(n)]
+    n = field.ncomponents
+    zero = RationalPoly.zero(field.nvars)
+    D = [[zero] * n for _ in range(n)]
+    for i, j, entry in asymmetry_pairs(field, k, coord_vars=coord_vars, max_terms=max_terms):
+        D[i][j], D[j][i] = entry, -entry
+    return D
 
 
 # ----- 2-D linear fields with exact or symbolic coefficients -----

@@ -13,6 +13,7 @@ import pytest
 import iterfield
 from iterfield import reports
 from iterfield.cli import main
+from iterfield.polynomials import EXPONENT_BITS, MAX_DEGREE
 
 FED_CONFIG = {
     "schema_version": 1,
@@ -103,6 +104,16 @@ class TestScan:
         assert code == 0
         report = read_json(out)
         assert report["results"][1]["certificate"] == "4*x0^3 + -8*x0^1*x1^2"
+
+    def test_poly_square_tower_runs_up_to_the_exponent_width(self, tmp_path):
+        # x0 -> x0^2 iterated k times is x0^(2^k), which fits below the width
+        # up to k = EXPONENT_BITS - 1 (the next k is refused, exit 2)
+        out = str(tmp_path / "r.json")
+        k_max = EXPONENT_BITS - 1
+        assert main(["scan", "--poly", "x0^2", "--k-max", str(k_max), "--out", out]) == 0
+        results = read_json(out)["results"]
+        assert [r["k"] for r in results] == list(range(1, k_max + 1))
+        assert {r["verdict"] for r in results} == {"exact-yes"}
 
     def test_poly_binary_minus_reads_as_adding_the_negated_term(self, tmp_path):
         reports = []
@@ -404,6 +415,12 @@ class TestBoundaryRefusals:
         (_scan_field({"variant": "rotation", "j": False}), "rotation j must be an integer"),
         (_scan_field({"variant": "poly", "components": ["x0", "x1"], "nvars": 2.5}),
          "poly nvars must be an integer"),
+        # a degree past the exponent width of the polynomial ring
+        (["scan", "--poly", "x0^2", "--k-max", str(EXPONENT_BITS)], "exceeds the exponent width"),
+        (["scan", "--poly", f"x0^{MAX_DEGREE + 1}", "--k-max", "1"],
+         "exceeds the exponent width"),
+        (_scan_field({"variant": "poly", "components": [f"x0*x1^{MAX_DEGREE}", "x1"],
+                      "nvars": 2}), "exceeds the exponent width"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         if argv[0] == "fedavg":
@@ -523,6 +540,7 @@ NO_SCIPY_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 from iterfield.cli import main
+from iterfield.polynomials import EXPONENT_BITS, MAX_DEGREE
 for entry in ("surrogate-gradient", "fedavg-convex", "glm-orthogonal"):
     assert main(["paper-suite", entry, "--outdir", {outdir!r}]) == 0, entry
 assert "scipy" not in sys.modules

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from iterfield.polynomials import (PolyField, PolynomialSizeError, RationalPoly,
-                                   asymmetry_polys, cubic_asymmetry_coefficients,
+from iterfield.conservatism import check_poly
+from iterfield.polynomials import (EXPONENT_BITS, MAX_DEGREE, PolyField, PolynomialSizeError,
+                                   RationalPoly, asymmetry_polys, cubic_asymmetry_coefficients,
                                    cubic_gate, cubic_gate_symbolic, divide_exact,
                                    group_by_vars, iterate_poly_field, jacobian_polys,
                                    linear_asymmetry, linear_asymmetry_symbolic,
@@ -241,6 +242,89 @@ class TestAsymmetryMatrix:
         assert J[0][1] == RationalPoly(2, {(1, 0): 2})  # d(2xy)/dy
         assert J[1][0] == RationalPoly(2, {(1, 0): 2})  # d(x^2)/dx
 
+    def test_matrix_matches_the_full_jacobian_difference(self):
+        rng = np.random.default_rng(23)
+        for n, k in ((2, 2), (3, 2), (4, 1)):
+            V = PolyField([randpoly(rng, nvars=n, terms=3, max_deg=2) for _ in range(n)])
+            J = jacobian_polys(iterate_poly_field(V, k))
+            D = asymmetry_polys(V, k)
+            for i in range(n):
+                for j in range(n):
+                    assert D[i][j] == J[i][j] - J[j][i]
+                    assert D[i][j].terms == (J[i][j] - J[j][i]).terms
+
+    @staticmethod
+    def _count_partials(monkeypatch):
+        calls = []
+        partial = RationalPoly.partial
+
+        def counted(self, var):
+            calls.append(var)
+            return partial(self, var)
+
+        monkeypatch.setattr(RationalPoly, "partial", counted)
+        return calls
+
+    def test_each_pair_takes_two_partials(self, monkeypatch):
+        V = PolyField.from_texts(["x0*x1", "x1*x2", "x2*x0", "x3^2"], 4)
+        calls = self._count_partials(monkeypatch)
+        asymmetry_polys(V, 1)
+        assert len(calls) == 4 * 3
+
+    def test_check_poly_stops_at_the_first_nonzero_pair(self, monkeypatch):
+        # D[0][1] = d(x1)/dx1 - d(0)/dx0 = 1, so no later pair is formed
+        V = PolyField.from_texts(["x1", "0", "x2^2"], 3)
+        D = asymmetry_polys(V, 1)
+        calls = self._count_partials(monkeypatch)
+        verdict = check_poly(V, 1)
+        assert len(calls) == 2
+        assert verdict.kind == "exact-no" and verdict.certificate == D[0][1].to_text() == "1"
+
+
+class TestExponentWidth:
+    """Every exponent lives in an EXPONENT_BITS field of one int key; a
+    polynomial of total degree past MAX_DEGREE is refused before an
+    exponent could carry into its neighbour's field."""
+
+    def test_square_tower_up_to_the_width(self):
+        x = RationalPoly.variable(1, 0)
+        iterates = poly_iterates(PolyField([x * x]))
+        for k in range(1, EXPONENT_BITS):
+            assert next(iterates).components[0].terms == {(2 ** k,): Fraction(1)}
+        with pytest.raises(PolynomialSizeError, match="exponent width"):
+            next(iterates)
+
+    def test_full_fields_do_not_carry(self):
+        x, y = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+        top = RationalPoly.monomial(2, 3, (0, MAX_DEGREE - 1)) * y
+        assert top.terms == {(0, MAX_DEGREE): Fraction(3)}
+        assert top.degree() == MAX_DEGREE and top.leading_term() == ((0, MAX_DEGREE), 3)
+        assert top.partial(1).terms == {(0, MAX_DEGREE - 1): Fraction(3 * MAX_DEGREE)}
+        assert divide_exact(top, y).terms == {(0, MAX_DEGREE - 1): Fraction(3)}
+        assert parse_poly(top.to_text(), 2) == top
+        assert (x ** MAX_DEGREE).terms == {(MAX_DEGREE, 0): Fraction(1)}
+        for product in (lambda: top * x, lambda: top * y, lambda: x ** (MAX_DEGREE + 1)):
+            with pytest.raises(PolynomialSizeError, match="exponent width"):
+                product()
+
+    def test_composition_is_refused_before_it_starts(self):
+        x, y = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+        half = RationalPoly.monomial(2, 1, (0, MAX_DEGREE // 2 + 1))
+        with pytest.raises(PolynomialSizeError, match="composition of degree"):
+            (x * x + y).compose([half, y])
+
+    @pytest.mark.parametrize("build", [
+        lambda: RationalPoly(1, {(MAX_DEGREE + 1,): 1}),
+        lambda: RationalPoly(2, {(MAX_DEGREE, 1): 1}),
+        lambda: RationalPoly.monomial(3, 1, (0, 0, MAX_DEGREE + 1)),
+        lambda: parse_poly(f"x0^{MAX_DEGREE + 1}", 1),
+        lambda: parse_poly(f"x0^{MAX_DEGREE}*x1 + 1", 2),
+        lambda: parse_poly(f"x1^{MAX_DEGREE} * x1", 2),
+    ])
+    def test_constructor_and_parser_refuse_past_the_width(self, build):
+        with pytest.raises(PolynomialSizeError, match="exponent width"):
+            build()
+
 
 class TestCubicFamily:
     def test_gate_values(self):
@@ -276,6 +360,7 @@ def test_group_by_vars():
 
 COEFFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 RING_SETTINGS = settings(max_examples=40, deadline=None)
+NONZERO = COEFFS.filter(bool)
 
 
 def polys(nvars, max_degree=3, max_terms=5):
@@ -373,3 +458,32 @@ class TestAgainstSympyRing:
         assume(g.degree() >= 1)
         assert divide_exact(q * g, g) == q
         assert divide_exact(q * g + 1, g) is None
+
+
+# ----- term order: the packed keys against the exponent tuples -----
+
+class TestTermOrder:
+    @RING_SETTINGS
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * n), NONZERO, max_size=6))))
+    def test_terms_round_trip_in_order(self, case):
+        n, terms = case
+        got = RationalPoly(n, terms).terms
+        assert list(got.items()) == list(terms.items())
+        assert all(type(e) is tuple and type(c) is Fraction for e, c in got.items())
+        with pytest.raises(TypeError):
+            got[(0,) * n] = Fraction(1)
+
+    @RING_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 4)] * n), NONZERO), max_size=6))))
+    def test_text_and_leading_term_follow_graded_lex(self, case):
+        n, monomials = case
+        p = sum((RationalPoly.monomial(n, c, e) for e, c in monomials), RationalPoly.zero(n))
+        grlex = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        text = " + ".join("*".join([str(c), *(f"x{i}^{e}" for i, e in enumerate(exps) if e)])
+                          for exps, c in grlex)
+        assert p.to_text() == (text or "0")
+        if grlex:
+            assert p.leading_term() == grlex[0]
+            assert p.degree() == sum(grlex[0][0])
