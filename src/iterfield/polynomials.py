@@ -35,7 +35,7 @@ from .rationals import to_fraction
 
 DEFAULT_MAX_TERMS = 10**6
 EXPONENT_BITS = 16
-MAX_DEGREE = (1 << EXPONENT_BITS) - 1
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # also the mask of one exponent field
 
 
 class PolynomialSizeError(IterfieldError, RuntimeError):
@@ -75,11 +75,12 @@ def _unit(nvars: int, var: int) -> int:
     return (1 << nvars * EXPONENT_BITS) | (1 << (nvars - 1 - var) * EXPONENT_BITS)
 
 
-def _first_var(key: int, nvars: int) -> int:
-    """The first variable with a nonzero exponent in a non-constant monomial."""
+def _peel(key: int, nvars: int) -> tuple[int, int]:
+    """(i, prefix) with key = prefix * x_i, for the first variable i of a
+    non-constant monomial: the one whose field holds the highest set bit."""
     fields = nvars * EXPONENT_BITS
-    low = key & ((1 << fields) - 1)
-    return (fields - low.bit_length()) // EXPONENT_BITS
+    i = (fields - (key & ((1 << fields) - 1)).bit_length()) // EXPONENT_BITS
+    return i, key - _unit(nvars, i)
 
 
 def _add_scaled(acc: dict, terms: Mapping[int, Fraction], coeff) -> None:
@@ -489,7 +490,7 @@ class PolyField:
                     todo.add(key)
                     if key >> n * EXPONENT_BITS < 2:
                         break
-                    key -= _unit(n, _first_var(key, n))
+                    key = _peel(key, n)[1]
                     extenders[key] += 1
         formed: dict[int, RationalPoly] = {}
         sums: list[dict[int, Fraction]] = [{} for _ in self.components]
@@ -498,10 +499,9 @@ class PolyField:
             if degree == 0:
                 value = RationalPoly.constant(out_nvars, 1)
             elif degree == 1:
-                value = subs[_first_var(key, n)]
+                value = subs[_peel(key, n)[0]]
             else:
-                var = _first_var(key, n)
-                prefix = key - _unit(n, var)
+                var, prefix = _peel(key, n)
                 value = formed[prefix].mul(subs[var], max_terms=max_terms)
                 extenders[prefix] -= 1
                 if not extenders[prefix]:
