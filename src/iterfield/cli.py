@@ -266,6 +266,8 @@ def _cmd_fedavg(args) -> int:
         "surrogate_at_fixed_point": trace.fs_star,
         "note": trace.note,
     }
+    if trace.fixed_point_residual is not None:
+        summary["fixed_point_residual"] = trace.fixed_point_residual
     code = 0
     if config.mode:
         if config.alpha is None or config.beta is None:

@@ -29,6 +29,9 @@ FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6
 RATE_SLACK = 1e-9
 EQUIVALENCE_TOL = 1e-12
+# A quadratic client's matrix is a set of small rationals, kept exact, when
+# no entry's denominator exceeds this; floats drawn at random exceed it.
+SMALL_DENOMINATOR = 2**16
 
 
 class HyperparameterError(IterfieldError, ValueError):
@@ -46,9 +49,12 @@ class ConvergenceError(IterfieldError, RuntimeError):
 class QuadraticClient:
     """Loss 0.5 (x - b)^T A (x - b) with symmetric positive semi-definite A.
 
-    The client keeps read-only copies of A and b, so the exact descent forms
-    it memoises (``_exact_form``) stay valid and the caller's arrays are
-    never shared.
+    The client keeps read-only copies of A and b, so the descent maps it
+    memoises (``_exact_form``, ``_float_map``) stay valid and the caller's
+    arrays are never shared.  A matrix of small rationals (every entry's
+    denominator, as ``float.as_integer_ratio`` reads it, at most
+    SMALL_DENOMINATOR) is handled exactly; any other, such as a
+    float-drawn matrix, is ``float_entered`` and handled in floats.
     """
 
     def __init__(self, matrix, center, label: str = ""):
@@ -60,7 +66,9 @@ class QuadraticClient:
         self.matrix.flags.writeable = False
         self.center.flags.writeable = False
         self.label = label or f"quadratic({A.shape[0]}d)"
-        self._forms = {}
+        self.float_entered = any(x.as_integer_ratio()[1] > SMALL_DENOMINATOR
+                                 for x in A.ravel().tolist())
+        self._forms, self._maps = {}, {}
 
     def _exact_form(self, gamma: float, k: int):
         """The map of k descent steps of step gamma in ``rationals``'
@@ -71,6 +79,22 @@ class QuadraticClient:
             walk = Iterate(GdMap(self.gradient_field(), gamma), k)
             self._forms[key] = rationals.lowest_terms(walk._affine_form())
         return self._forms[key]
+
+    def _float_map(self, gamma: float, k: int):
+        """The map of k descent steps as floats (A_k, b_k), x -> A_k x + b_k,
+        or None when an entry is not finite: the exact form rounded once
+        (``_lowered``) for a small-rational matrix, k float descent steps
+        (``_descent_map``) for a float-entered one.  Built on the first
+        request for (gamma, k) and kept, read-only: the rounds, the
+        oracle, the closed form and the minimizer comparison share it."""
+        key = (float(gamma), int(k))
+        if key not in self._maps:
+            form = (_descent_map(self.matrix, self.center, gamma, k) if self.float_entered
+                    else _lowered(self._exact_form(gamma, k)))
+            for part in form or ():
+                part.flags.writeable = False
+            self._maps[key] = form
+        return self._maps[key]
 
     @property
     def dimension(self) -> int:
@@ -210,6 +234,8 @@ class FedAvgTrace:
     xs has rounds+1 entries including the start point.  dists, ratios and
     fs are None when no fixed point or surrogate is available; ratios are
     NaN on rounds whose distance is below resolution or past float range.
+    fixed_point_residual is |V_s(x*)|_inf through the rounds' own operator,
+    on "float-solve" fixed points only (an exact solve has none).
     """
 
     config: FedAvgConfig
@@ -221,6 +247,7 @@ class FedAvgTrace:
     fs_star: float | None = None
     fixed_point: np.ndarray | None = None
     fixed_point_method: str | None = None
+    fixed_point_residual: float | None = None
     note: str | None = None
 
     @property
@@ -302,10 +329,48 @@ def _affine_server_parts(clients, gamma: float, k: int):
     return [[wn * p / den for p in row] for row in P], [-wn * x / den for x in r]
 
 
+def _float_maps(clients, gamma: float, k: int):
+    """Every client's float k-step map (``QuadraticClient._float_map``)
+    when the set is solved in floats: all clients quadratic, at least one
+    of them float-entered, and every map finite.  None otherwise, and the
+    set keeps its exact forms."""
+    if not (all(isinstance(c, QuadraticClient) for c in clients)
+            and any(c.float_entered for c in clients)):
+        return None
+    maps = [c._float_map(gamma, k) for c in clients]
+    return None if any(f is None for f in maps) else maps
+
+
+def _float_server_parts(maps):
+    """(M, v) with V_s(x) = M x + v as floats, from the clients' float
+    k-step maps (A_c, b_c): M = I - mean A_c and v = -mean b_c."""
+    n = maps[0][1].shape[0]
+    return (np.eye(n) - sum(A for A, _ in maps) / len(maps),
+            -(sum(b for _, b in maps) / len(maps)))
+
+
+def _float_solve(M, rhs) -> np.ndarray:
+    """x with M x = rhs by ``np.linalg.solve``; a singular M, or a solution
+    past float range, raises ``SingularMatrixError`` with M's float
+    condition estimate."""
+    try:
+        x = np.linalg.solve(M, rhs)
+        if np.isfinite(x).all():
+            return x
+        reason = "solution past float range"
+    except np.linalg.LinAlgError as err:
+        reason = str(err)
+    raise rationals.SingularMatrixError(
+        f"matrix is singular ({reason}); float condition estimate {np.linalg.cond(M):.3e}")
+
+
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     """Zero of the server field.
 
-    All-quadratic clients get the exact affine solve of M x = -v, posed as
+    A set of quadratic clients with a float-entered matrix and finite float
+    k-step maps (``_float_maps``) solves (I - mean A_c) x = mean b_c on
+    those maps with ``np.linalg.solve``, labelled "float-solve".  Any other
+    all-quadratic set gets the exact affine solve of M x = -v, posed as
     P x = r on ``_server_system``'s integers (the same equations scaled by
     d / w, so the same solution); anything else is refined iteratively with
     the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
@@ -318,6 +383,10 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     failing client's error.
     Returns (point, method).
     """
+    maps = _float_maps(clients, gamma, k)
+    if maps is not None:
+        M, v = _float_server_parts(maps)
+        return _float_solve(M, -v), "float-solve"
     if all(isinstance(c, QuadraticClient) for c in clients):
         P, r, _ = _server_system(clients, gamma, k)
         try:
@@ -356,8 +425,20 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
 def _descend(value, dimension: int, step: float, x0=None) -> np.ndarray:
     """Iterate x -> x - step * value(x) from x0 (default 0) until
     |value(x)| <= FIXED_POINT_TOL, for at most FIXED_POINT_CAP steps.  A
-    norm past float range is inf, without numpy's overflow warning."""
-    x = np.zeros(dimension) if x0 is None else as_vector(x0, dimension)
+    norm past float range is inf, without numpy's overflow warning.
+
+    A step is a function of its iterate's bytes, so an iterate that repeats
+    an earlier one can never reach the tolerance: Brent's cycle detection
+    (BIT 1980) compares each iterate with the one saved at the last power
+    of two, in O(1) memory, and on a match replays the hunt from x0 to find
+    the first repeated step, then raises ``ConvergenceError`` naming it and
+    the period."""
+    x = start = np.zeros(dimension) if x0 is None else as_vector(x0, dimension)
+
+    def advance(x):
+        return x - step * value(x)
+
+    saved, power, period = x.tobytes(), 1, 1
     for _ in range(FIXED_POINT_CAP):
         v = value(x)
         if float(np.linalg.norm(v)) <= FIXED_POINT_TOL:
@@ -365,6 +446,19 @@ def _descend(value, dimension: int, step: float, x0=None) -> np.ndarray:
         x = x - step * v
         if float(np.linalg.norm(x)) > 1e12:
             raise ConvergenceError("fixed-point iteration diverged")
+        if x.tobytes() == saved:
+            first, ahead = start, start
+            for _ in range(period):
+                ahead = advance(ahead)
+            begin = 0
+            while first.tobytes() != ahead.tobytes():
+                first, ahead, begin = advance(first), advance(ahead), begin + 1
+            raise ConvergenceError(
+                f"fixed-point iteration repeats from step {begin} with period {period} "
+                f"above {FIXED_POINT_TOL:g}")
+        if period == power:
+            saved, power, period = x.tobytes(), 2 * power, 0
+        period += 1
     raise ConvergenceError(
         f"fixed-point iteration did not reach {FIXED_POINT_TOL:g} "
         f"within {FIXED_POINT_CAP} steps")
@@ -445,6 +539,23 @@ def _lowered(form):
         return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _descent_map(A: np.ndarray, b: np.ndarray, gamma: float, k: int):
+    """(A_k, b_k) with x -> A_k x + b_k the map of k float descent steps
+    x -> x - gamma (A x - A b): each step applied to the augmented matrix
+    [[A_j, b_j], [0, 1]] of the steps before it, from the identity.  None
+    when an entry is not finite, and the client then walks its k steps."""
+    n = A.shape[0]
+    grad = np.zeros((n + 1, n + 1))
+    grad[:n, :n], grad[:n, n] = A, -(A @ b)
+    F = np.eye(n + 1)
+    for _ in range(k):
+        F = F - gamma * (grad @ F)
+    if not np.isfinite(F).all():
+        return None
+    return F[:n, :n].copy(), F[:n, n].copy()
+
+
 def _check_model_average(xs: np.ndarray, models: np.ndarray):
     """Raise at the first round t whose x_(t+1), row t + 1 of the (T + 1, n)
     iterates xs, is not the average of round t's models, row t of the
@@ -480,11 +591,12 @@ def _distances(X: np.ndarray, p: np.ndarray) -> np.ndarray:
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
-    Every quadratic client's exact k-step form, kept on the client (see
-    ``QuadraticClient._exact_form``) and rounded once (``_lowered``), is
-    one block of a stacked (s n, n) operator, so one product per round gives
-    all their models.  Any other client, and a quadratic one whose form
-    overflows a float, walks its k descent steps (``_walked_models``):
+    Every quadratic client's float k-step map, kept on the client (see
+    ``QuadraticClient._float_map``: its exact form rounded once, or k
+    float descent steps for a float-entered matrix), is one block of a
+    stacked (s n, n) operator, so one product per round gives all their
+    models.  Any other client, and a quadratic one whose map is not
+    finite, walks its k descent steps (``_walked_models``):
     the C-ordered GLM clients that share an activation and a direction
     count as one orbit whose blocks are bit-equal to their own walks,
     every other client alone.  When a group's walk raises, its clients
@@ -498,24 +610,25 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     non-finite model or iterate truncates the trace with a diagnostic
     instead of poisoning it, and numpy's overflow warnings are off for the
     whole run.
-    The fixed point's affine solve reads the same exact forms.  The
-    surrogate is evaluated in one call over the distinct iterates and the
-    fixed point.
+    The fixed point's solve reads the same maps, or exact forms; a
+    "float-solve" point records the server value there, through the same
+    operator, as ``fixed_point_residual``.  The surrogate is evaluated in
+    one call over the distinct iterates and the fixed point.
     """
     clients = config.clients
     m, n = len(clients), config.x0.shape[0]
-    lowered, walking = {}, []
+    maps, walking = {}, []
     for i, c in enumerate(clients):
-        form = (_lowered(c._exact_form(config.gamma, config.k))
+        form = (c._float_map(config.gamma, config.k)
                 if isinstance(c, QuadraticClient) else None)
         if form is None:
             walking.append(i)
         else:
-            lowered[i] = form
+            maps[i] = form
     walks, groups = _client_walks(clients, walking, config.gamma, config.k)
-    stacked = list(lowered)
-    A = np.concatenate([lowered[i][0] for i in stacked]) if stacked else np.zeros((0, n))
-    b = np.concatenate([lowered[i][1] for i in stacked]) if stacked else np.zeros(0)
+    stacked = list(maps)
+    A = np.concatenate([maps[i][0] for i in stacked]) if stacked else np.zeros((0, n))
+    b = np.concatenate([maps[i][1] for i in stacked]) if stacked else np.zeros(0)
 
     def models(x):
         """Every client's model at x, one row per client.  As when every
@@ -535,7 +648,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
             for i, y in _walked_models(walks, groups, x, first_bad):
                 ys[i] = y
         if first_bad < m:
-            raise NonFiniteValueError(f"{Affine(*lowered[first_bad]).describe()} produced "
+            raise NonFiniteValueError(f"{Affine(*maps[first_bad]).describe()} produced "
                                       f"a non-finite value at x={x.tolist()}")
         return ys
 
@@ -577,6 +690,9 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     if fixed_point is not None:
         trace.fixed_point = fixed_point
         trace.fixed_point_method = method
+        if method == "float-solve":
+            v = (weight * (fixed_point - models(fixed_point))).cumsum(axis=0)[-1]
+            trace.fixed_point_residual = float(np.abs(v).max())
         dists = _distances(trace.xs, fixed_point)
         before, after = dists[:-1], dists[1:]
         trace.dists = dists
@@ -602,9 +718,13 @@ def closed_form_affine_trace(clients, config: FedAvgConfig) -> np.ndarray:
     """Iterates of the affine recursion x -> x - eta (M x + v) in closed form.
 
     Float reference for all-quadratic configurations; used to cross-check
-    the simulated trace.
+    the simulated trace.  (M, v) come from the float k-step maps on a set
+    the oracle solves in floats (``_float_maps``), else from the exact
+    forms.
     """
-    Mf, vf = map(np.array, _affine_server_parts(clients, config.gamma, config.k))
+    maps = _float_maps(clients, config.gamma, config.k)
+    Mf, vf = (_float_server_parts(maps) if maps is not None
+              else map(np.array, _affine_server_parts(clients, config.gamma, config.k)))
     n = Mf.shape[0]
     step = np.eye(n) - config.eta * Mf
     xs = [np.array(config.x0, dtype=float)]
@@ -708,10 +828,16 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
 
     They coincide at k = 1 (the algorithm is then gradient descent on the
     average) and can differ for k > 1; this reports both points and their
-    distance without judging the gap.
+    distance without judging the gap.  A set the oracle solves in floats
+    finds the average minimizer by a float solve of
+    sum A_c x = sum A_c b_c, labelled "float-solve".
     """
     x_s, method_s = oracle_fixed_point(clients, gamma, k, x0=x0)
-    if all(isinstance(c, QuadraticClient) for c in clients):
+    if method_s == "float-solve":
+        x_star = _float_solve(sum(c.matrix for c in clients),
+                              sum(c.matrix @ c.center for c in clients))
+        method_star = "float-solve"
+    elif all(isinstance(c, QuadraticClient) for c in clients):
         # the average gradient sum A_c (x - b_c), exactly, is zero at x*
         n = clients[0].dimension
         S, v, _ = rationals.affine_split(Sum(

@@ -1,9 +1,13 @@
 """Server fields, traces, oracle fixed points, surrogates, rate checks."""
 
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterfield import fedavg as fa
 from iterfield.conservatism import SamplingConfig
@@ -22,6 +26,17 @@ def check_server_parts(clients, gamma, k):
             [-w * Fraction(x, d) for x in r]) == (M, v)
     assert fa._affine_server_parts(clients, gamma, k) == (
         [[float(x) for x in row] for row in M], [float(x) for x in v])
+
+
+class CallbackClient:
+    """A client whose gradient field is an opaque callback."""
+
+    def __init__(self, fn, dimension):
+        self.dimension = dimension
+        self.field = Callback(fn, dimension)
+
+    def gradient_field(self):
+        return self.field
 
 
 def hetero_clients():
@@ -348,6 +363,56 @@ class TestOracleFixedPoint:
             fa.oracle_fixed_point([client], 0.5, 2)
         assert "condition" in str(info.value)
 
+    def test_float_singular_reports_condition(self):
+        # a float-entered matrix whose k-step map keeps the second
+        # coordinate: M = I - A_k = diag(1, 0) is singular
+        client = fa.QuadraticClient(np.diag([0.1, 0.0]), np.zeros(2))
+        assert client.float_entered
+        with pytest.raises(fa.rationals.SingularMatrixError) as info:
+            fa.oracle_fixed_point([client], 10.0, 2)
+        assert str(info.value).startswith("matrix is singular (")
+        assert "float condition estimate" in str(info.value)
+
+    def test_a_stalled_hunt_raises_at_once(self, monkeypatch):
+        # Below 1e6 every model jumps to 1e6.  From there the first model is
+        # the next float up and the others stay, so the mean moves x by a
+        # third of an ulp, which rounds away: |V_s| = ulp / 3 = 3.9e-11 stays
+        # above the tolerance while x repeats from step 1 on.
+        far = 1e6
+
+        def stay(x):
+            return np.where(x < far, x - far, 0.0)
+
+        def nudge(x):
+            return np.where(x < far, x - far, x - np.nextafter(x, np.inf))
+
+        clients = [CallbackClient(nudge, 1), CallbackClient(stay, 1), CallbackClient(stay, 1)]
+        start = time.perf_counter()
+        with pytest.raises(fa.ConvergenceError) as info:
+            fa.oracle_fixed_point(clients, 1.0, 1)
+        assert str(info.value) == (
+            "fixed-point iteration repeats from step 1 with period 1 above 1e-12")
+        # the hunt that run_fedavg makes for an eligible set
+        monkeypatch.setattr(fa, "_oracle_eligible", lambda clients: True)
+        trace = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=1.0, eta=1.0, k=1, rounds=5,
+                                              x0=[0.0]))
+        assert time.perf_counter() - start < 1.0
+        assert trace.xs[1:].ravel().tolist() == [far] * 5
+        assert trace.fixed_point is None and trace.fixed_point_method is None
+
+    def test_a_cycle_names_its_start_and_period(self):
+        # x_t = 0, 1.5, 3, 1, 2, 1, 2, ...: x_5 = x_3, so the cycle starts at
+        # step 3 with period 2
+        after = {0.0: 1.5, 1.5: 3.0, 3.0: 1.0, 1.0: 2.0, 2.0: 1.0}
+
+        def value(x):
+            return x - np.array([after[float(x[0])]])
+
+        with pytest.raises(fa.ConvergenceError) as info:
+            fa._descend(value, 1, 1.0)
+        assert str(info.value) == (
+            "fixed-point iteration repeats from step 3 with period 2 above 1e-12")
+
 
 class TestSurrogate:
     def test_single_quadratic_closed_form(self):
@@ -482,6 +547,19 @@ def spd_clients(rng, m, n):
     return clients
 
 
+def integer_spd_clients(rng, m, n):
+    """Clients whose matrices (B B^T + I) / 2^j, B with entries in {-1, 0, 1}
+    and j the least >= 2 that puts the spectrum inside (0, 2.9], and whose
+    centres are integers: small rationals, so they keep their exact forms."""
+    clients = []
+    for _ in range(m):
+        B = rng.integers(-1, 2, (n, n)).astype(float)
+        A = B @ B.T + np.eye(n)
+        scale = 2.0 ** max(2, math.ceil(math.log2(np.linalg.eigvalsh(A)[-1] / 2.9)))
+        clients.append(fa.QuadraticClient(A / scale, rng.integers(-2, 3, n).astype(float)))
+    return clients
+
+
 class TestStackedRounds:
     def test_mixed_clients_walk_their_maps_every_round(self):
         # quadratic clients share the stacked product; each Callback client
@@ -545,7 +623,7 @@ class TestStackedRounds:
             return original(self)
 
         monkeypatch.setattr(fa.Iterate, "_affine_form", counting)
-        clients = spd_clients(np.random.default_rng(5), 3, 3)
+        clients = integer_spd_clients(np.random.default_rng(5), 3, 3)
         config = fa.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=4, rounds=30, x0=[1.0, -1.0, 2.0])
         trace = fa.run_fedavg(config)
         closed = fa.closed_form_affine_trace(clients, config)
@@ -553,12 +631,44 @@ class TestStackedRounds:
         comparison = fa.compare_minimizers(clients, 0.5, 4)
         assert len(builds) == len(clients)
         assert method == comparison.surrogate_method == trace.fixed_point_method == "affine-solve"
+        assert comparison.average_method == "affine-solve"
         assert (point.tobytes() == trace.fixed_point.tobytes()
                 == comparison.surrogate_minimizer.tobytes())
         assert np.max(np.abs(closed - trace.xs)) <= 1e-12 * np.max(np.abs(closed))
         # another (gamma, k) is another form
         fa.oracle_fixed_point(clients, 0.5, 2)
         assert len(builds) == 2 * len(clients)
+
+    def test_float_maps_built_once_per_client_across_consumers(self, monkeypatch):
+        exact, maps = [], []
+        original_form, original_map = fa.Iterate._affine_form, fa._descent_map
+
+        def counting_form(self):
+            exact.append(self)
+            return original_form(self)
+
+        def counting_map(*args):
+            maps.append(args)
+            return original_map(*args)
+
+        monkeypatch.setattr(fa.Iterate, "_affine_form", counting_form)
+        monkeypatch.setattr(fa, "_descent_map", counting_map)
+        clients = spd_clients(np.random.default_rng(5), 3, 3)
+        assert all(c.float_entered for c in clients)
+        config = fa.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=4, rounds=30, x0=[1.0, -1.0, 2.0])
+        trace = fa.run_fedavg(config)
+        closed = fa.closed_form_affine_trace(clients, config)
+        point, method = fa.oracle_fixed_point(clients, 0.5, 4)
+        comparison = fa.compare_minimizers(clients, 0.5, 4)
+        assert exact == [] and len(maps) == len(clients)
+        assert method == comparison.surrogate_method == trace.fixed_point_method == "float-solve"
+        assert comparison.average_method == "float-solve"
+        assert (point.tobytes() == trace.fixed_point.tobytes()
+                == comparison.surrogate_minimizer.tobytes())
+        assert np.max(np.abs(closed - trace.xs)) <= 1e-12 * np.max(np.abs(closed))
+        # another (gamma, k) is another map, and still no exact form
+        fa.oracle_fixed_point(clients, 0.5, 2)
+        assert exact == [] and len(maps) == 2 * len(clients)
 
     def test_integer_server_parts_equal_sum_as_affine(self):
         rng = np.random.default_rng(8)
@@ -598,3 +708,105 @@ class TestStackedRounds:
             assert np.all(np.abs(f_s(X) - expected) <= 1e-15 * np.abs(expected))
             one = f_s(X[2])
             assert isinstance(one, float) and one == f_s(X)[2]
+
+
+# ----- FedAvg: float-entered quadratic clients -----
+
+def stacked_rounds(config, forms):
+    """The rounds' iterates with client c's model A_c x + b_c, from its
+    form (A_c, b_c), the forms stacked into one operator as ``run_fedavg``
+    stacks them."""
+    n, m = config.x0.shape[0], len(forms)
+    A = np.concatenate([a for a, _ in forms])
+    b = np.concatenate([c for _, c in forms])
+    x, xs = config.x0, [config.x0]
+    for _ in range(config.rounds):
+        ys = (A @ x + b).reshape(-1, n)
+        x = x - config.eta * ((1.0 / m) * (x - ys)).cumsum(axis=0)[-1]
+        xs.append(x)
+    return np.array(xs)
+
+
+def lowered_forms(config):
+    """Every client's exact k-step form rounded once to floats."""
+    return [fa._lowered(c._exact_form(config.gamma, config.k)) for c in config.clients]
+
+
+def exact_fixed_point(clients, gamma, k):
+    """The Bareiss solve of the server system, rounded once."""
+    P, r, _ = fa._server_system(clients, gamma, k)
+    return fa.rationals.to_float_vector(fa.rationals.solve_linear(P, r))
+
+
+@st.composite
+def quadratic_configs(draw, make_clients):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    return fa.FedAvgConfig(make_clients(rng, draw(st.integers(1, 5)), n),
+                           gamma=draw(st.sampled_from((0.1, 0.3, 0.5))),
+                           eta=draw(st.sampled_from((0.5, 1.0))), k=draw(st.integers(1, 5)),
+                           rounds=30, x0=rng.uniform(-3, 3, n))
+
+
+def gap(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+class TestFloatPath:
+    @settings(max_examples=40, deadline=None)
+    @given(quadratic_configs(spd_clients))
+    def test_float_sets_agree_with_the_exact_solve_and_forms(self, config):
+        clients, gamma, k = config.clients, config.gamma, config.k
+        assert all(c.float_entered for c in clients)
+        trace = fa.run_fedavg(config)
+        assert trace.note is None and trace.fixed_point_method == "float-solve"
+        want = exact_fixed_point(clients, gamma, k)
+        point = trace.fixed_point
+        assert gap(point, want) <= 1e-12 * np.max(np.abs(want))
+        assert trace.fixed_point_residual <= 1e-12 * max(1.0, float(np.max(np.abs(point))))
+        reference = stacked_rounds(config, lowered_forms(config))
+        assert gap(trace.xs, reference) <= 1e-12 * np.max(np.abs(reference))
+
+    @settings(max_examples=40, deadline=None)
+    @given(quadratic_configs(integer_spd_clients))
+    def test_small_rational_sets_keep_the_exact_path(self, config):
+        clients, gamma, k = config.clients, config.gamma, config.k
+        assert not any(c.float_entered for c in clients)
+        trace = fa.run_fedavg(config)
+        assert trace.fixed_point_method == "affine-solve"
+        assert trace.fixed_point_residual is None
+        assert trace.fixed_point.tobytes() == exact_fixed_point(clients, gamma, k).tobytes()
+        assert trace.xs.tobytes() == stacked_rounds(config, lowered_forms(config)).tobytes()
+        M, v = map(np.array, fa._affine_server_parts(clients, gamma, k))
+        xs = [config.x0]
+        for _ in range(config.rounds):
+            xs.append((np.eye(len(v)) - config.eta * M) @ xs[-1] - config.eta * v)
+        assert fa.closed_form_affine_trace(clients, config).tobytes() == np.array(xs).tobytes()
+        assert fa.compare_minimizers(clients, gamma, k).average_method == "affine-solve"
+
+    def test_one_float_client_moves_the_set_to_floats(self):
+        rng = np.random.default_rng(2)
+        clients = integer_spd_clients(rng, 2, 3) + spd_clients(rng, 1, 3)
+        config = fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=3, rounds=30,
+                                 x0=[1.0, 2.0, -1.0])
+        trace = fa.run_fedavg(config)
+        assert trace.fixed_point_method == "float-solve"
+        want = exact_fixed_point(clients, 0.3, 3)
+        assert gap(trace.fixed_point, want) <= 1e-12 * np.max(np.abs(want))
+        # the small clients' maps are their exact forms rounded once
+        for c in clients[:2]:
+            lowered = fa._lowered(c._exact_form(0.3, 3))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(c._float_map(0.3, 3), lowered))
+
+    def test_a_float_map_past_float_range_walks_and_keeps_the_exact_solve(self):
+        # (1 - 1000 * 0.3)^200 is past float range: the client walks its
+        # steps, and the set's fixed point comes from the exact forms
+        client = fa.QuadraticClient(np.diag([0.1, 0.3]), [1.0, -1.0])
+        assert client.float_entered and client._float_map(1000.0, 200) is None
+        # a matrix scaled past 2^16 is integers: small rationals
+        assert not fa.QuadraticClient(1e200 * np.diag([0.1, 0.3]), [0.0, 0.0]).float_entered
+        trace = fa.run_fedavg(fa.FedAvgConfig([client], gamma=1000.0, eta=1.0, k=200,
+                                              rounds=3, x0=[2.0, 2.0]))
+        assert trace.note is not None and trace.fixed_point_method == "affine-solve"
+        assert trace.fixed_point.tolist() == [1.0, -1.0]
+        assert trace.fixed_point_residual is None

@@ -37,15 +37,18 @@ class CallbackClient:
 def reference_run(config):
     """(xs, server values, note, fixed point, method) with every walking
     client evaluated alone, in index order, and quadratic clients lowered
-    and stacked as ``run_fedavg`` does.  With eta = 1 each round is checked
+    and stacked as ``run_fedavg`` does: a float-entered matrix by its k
+    float descent steps, any other by its exact form rounded once.  With eta = 1 each round is checked
     against the plain model average as it ends, raising RuntimeError at the
     first round that disagrees."""
     clients, gamma, k = config.clients, config.gamma, config.k
     m, n = len(clients), config.x0.shape[0]
     lowered, walks = {}, []
     for i, c in enumerate(clients):
-        form = (fa._lowered(c._exact_form(gamma, k))
-                if isinstance(c, fa.QuadraticClient) else None)
+        form = None
+        if isinstance(c, fa.QuadraticClient):
+            form = (fa._descent_map(c.matrix, c.center, gamma, k) if c.float_entered
+                    else fa._lowered(c._exact_form(gamma, k)))
         if form is None:
             walks.append((i, Iterate(GdMap(c.gradient_field(), gamma), k)))
         else:
@@ -103,16 +106,31 @@ def reference_run(config):
 @np.errstate(over="ignore", invalid="ignore")
 def reference_oracle(clients, gamma, k, x0=None, tol=fa.FIXED_POINT_TOL,
                      max_iterations=fa.FIXED_POINT_CAP):
-    """The unit-step server recursion on the server field's own Sum."""
+    """The unit-step server recursion on the server field's own Sum.  An
+    iterate that repeats step j's, with period p, can only cycle; it raises
+    where Brent's search, which compares each iterate with the one saved at
+    step 2^i - 1, finds it: at step 2^i - 1 + p for the least i with
+    2^i - 1 >= j and 2^i >= p, if the cap reaches that step."""
     field = fa.build_server_field_only(clients, gamma, k)
     x = np.zeros(field.dimension) if x0 is None else as_vector(x0, field.dimension)
-    for _ in range(max_iterations):
+    seen = {x.tobytes(): 0}
+    for step in range(1, max_iterations + 1):
         v = field(x)
         if float(np.linalg.norm(v)) <= tol:
             return x, "iterative"
         x = x - 1.0 * v
         if float(np.linalg.norm(x)) > 1e12:
             raise fa.ConvergenceError("fixed-point iteration diverged")
+        if x.tobytes() in seen:
+            begin = seen[x.tobytes()]
+            period, power = step - begin, 1
+            while power - 1 < begin or power < period:
+                power *= 2
+            if power - 1 + period <= max_iterations:
+                raise fa.ConvergenceError(f"fixed-point iteration repeats from step {begin} "
+                                          f"with period {period} above {tol:g}")
+            break
+        seen[x.tobytes()] = step
     raise fa.ConvergenceError(
         f"fixed-point iteration did not reach {tol:g} within {max_iterations} steps")
 
