@@ -255,44 +255,71 @@ class FedAvgTrace:
         return self.xs.shape[0] - 1
 
 
-def _client_walks(clients, indices, gamma: float, k: int):
-    """(walks, groups) for the clients at ``indices``, which walk their k
-    local descent steps.  ``walks`` pairs each index, in order, with its
-    client's own walk.  ``groups`` pairs the indices of every two or more
-    clients whose ``GlmGradient``s share an activation and a direction
-    count, and whose directions are C-ordered, with one walk of their
-    ``GlmGradientStack``; any other client walks alone."""
-    walks, stacks = [], {}
-    for i in indices:
-        grad = clients[i].gradient_field()
-        walks.append((i, Iterate(GdMap(grad, gamma), k)))
+def _server_models(clients, gamma: float, k: int):
+    """models(x): every client's model at x after its k local descent
+    steps, an (m, n) array in client order; the rounds, the "float-solve"
+    residual and the iterative oracle all read it.
+
+    The models come in batches.  Every quadratic client with a finite float
+    k-step map (``QuadraticClient._float_map``: its exact form rounded
+    once, or k float descent steps for a float-entered matrix) is one block
+    of a stacked (s n, n) operator, so one product gives all their models.
+    The C-ordered ``GlmGradient`` clients that share an activation and a
+    direction count, two or more, walk as one ``GlmGradientStack`` orbit
+    whose blocks are bit-equal to their own walks.  When a batch raises,
+    or a stacked row is not finite, its clients walk alone, in index order
+    with every client no batch covers: a quadratic one as ``Affine`` of its
+    map, any other its k descent steps.  So the first client that fails
+    alone raises its own error and no later one walks.  A batch that covers
+    every client gives its rows as they are.  x is a finite point of the
+    right dimension, and the caller silences numpy's overflow warnings.
+    """
+    m, n = len(clients), _dimension(clients)
+    alone, maps, stacks = [], {}, {}
+    for i, c in enumerate(clients):
+        form = c._float_map(gamma, k) if isinstance(c, QuadraticClient) else None
+        if form is not None:
+            maps[i] = form
+            alone.append(Affine(*form))
+            continue
+        grad = c.gradient_field()
+        alone.append(Iterate(GdMap(grad, gamma), k))
         if isinstance(grad, GlmGradient) and grad.spec.directions.flags.c_contiguous:
             stacks.setdefault((grad.spec.activation, grad.spec.n_directions), {})[i] = grad.spec
-    groups = [(list(members), Iterate(GdMap(GlmGradientStack(list(members.values())), gamma), k))
-              for members in stacks.values() if len(members) > 1]
-    return walks, groups
+    batches = []
+    if maps:
+        A = np.concatenate([A for A, _ in maps.values()])
+        b = np.concatenate([b for _, b in maps.values()])
 
+        def stacked(x):
+            rows = (A @ x + b).reshape(-1, n)
+            if not np.isfinite(rows).all():
+                raise NonFiniteValueError("a stacked quadratic model is not finite")
+            return rows
 
-def _walked_models(walks, groups, x: np.ndarray, last: float = math.inf):
-    """(i, client i's model at x) for every client of ``walks`` up to
-    index ``last``, in index order.  Each group's stacked walk from x runs
-    first; a client of a group whose walk raised nothing takes its block,
-    and every other client walks alone in its turn, so the first of them to
-    fail raises its own error and no later one walks.  The caller silences
-    numpy's overflow warnings."""
-    grouped = {}
-    for members, walk in groups:
-        try:
-            Y = walk._evaluate(np.concatenate([x] * len(members)))
-        except Exception:  # any error: each member raises it again alone, in turn
-            continue
-        grouped.update(zip(members, Y.reshape(len(members), -1)))
-    for i, walk in walks:
-        if i > last:
-            return
-        # x is a finite point of the right dimension: skip the public
-        # entry's checks
-        yield i, grouped[i] if i in grouped else walk._evaluate(x)
+        batches.append((list(maps), stacked))
+    for members in stacks.values():
+        if len(members) > 1:
+            walk = Iterate(GdMap(GlmGradientStack(list(members.values())), gamma), k)
+            batches.append((list(members), lambda x, walk=walk, s=len(members):
+                            walk._evaluate(np.concatenate([x] * s)).reshape(s, n)))
+
+    def models(x):
+        ys, left = np.empty((m, n)), range(m)
+        for members, batch in batches:
+            try:
+                rows = batch(x)
+            except Exception:  # any error: each member raises it again alone, in turn
+                continue
+            if len(members) == m:
+                return rows
+            ys[members] = rows
+            left = [i for i in left if i not in members]
+        for i in left:
+            ys[i] = alone[i]._evaluate(x)
+        return ys
+
+    return models
 
 
 def _server_system(clients, gamma: float, k: int):
@@ -375,12 +402,13 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     d / w, so the same solution); anything else is refined iteratively with
     the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
     until the field norm drops below FIXED_POINT_TOL (``_descend``).  Its
-    rounds walk the clients through ``run_fedavg``'s ``_walked_models``,
-    grouped GLM clients as one stacked orbit, and accumulate V_s as
-    ``build_server_field_only``'s Sum does, so the point is bit-equal to
-    descending that Sum; a round's total is checked once, and a round
-    whose total is not finite is left to the Sum, which raises the first
-    failing client's error.
+    rounds read the clients' models through the rounds' own operator
+    (``_server_models``) and average their deltas as a round does, so a
+    model that fails raises what a round raises there.  A set with no
+    quadratic client is walked as ``build_server_field_only``'s Sum walks
+    it, and the point is bit-equal to descending that Sum; a total that is
+    not finite is left to the Sum, which raises the first failing client's
+    error.
     Returns (point, method).
     """
     maps = _float_maps(clients, gamma, k)
@@ -399,26 +427,17 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
             raise rationals.SingularMatrixError(
                 f"{err}; float condition estimate {cond:.3e}") from err
         return rationals.to_float_vector(solution), "affine-solve"
-    n = _dimension(clients)
-    walks, groups = _client_walks(clients, range(len(clients)), gamma, k)
-    weight = 1.0 / len(clients)
+    models, weight = _server_models(clients, gamma, k), 1.0 / len(clients)
 
     def server_value(x):
-        # The Sum accumulates from zeros, where cumsum would keep a -0.0.  A
-        # non-finite total stays so, and the Sum decides that round, also
-        # when a later client's walk raised: it may stop at an earlier one.
-        total = np.zeros(n)
-        try:
-            for _, y in _walked_models(walks, groups, x):
-                total += weight * (x - y)
-        except Exception:  # any error
-            if np.isfinite(total).all():
-                raise
+        # The Sum accumulates from zeros, where cumsum keeps a leading -0.0:
+        # adding 0.0 gives the Sum's signed zeros.
+        total = (weight * (x - models(x))).cumsum(axis=0)[-1] + 0.0
         if not np.isfinite(total).all():
             return build_server_field_only(clients, gamma, k)(x)
         return total
 
-    return _descend(server_value, n, 1.0, x0), "iterative"
+    return _descend(server_value, _dimension(clients), 1.0, x0), "iterative"
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -591,18 +610,10 @@ def _distances(X: np.ndarray, p: np.ndarray) -> np.ndarray:
 def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     """Iterate the server update for the configured number of rounds.
 
-    Every quadratic client's float k-step map, kept on the client (see
-    ``QuadraticClient._float_map``: its exact form rounded once, or k
-    float descent steps for a float-entered matrix), is one block of a
-    stacked (s n, n) operator, so one product per round gives all their
-    models.  Any other client, and a quadratic one whose map is not
-    finite, walks its k descent steps (``_walked_models``):
-    the C-ordered GLM clients that share an activation and a direction
-    count as one orbit whose blocks are bit-equal to their own walks,
-    every other client alone.  When a group's walk raises, its clients
-    walk alone that round, in index order with the rest, so the first
-    client that fails raises its own error; the trace is the one walking
-    every client alone gives.  With eta = 1 the run is verified against the
+    Each round reads every client's model through ``_server_models``:
+    stacked quadratic maps, stacked GLM orbits and lone walks, failing as
+    walking every client alone in index order fails, so the first client
+    that fails raises its own error.  With eta = 1 the run is verified against the
     plain model-average recursion, which the delta update must reproduce
     to 1e-12 times max(1, |model average|_inf, |x_t|_inf): once per run,
     after the rounds, over every completed round's kept models, raising at
@@ -616,43 +627,8 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     one call over the distinct iterates and the fixed point.
     """
     clients = config.clients
-    m, n = len(clients), config.x0.shape[0]
-    maps, walking = {}, []
-    for i, c in enumerate(clients):
-        form = (c._float_map(config.gamma, config.k)
-                if isinstance(c, QuadraticClient) else None)
-        if form is None:
-            walking.append(i)
-        else:
-            maps[i] = form
-    walks, groups = _client_walks(clients, walking, config.gamma, config.k)
-    stacked = list(maps)
-    A = np.concatenate([maps[i][0] for i in stacked]) if stacked else np.zeros((0, n))
-    b = np.concatenate([maps[i][1] for i in stacked]) if stacked else np.zeros(0)
-
-    def models(x):
-        """Every client's model at x, one row per client.  As when every
-        client walked, the first client in index order whose model is
-        non-finite raises, and no later client walks."""
-        first_bad = m
-        if stacked:
-            rows = (A @ x + b).reshape(-1, n)
-            if not np.isfinite(rows).all():
-                first_bad = stacked[int(np.argmin(np.isfinite(rows).all(axis=1)))]
-        if not walks:
-            ys = rows
-        else:
-            ys = np.empty((m, n))
-            if stacked:
-                ys[stacked] = rows
-            for i, y in _walked_models(walks, groups, x, first_bad):
-                ys[i] = y
-        if first_bad < m:
-            raise NonFiniteValueError(f"{Affine(*maps[first_bad]).describe()} produced "
-                                      f"a non-finite value at x={x.tolist()}")
-        return ys
-
-    weight = 1.0 / m
+    n = config.x0.shape[0]
+    models, weight = _server_models(clients, config.gamma, config.k), 1.0 / len(clients)
     xs = [np.array(config.x0, dtype=float)]
     values, round_models = [], []
     note = None

@@ -4,7 +4,8 @@ direction count as one stacked orbit, and must give, bit for bit, what
 walking every client alone gives.  The reference here is that per-client
 loop: each walking client evaluated alone through its public call, in
 index order, each round checked against the model average as it ends, and
-the oracle descending the server field's own Sum."""
+the oracle descending the same per-client models, averaged as the server
+field's own Sum averages them."""
 
 import math
 from unittest import mock
@@ -33,22 +34,30 @@ class CallbackClient:
         return self.field
 
 
+def lowered_form(client, gamma, k):
+    """A quadratic client's float k-step map as ``run_fedavg`` stacks it: a
+    float-entered matrix by its k float descent steps, any other by its
+    exact form rounded once; None for any other client, or a map that is
+    not finite."""
+    if not isinstance(client, fa.QuadraticClient):
+        return None
+    return (fa._descent_map(client.matrix, client.center, gamma, k) if client.float_entered
+            else fa._lowered(client._exact_form(gamma, k)))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_run(config):
     """(xs, server values, note, fixed point, method) with every walking
     client evaluated alone, in index order, and quadratic clients lowered
-    and stacked as ``run_fedavg`` does: a float-entered matrix by its k
-    float descent steps, any other by its exact form rounded once.  With eta = 1 each round is checked
+    and stacked as ``run_fedavg`` does (``lowered_form``).  With eta = 1
+    each round is checked
     against the plain model average as it ends, raising RuntimeError at the
     first round that disagrees."""
     clients, gamma, k = config.clients, config.gamma, config.k
     m, n = len(clients), config.x0.shape[0]
     lowered, walks = {}, []
     for i, c in enumerate(clients):
-        form = None
-        if isinstance(c, fa.QuadraticClient):
-            form = (fa._descent_map(c.matrix, c.center, gamma, k) if c.float_entered
-                    else fa._lowered(c._exact_form(gamma, k)))
+        form = lowered_form(c, gamma, k)
         if form is None:
             walks.append((i, Iterate(GdMap(c.gradient_field(), gamma), k)))
         else:
@@ -106,16 +115,32 @@ def reference_run(config):
 @np.errstate(over="ignore", invalid="ignore")
 def reference_oracle(clients, gamma, k, x0=None, tol=fa.FIXED_POINT_TOL,
                      max_iterations=fa.FIXED_POINT_CAP):
-    """The unit-step server recursion on the server field's own Sum.  An
-    iterate that repeats step j's, with period p, can only cycle; it raises
-    where Brent's search, which compares each iterate with the one saved at
-    step 2^i - 1, finds it: at step 2^i - 1 + p for the least i with
+    """The unit-step server recursion on the rounds' models: each client
+    alone, in index order, through its public call, a quadratic one as
+    ``Affine`` of its ``lowered_form`` and any other by the walk the server
+    field's Sum gives it; their deltas accumulated from zeros, as the Sum
+    does, and a total that is not finite left to the Sum.  An iterate that
+    repeats step j's, with period p, can only cycle; it raises where
+    Brent's search, which compares each iterate with the one saved at step
+    2^i - 1, finds it: at step 2^i - 1 + p for the least i with
     2^i - 1 >= j and 2^i >= p, if the cap reaches that step."""
     field = fa.build_server_field_only(clients, gamma, k)
+    models = []
+    for c, delta in zip(clients, field.fields):
+        form = lowered_form(c, gamma, k)
+        models.append(delta.fields[1] if form is None else Affine(*form))
+
+    def value(x):
+        ys = [model(x) for model in models]
+        total = np.zeros(field.dimension)
+        for y in ys:
+            total += (1.0 / len(ys)) * (x - y)
+        return total if np.isfinite(total).all() else field(x)
+
     x = np.zeros(field.dimension) if x0 is None else as_vector(x0, field.dimension)
     seen = {x.tobytes(): 0}
     for step in range(1, max_iterations + 1):
-        v = field(x)
+        v = value(x)
         if float(np.linalg.norm(v)) <= tol:
             return x, "iterative"
         x = x - 1.0 * v
@@ -311,9 +336,11 @@ class TestGroupsEqualClientsAlone:
         assert trace.note == reference_run(config)[2]
         assert trace.note.startswith("trace truncated at round 0: callback")
 
-    def test_oracle_names_a_non_finite_delta_as_the_sum_does(self):
+    def test_oracle_raises_what_a_round_raises(self):
         # the first client's k = 2 model is finite, but x minus it is not;
-        # the second client raises a different error when walked
+        # the second client raises a different error when walked: a round
+        # walks every client before it averages, so the hunt raises the
+        # second client's error, as a round from the same point does
         big = CallbackClient(lambda x: np.full(1, 1.7e308), 1, name="big")
 
         def refuse(x):
@@ -322,10 +349,40 @@ class TestGroupsEqualClientsAlone:
         clients = [big, CallbackClient(refuse, 1, name="refuse"),
                    fa.GlmClient(GlmSpec([[1.0]], "logistic")),
                    fa.GlmClient(GlmSpec([[-1.0]], "logistic"))]
-        got = outcome(lambda: fa.oracle_fixed_point(clients, 1.0, 2, [1.7e308]))
-        want = outcome(lambda: reference_oracle(clients, 1.0, 2, [1.7e308]))
-        assert got == want
-        assert got[0] == "NonFiniteValueError" and got[1].startswith("sum([linear")
+        config = fa.FedAvgConfig(clients, gamma=1.0, eta=1.0, k=2, rounds=1, x0=[1.7e308])
+        for hunt in (lambda: fa.oracle_fixed_point(clients, 1.0, 2, [1.7e308]),
+                     lambda: reference_oracle(clients, 1.0, 2, [1.7e308]),
+                     lambda: fa.run_fedavg(config)):
+            with pytest.raises(ValueError, match="^walked after a failing client$"):
+                hunt()
+
+    def test_oracle_walks_each_group_once_per_step(self, monkeypatch):
+        # two groups of two opposing clients each: every step of the hunt
+        # walks two stacked orbits, and the point is the reference's
+        rng = np.random.default_rng(11)
+        clients = []
+        for activation, count in (("logistic", 2), ("quadratic", 1)):
+            Z = directions(rng, 3, count, "rotated")
+            clients += [fa.GlmClient(GlmSpec(Z, activation)),
+                        fa.GlmClient(GlmSpec(-0.9 * Z, activation))]
+        walks, steps = [], []
+        walk, descend = fields.Iterate._evaluate_rows, fa._descend
+
+        def counting_walk(self, X):
+            walks.append(self)
+            return walk(self, X)
+
+        def counting_descend(value, *args):
+            return descend(lambda x: steps.append(x) or value(x), *args)
+
+        monkeypatch.setattr(fields.Iterate, "_evaluate_rows", counting_walk)
+        monkeypatch.setattr(fa, "_descend", counting_descend)
+        point, method = fa.oracle_fixed_point(clients, 0.5, 3)
+        monkeypatch.undo()
+        assert method == "iterative" and len(steps) > 1
+        assert len(walks) == 2 * len(steps)
+        assert {len(w.inner.inner.specs) for w in walks} == {2}
+        assert point.tobytes() == reference_oracle(clients, 0.5, 3)[0].tobytes()
 
 
     def test_oracle_keeps_the_sums_signed_zeros(self):
