@@ -163,6 +163,16 @@ def _dimension(clients) -> int:
     return dims.pop()
 
 
+def _check_steps(gamma: float, k: int, rounds: int = 1):
+    """Refuse a step size or count no run takes: gamma must be finite and
+    positive, and k and rounds ints or numpy integers, not bools, >= 1."""
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
+    for name, count in (("k", k), ("rounds", rounds)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+
+
 def build_server_field_only(clients, gamma: float, k: int) -> Field:
     _dimension(clients)
     deltas = [model_delta_field(c.gradient_field(), gamma, k) for c in clients]
@@ -194,8 +204,7 @@ def build_server_field(clients, gamma: float, k: int,
     that the average is itself a gradient field."""
     if not clients:
         raise ValueError("need at least one client")
-    if not (gamma > 0) or k < 1:
-        raise ValueError("need gamma > 0 and k >= 1")
+    _check_steps(gamma, k)
     field = build_server_field_only(clients, gamma, k)
     verdict = check_numeric(field, 1, sampling or SamplingConfig())
     return ServerFieldInfo(field, field.dimension, verdict,
@@ -218,12 +227,9 @@ class FedAvgConfig:
     def __post_init__(self):
         if not self.clients:
             raise ValueError("need at least one client")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and positive")
+        _check_steps(self.gamma, self.k, self.rounds)
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be finite and positive")
-        if self.k < 1 or self.rounds < 1:
-            raise ValueError("need k >= 1 and rounds >= 1")
         self.x0 = as_vector(self.x0, _dimension(self.clients))
 
 
@@ -409,8 +415,10 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     it, and the point is bit-equal to descending that Sum; a total that is
     not finite is left to the Sum, which raises the first failing client's
     error.
-    Returns (point, method).
+    Returns (point, method); a step size or count ``_check_steps`` refuses
+    raises ValueError.
     """
+    _check_steps(gamma, k)
     maps = _float_maps(clients, gamma, k)
     if maps is not None:
         M, v = _float_server_parts(maps)
@@ -516,6 +524,7 @@ def server_surrogate(clients, gamma: float, k: int):
     f_s takes one point, giving a float, or an (N, n) array of points,
     giving N values; a point's value is the same either way.
     """
+    _check_steps(gamma, k)
     if all(isinstance(c, QuadraticClient) for c in clients):
         parts = []
         for c in clients:
@@ -806,7 +815,8 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     average) and can differ for k > 1; this reports both points and their
     distance without judging the gap.  A set the oracle solves in floats
     finds the average minimizer by a float solve of
-    sum A_c x = sum A_c b_c, labelled "float-solve".
+    sum A_c x = sum A_c b_c, labelled "float-solve".  The oracle, called
+    first, refuses a step size or count as ``_check_steps`` does.
     """
     x_s, method_s = oracle_fixed_point(clients, gamma, k, x0=x0)
     if method_s == "float-solve":

@@ -104,7 +104,9 @@ def _emit(obj, pieces: list, indent: int):
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, float):
-        pieces.append(format(obj, ".17g") if math.isfinite(obj) else "null")
+        text = format(obj, ".17g") if math.isfinite(obj) else "null"
+        # "-0" would read back as the integer 0
+        pieces.append("-0.0" if text == "-0" else text)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):

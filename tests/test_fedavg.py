@@ -810,3 +810,48 @@ class TestFloatPath:
         assert trace.note is not None and trace.fixed_point_method == "affine-solve"
         assert trace.fixed_point.tolist() == [1.0, -1.0]
         assert trace.fixed_point_residual is None
+
+
+BAD_STEPS = [(-0.5, 2, "gamma must be finite"), (0.0, 2, "gamma must be finite"),
+             (math.nan, 2, "gamma must be finite"), (math.inf, 2, "gamma must be finite"),
+             (0.3, 0, "k must be an integer >= 1"), (0.3, 2.5, "k must be an integer >= 1"),
+             (0.3, 2.0, "k must be an integer >= 1"), (0.3, True, "k must be an integer >= 1")]
+
+
+class TestStepChecks:
+    """A step size or count no run takes is refused with ValueError at every
+    public entry, for float-entered sets as for small-rational ones."""
+
+    @pytest.fixture(params=["float-entered", "small-rational"])
+    def clients(self, request):
+        rng = np.random.default_rng(4)
+        make = spd_clients if request.param == "float-entered" else integer_spd_clients
+        return make(rng, 2, 3)
+
+    @pytest.mark.parametrize("gamma, k, message", BAD_STEPS)
+    def test_entries_refuse_bad_steps(self, clients, gamma, k, message):
+        glm = [fa.GlmClient(GlmSpec(np.eye(2), "logistic")),
+               fa.GlmClient(GlmSpec(-np.eye(2), "logistic"))]
+        for entry in (fa.oracle_fixed_point, fa.compare_minimizers, fa.server_surrogate,
+                      fa.build_server_field):
+            for group in (clients, glm):
+                with pytest.raises(ValueError, match=message):
+                    entry(group, gamma, k)
+
+    @pytest.mark.parametrize("gamma, k, message", BAD_STEPS)
+    def test_config_refuses_bad_steps(self, clients, gamma, k, message):
+        with pytest.raises(ValueError, match=message):
+            fa.FedAvgConfig(clients, gamma=gamma, eta=1.0, k=k, rounds=5, x0=np.zeros(3))
+
+    @pytest.mark.parametrize("rounds", [0, -3, 2.0, 2.5, False])
+    def test_config_refuses_bad_round_counts(self, clients, rounds):
+        with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+            fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=2, rounds=rounds, x0=np.zeros(3))
+
+    def test_numpy_integer_counts_run_as_ints(self, clients):
+        plain = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=2, rounds=5,
+                                              x0=np.ones(3)))
+        counted = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=np.int64(2),
+                                                rounds=np.int32(5), x0=np.ones(3)))
+        assert counted.xs.tobytes() == plain.xs.tobytes()
+        assert counted.fixed_point.tobytes() == plain.fixed_point.tobytes()
