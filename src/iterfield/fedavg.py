@@ -294,8 +294,7 @@ def _server_models(clients, gamma: float, k: int):
             stacks.setdefault((grad.spec.activation, grad.spec.n_directions), {})[i] = grad.spec
     batches = []
     if maps:
-        A = np.concatenate([A for A, _ in maps.values()])
-        b = np.concatenate([b for _, b in maps.values()])
+        A, b = (np.concatenate(parts) for parts in zip(*maps.values()))
 
         def stacked(x):
             rows = (A @ x + b).reshape(-1, n)
@@ -622,12 +621,12 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     Each round reads every client's model through ``_server_models``:
     stacked quadratic maps, stacked GLM orbits and lone walks, failing as
     walking every client alone in index order fails, so the first client
-    that fails raises its own error.  With eta = 1 the run is verified against the
-    plain model-average recursion, which the delta update must reproduce
-    to 1e-12 times max(1, |model average|_inf, |x_t|_inf): once per run,
-    after the rounds, over every completed round's kept models, raising at
-    the first round that disagrees (``_check_model_average``).  A
-    non-finite model or iterate truncates the trace with a diagnostic
+    that fails raises its own error.  With eta = 1 the run is verified
+    against the plain model-average recursion, which the delta update must
+    reproduce to 1e-12 times max(1, |model average|_inf, |x_t|_inf): once
+    per run, after the rounds, over every completed round's kept models,
+    raising at the first round that disagrees (``_check_model_average``).
+    A non-finite model or iterate truncates the trace with a diagnostic
     instead of poisoning it, and numpy's overflow warnings are off for the
     whole run.
     The fixed point's solve reads the same maps, or exact forms; a
