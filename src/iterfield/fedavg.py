@@ -277,8 +277,9 @@ def _server_models(clients, gamma: float, k: int):
     with every client no batch covers: a quadratic one as ``Affine`` of its
     map, any other its k descent steps.  So the first client that fails
     alone raises its own error and no later one walks.  A batch that covers
-    every client gives its rows as they are.  x is a finite point of the
-    right dimension, and the caller silences numpy's overflow warnings.
+    every client, the common case, gives its rows with no copy.  x is a
+    finite point of the right dimension, and the caller silences numpy's
+    overflow warnings.
     """
     m, n = len(clients), _dimension(clients)
     alone, maps, stacks = [], {}, {}
@@ -286,10 +287,11 @@ def _server_models(clients, gamma: float, k: int):
         form = c._float_map(gamma, k) if isinstance(c, QuadraticClient) else None
         if form is not None:
             maps[i] = form
-            alone.append(Affine(*form))
+            # an Affine is built only when the stack fails, to name the map
+            alone.append(lambda x, form=form: Affine(*form)._evaluate(x))
             continue
         grad = c.gradient_field()
-        alone.append(Iterate(GdMap(grad, gamma), k))
+        alone.append(Iterate(GdMap(grad, gamma), k)._evaluate)
         if isinstance(grad, GlmGradient) and grad.spec.directions.flags.c_contiguous:
             stacks.setdefault((grad.spec.activation, grad.spec.n_directions), {})[i] = grad.spec
     batches = []
@@ -310,7 +312,7 @@ def _server_models(clients, gamma: float, k: int):
                             walk._evaluate(np.concatenate([x] * s)).reshape(s, n)))
 
     def models(x):
-        ys, left = np.empty((m, n)), range(m)
+        done = {}
         for members, batch in batches:
             try:
                 rows = batch(x)
@@ -318,10 +320,10 @@ def _server_models(clients, gamma: float, k: int):
                 continue
             if len(members) == m:
                 return rows
-            ys[members] = rows
-            left = [i for i in left if i not in members]
-        for i in left:
-            ys[i] = alone[i]._evaluate(x)
+            done.update(zip(members, rows))
+        ys = np.empty((m, n))
+        for i in range(m):
+            ys[i] = done[i] if i in done else alone[i](x)
         return ys
 
     return models
