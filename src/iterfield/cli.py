@@ -53,7 +53,6 @@ def _parse_k_range(text: str) -> list[int]:
 def _field_from_args(args) -> tuple:
     """Build the field plus a JSON-able description of how it was requested."""
     from .fields import Linear, PolyExact, Rotation2D
-    from .polynomials import PolyField
     from .reports import ConfigError, load_json_file, load_json_text
     chosen = [name for name in ("linear", "rotation", "poly", "field")
               if getattr(args, name, None) is not None]
@@ -66,6 +65,7 @@ def _field_from_args(args) -> tuple:
     if kind == "rotation":
         return Rotation2D(args.rotation), {"variant": "rotation", "j": args.rotation}
     if kind == "poly":
+        from .polynomials import PolyField
         components = [p.strip() for p in args.poly.split(";") if p.strip()]
         try:
             return (PolyExact(PolyField.from_texts(components, len(components))),

@@ -7,11 +7,9 @@ numbers; activations and coordinate maps are named by string.
 
 from __future__ import annotations
 
-from .fedavg import FedAvgConfig, GlmClient, QuadraticClient
 from .fields import (Affine, Compose, Constant, CoordWise1D, Field, GdMap,
                      Iterate, Linear, PolyExact, Rotation2D, Scale, ScalarMap, Sum)
 from .glm import GlmSpec, get_activation, glm_gradient
-from .polynomials import PolyField
 from .reports import ConfigError
 
 SCHEMA_VERSION = 1
@@ -97,6 +95,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
             return Compose(field_from_obj(_need(obj, "outer", variant), depth + 1),
                            field_from_obj(_need(obj, "inner", variant), depth + 1))
         if variant == "poly":
+            from .polynomials import PolyField
             components = _need(obj, "components", variant)
             nvars = _integer(obj.get("nvars", len(components)), "poly nvars")
             return PolyExact(PolyField.from_texts(components, nvars))
@@ -110,6 +109,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
 
 
 def client_from_obj(obj: dict):
+    from .fedavg import GlmClient, QuadraticClient
     kind = _need(_object(obj, "client"), "kind", "client")
     label = obj.get("label", "")
     try:
@@ -126,6 +126,7 @@ def client_from_obj(obj: dict):
 
 
 def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAvgConfig:
+    from .fedavg import FedAvgConfig
     version = _object(obj, "run config").get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")

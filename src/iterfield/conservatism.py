@@ -18,7 +18,6 @@ import numpy as np
 
 from . import IterfieldError, rationals
 from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
-from .polynomials import DEFAULT_MAX_TERMS, PolyField, asymmetry_pairs, poly_iterates
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -147,10 +146,14 @@ def check_rotation(j: int, k: int) -> Verdict:
     return Verdict("exact-no", certificate=f"{j} does not divide {k}: sin(k*pi/{j}) is nonzero")
 
 
-def check_poly(polyfield: PolyField, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> Verdict:
+def check_poly(polyfield: PolyField, k: int, max_terms: int | None = None) -> Verdict:
     """Exact verdict for a polynomial field via the symbolic asymmetry matrix:
     its first nonzero entry above the diagonal, in row order, is the
-    certificate, and the entries after it are not formed."""
+    certificate, and the entries after it are not formed.  ``max_terms``
+    defaults to ``polynomials.DEFAULT_MAX_TERMS``."""
+    from .polynomials import DEFAULT_MAX_TERMS, asymmetry_pairs
+    if max_terms is None:
+        max_terms = DEFAULT_MAX_TERMS
     for _, _, entry in asymmetry_pairs(polyfield, k, max_terms=max_terms):
         if not entry.is_zero():
             return Verdict("exact-no", certificate=entry.to_text())
@@ -229,6 +232,7 @@ def _exact_verdicts(field: Field, k_max: int):
                 if p % stride == 0]
     poly = inner.as_polyfield()
     if poly is not None:
+        from .polynomials import poly_iterates
         tower = zip(range(1, powers[-1] + 1), poly_iterates(poly))
         return [check_poly(V, 1) for p, V in tower if p % stride == 0]
     return None

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import IterfieldError, rationals
-from .conservatism import SamplingConfig, Verdict, check_numeric
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
                      Sum, as_matrix, as_vector)
 from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
-from .spectral import model_delta_field
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6
+# The fixed-point hunt measures its contraction rate over this many steps.
+FIXED_POINT_WINDOW = 1000
 RATE_SLACK = 1e-9
 EQUIVALENCE_TOL = 1e-12
 # A quadratic client's matrix is a set of small rationals, kept exact, when
@@ -174,6 +174,7 @@ def _check_steps(gamma: float, k: int, rounds: int = 1):
 
 
 def build_server_field_only(clients, gamma: float, k: int) -> Field:
+    from .spectral import model_delta_field
     _dimension(clients)
     deltas = [model_delta_field(c.gradient_field(), gamma, k) for c in clients]
     return Sum(deltas, weights=[1.0 / len(deltas)] * len(deltas))
@@ -202,6 +203,7 @@ def build_server_field(clients, gamma: float, k: int,
                        sampling: SamplingConfig | None = None) -> ServerFieldInfo:
     """Average of the clients' model-delta fields, plus sampled evidence
     that the average is itself a gradient field."""
+    from .conservatism import SamplingConfig, check_numeric
     if not clients:
         raise ValueError("need at least one client")
     _check_steps(gamma, k)
@@ -460,17 +462,34 @@ def _descend(value, dimension: int, step: float, x0=None) -> np.ndarray:
     (BIT 1980) compares each iterate with the one saved at the last power
     of two, in O(1) memory, and on a match replays the hunt from x0 to find
     the first repeated step, then raises ``ConvergenceError`` naming it and
-    the period."""
+    the period.
+
+    A hunt that drifts without repeating is caught by its rate: every
+    FIXED_POINT_WINDOW steps, |value| is compared with its value a window
+    earlier, and a per-step ratio q that is at least 1, or that needs more
+    than the steps left under FIXED_POINT_CAP to reach the tolerance,
+    raises ``ConvergenceError`` naming the step and q."""
     x = start = np.zeros(dimension) if x0 is None else as_vector(x0, dimension)
 
     def advance(x):
         return x - step * value(x)
 
     saved, power, period = x.tobytes(), 1, 1
-    for _ in range(FIXED_POINT_CAP):
+    for taken in range(FIXED_POINT_CAP):
         v = value(x)
-        if float(np.linalg.norm(v)) <= FIXED_POINT_TOL:
+        norm = float(np.linalg.norm(v))
+        if norm <= FIXED_POINT_TOL:
             return x
+        if taken % FIXED_POINT_WINDOW == 0:
+            if taken:
+                q = (norm / window_norm) ** (1 / FIXED_POINT_WINDOW)
+                if q >= 1 or (taken + math.log(FIXED_POINT_TOL / norm) / math.log(q)
+                              > FIXED_POINT_CAP):
+                    raise ConvergenceError(
+                        f"fixed-point iteration cannot reach {FIXED_POINT_TOL:g} within "
+                        f"{FIXED_POINT_CAP} steps: at step {taken} |V| changes by "
+                        f"q = {q:.6g} per step")
+            window_norm = norm
         x = x - step * v
         if float(np.linalg.norm(x)) > 1e12:
             raise ConvergenceError("fixed-point iteration diverged")

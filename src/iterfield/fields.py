@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import IterfieldError, rationals
-from .polynomials import PolyField, RationalPoly, jacobian_polys
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -271,6 +270,7 @@ class Constant(Field):
         return rationals.affine_numerators(np.zeros((self.dimension,) * 2), self.value)
 
     def as_polyfield(self):
+        from .polynomials import PolyField, RationalPoly
         n = self.dimension
         return PolyField([RationalPoly.constant(n, rationals.to_fraction(v)) for v in self.value])
 
@@ -293,6 +293,7 @@ class Linear(Field):
         return rationals.affine_numerators(self.matrix, np.zeros(self.dimension))
 
     def as_polyfield(self):
+        from .polynomials import PolyField
         return PolyField.linear(self.matrix)
 
     def describe(self):
@@ -315,6 +316,7 @@ class Affine(Field):
         return rationals.affine_numerators(self.matrix, self.offset)
 
     def as_polyfield(self):
+        from .polynomials import PolyField
         return PolyField.linear(self.matrix, self.offset)
 
     def describe(self):
@@ -432,6 +434,7 @@ class GdMap(Field):
         inner = self.inner.as_polyfield()
         if inner is None:
             return None
+        from .polynomials import PolyField, RationalPoly
         g = rationals.to_fraction(self.gamma)
         n = self.dimension
         return PolyField([RationalPoly.variable(n, i) - g * inner.components[i]
@@ -552,12 +555,16 @@ class Sum(Field):
         return rationals.affine_combination(parts)
 
     def as_polyfield(self):
-        n = self.dimension
-        comps = [RationalPoly.zero(n) for _ in range(n)]
-        for w, f in zip(self.weights, self.fields):
+        parts = []
+        for f in self.fields:
             part = f.as_polyfield()
             if part is None:
                 return None
+            parts.append(part)
+        from .polynomials import PolyField, RationalPoly
+        n = self.dimension
+        comps = [RationalPoly.zero(n) for _ in range(n)]
+        for w, part in zip(self.weights, parts):
             wf = rationals.to_fraction(w)
             comps = [acc + wf * p for acc, p in zip(comps, part.components)]
         return PolyField(comps)
@@ -590,6 +597,7 @@ class Scale(Field):
         part = self.inner.as_polyfield()
         if part is None:
             return None
+        from .polynomials import PolyField
         cf = rationals.to_fraction(self.c)
         return PolyField([cf * p for p in part.components])
 
@@ -645,6 +653,7 @@ class PolyExact(Field):
         if polyfield.ncomponents != polyfield.nvars:
             raise DimensionMismatchError(
                 "polynomial field must have one component per variable")
+        from .polynomials import jacobian_polys
         self.polyfield = polyfield
         self.dimension = polyfield.ncomponents
         self._jacobian = jacobian_polys(polyfield)

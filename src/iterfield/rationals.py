@@ -8,9 +8,9 @@ Every exact computation runs on integer numerators over one positive
 common denominator: a matrix is a pair (N, d) with entries N[i][j] / d.
 Int, Fraction and float entries enter this form directly (``numerators``),
 products, powers, solves and weighted sums stay in it, and a Fraction is
-made only for each entry of a public result (``mat_mul``, ``mat_vec``,
-``mat_power``, ``solve_linear``, ``affine_parts``): one normalizing gcd
-per output entry, and the same Fractions as plain Fraction arithmetic.
+made only for each entry of a public result (``mat_mul``, ``mat_power``,
+``solve_linear``, ``affine_parts``): one normalizing gcd per output
+entry, and the same Fractions as plain Fraction arithmetic.
 An affine map x -> A x + b is the augmented (n+1)x(n+1) matrix
 [[A, b], [0, 1]] in this form, so composition is one product, iteration
 is a power, and scaling and summing are integer combinations.
@@ -156,10 +156,6 @@ def mat_mul(A, B):
     NB, db = numerators(B)
     den = da * db
     return [[Fraction(x, den) for x in row] for row in product(NA, NB)]
-
-
-def mat_vec(A, v):
-    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def mat_power(A, k: int):

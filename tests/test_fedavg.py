@@ -414,6 +414,31 @@ class TestOracleFixedPoint:
             "fixed-point iteration repeats from step 3 with period 2 above 1e-12")
 
 
+    def test_a_drifting_hunt_stops_at_its_rate(self):
+        # One logistic client has no minimizer: the hunt drifts off without
+        # repeating an iterate while |V_s| shrinks far too slowly.
+        clients = [fa.GlmClient(GlmSpec([[1.0, 0.5]], "logistic"))]
+        start = time.perf_counter()
+        trace = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=3, rounds=5,
+                                              x0=[0.0, 0.0]))
+        assert time.perf_counter() - start < 3.0
+        assert trace.fixed_point is None and trace.fixed_point_method is None
+        with pytest.raises(fa.ConvergenceError) as info:
+            fa.oracle_fixed_point(clients, 0.3, 3)
+        message = str(info.value)
+        assert message.startswith("fixed-point iteration cannot reach 1e-12 within 1000000 steps")
+        assert "at step " in message and " q = " in message
+
+    def test_a_slow_contraction_still_finds_its_point(self):
+        # The mean gradient 0.0005 (x - 1000) contracts by 0.9995 per unit
+        # step: |V_s| falls from 0.5 to 1e-12 in about 54,000 steps.
+        clients = [CallbackClient(lambda x: 0.0004 * (x - 500.0), 1),
+                   CallbackClient(lambda x: 0.0006 * (x - 4000.0 / 3), 1)]
+        point, method = fa.oracle_fixed_point(clients, 1.0, 1)
+        assert method == "iterative"
+        assert abs(point[0] - 1000.0) < 1e-8
+
+
 class TestSurrogate:
     def test_single_quadratic_closed_form(self):
         client = fa.QuadraticClient(np.eye(2), np.zeros(2))

@@ -1,7 +1,6 @@
-"""What ``import iterfield`` and ``iterfield.cli`` load: each submodule on
-first use.  Every
-check runs in a fresh process, whose ``sys.modules`` shows what got
-imported."""
+"""What ``import iterfield``, ``iterfield.cli`` and each path load: each
+submodule on first use, and only the layers the path runs.  Every check
+runs in a fresh process, whose ``sys.modules`` shows what got imported."""
 
 import os
 import subprocess
@@ -37,7 +36,45 @@ grad = itf.glm_gradient(itf.GlmSpec([[0.5, 0.0], [0.0, 0.4]], "logistic"))
 itf.scan_k(grad, k_max=5)
 itf.check_propagation(grad, k=3)
 assert {"glm", "spectral"} <= loaded(), loaded()
-assert not loaded() & {"fedavg", "quadrature"}, loaded()
+assert not loaded() & {"fedavg", "quadrature", "polynomials"}, loaded()
+""",
+    "fedavg-run": """
+quadratic = [itf.QuadraticClient([[2, 0], [0, 1]], [1, -1]),
+             itf.QuadraticClient([[1, 0], [0, 3]], [0, 2])]
+logistic = [itf.GlmClient(itf.GlmSpec([[0.8, 0.0], [0.0, 0.5]], "logistic")),
+            itf.GlmClient(itf.GlmSpec([[-0.6, 0.0], [0.0, -0.4]], "logistic"))]
+for clients in (quadratic, logistic):
+    trace = itf.run_fedavg(itf.FedAvgConfig(clients, gamma=0.5, eta=1.0, k=2, rounds=5,
+                                            x0=[0.5, -0.5]))
+    assert trace.fixed_point is not None and trace.fs is not None
+assert {"fedavg", "glm"} <= loaded(), loaded()
+assert not loaded() & {"conservatism", "spectral", "polynomials", "configs", "reports",
+                       "suites"}, loaded()
+""",
+    "cli-fedavg": """
+import contextlib, io, json, os, tempfile
+from iterfield.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "run.json")
+    with open(path, "w") as handle:
+        json.dump({"clients": [{"kind": "quadratic", "matrix": [[2, 0], [0, 1]],
+                                "center": [1, -1]},
+                               {"kind": "glm", "activation": "logistic",
+                                "directions": [[-0.8, 0.0], [0.0, -0.5]]}],
+                   "gamma": 0.5, "k": 2, "rounds": 5, "x0": [0.5, -0.5]}, handle)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fedavg", "--config", path, "--outdir", tmp]) == 0
+assert {"fedavg", "configs"} <= loaded(), loaded()
+assert not loaded() & {"conservatism", "spectral", "polynomials", "suites"}, loaded()
+""",
+    "cli-scan-glm-field": """
+import contextlib, io
+from iterfield.cli import main
+field = '{"variant": "glm", "activation": "logistic", "directions": [[0.5, 0.0], [0.0, 0.4]]}'
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["scan", "--field", field, "--k-max", "3"]) == 0
+assert {"glm", "conservatism", "configs"} <= loaded(), loaded()
+assert not loaded() & {"fedavg", "polynomials", "spectral", "suites"}, loaded()
 """,
     "every-name": """
 import importlib
@@ -60,7 +97,8 @@ import contextlib, io
 from iterfield.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["check", "--linear", "[[1,2],[1,-1]]", "--k", "1..4"]) == 0
-assert not loaded() & {"glm", "spectral", "fedavg", "quadrature", "suites", "configs"}, loaded()
+assert not loaded() & {"glm", "spectral", "fedavg", "quadrature", "suites", "configs",
+                       "polynomials"}, loaded()
 """,
     "star-import": """
 from iterfield import *
