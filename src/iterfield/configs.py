@@ -7,10 +7,15 @@ numbers; activations and coordinate maps are named by string.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .fields import (Affine, Compose, Constant, CoordWise1D, Field, GdMap,
                      Iterate, Linear, PolyExact, Rotation2D, Scale, ScalarMap, Sum)
 from .glm import GlmSpec, get_activation, glm_gradient
 from .reports import ConfigError
+
+if TYPE_CHECKING:
+    from .fedavg import FedAvgConfig
 
 SCHEMA_VERSION = 1
 # Deeper than any hand-written field, far inside what the recursive walks

@@ -13,11 +13,15 @@ import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import IterfieldError, rationals
 from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
+
+if TYPE_CHECKING:
+    from .polynomials import PolyField
 
 DEFAULT_THRESHOLD = 1e-8
 

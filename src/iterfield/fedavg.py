@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from . import IterfieldError, rationals
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
                      Sum, as_matrix, as_vector)
 from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
+
+if TYPE_CHECKING:
+    from .conservatism import SamplingConfig, Verdict
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6

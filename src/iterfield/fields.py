@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import IterfieldError, rationals
+
+if TYPE_CHECKING:
+    from .polynomials import PolyField
 
 DEFAULT_FD_STEP = 1e-5
 

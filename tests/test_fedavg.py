@@ -413,7 +413,6 @@ class TestOracleFixedPoint:
         assert str(info.value) == (
             "fixed-point iteration repeats from step 3 with period 2 above 1e-12")
 
-
     def test_a_drifting_hunt_stops_at_its_rate(self):
         # One logistic client has no minimizer: the hunt drifts off without
         # repeating an iterate while |V_s| shrinks far too slowly.
