@@ -25,8 +25,8 @@ _EXPORTS = {
     "polynomials": (
         "PolyField", "PolynomialSizeError", "RationalPoly", "asymmetry_polys",
         "cubic_asymmetry_coefficients", "cubic_gate", "cubic_gate_symbolic",
-        "divide_exact", "iterate_poly_field", "jacobian_polys", "linear_asymmetry",
-        "linear_asymmetry_symbolic", "parse_poly"),
+        "divide_exact", "iterate_poly_field", "jacobian_polys", "linear_asymmetry_symbolic",
+        "parse_poly"),
     "conservatism": (
         "ConservatismReport", "SamplingConfig", "SamplingError", "Verdict",
         "check_linear", "check_numeric", "check_poly", "check_rotation", "draw_samples",

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import IterfieldError, rationals
-from .fields import Field, Iterate, Rotation2D, _asymmetry, walk_rows
+from .fields import Field, Iterate, Rotation2D, _asymmetry, _require_count, walk_rows
 
 if TYPE_CHECKING:
     from .polynomials import PolyField
@@ -136,29 +136,24 @@ def check_linear(matrix, k: int) -> Verdict:
     Entries convert to rationals exactly (floats are dyadic), so the test
     has no tolerance at all.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _require_count("k", k)
     return _symmetry_verdict(*rationals.power(*rationals.numerators(matrix), k), k)
 
 
 def check_rotation(j: int, k: int) -> Verdict:
     """Exact verdict for the rotation by pi/j: symmetric powers need j | k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    j, k = _require_count("j", j), _require_count("k", k)
     if k % j == 0:
         return Verdict("exact-yes", certificate=f"{j} divides {k}: rotation angle is a multiple of pi")
     return Verdict("exact-no", certificate=f"{j} does not divide {k}: sin(k*pi/{j}) is nonzero")
 
 
-def check_poly(polyfield: PolyField, k: int, max_terms: int | None = None) -> Verdict:
+def check_poly(polyfield: PolyField, k: int) -> Verdict:
     """Exact verdict for a polynomial field via the symbolic asymmetry matrix:
     its first nonzero entry above the diagonal, in row order, is the
-    certificate, and the entries after it are not formed.  ``max_terms``
-    defaults to ``polynomials.DEFAULT_MAX_TERMS``."""
-    from .polynomials import DEFAULT_MAX_TERMS, asymmetry_pairs
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
-    for _, _, entry in asymmetry_pairs(polyfield, k, max_terms=max_terms):
+    certificate, and the entries after it are not formed."""
+    from .polynomials import asymmetry_pairs
+    for _, _, entry in asymmetry_pairs(polyfield, k):
         if not entry.is_zero():
             return Verdict("exact-no", certificate=entry.to_text())
     return Verdict("exact-yes")
@@ -210,8 +205,7 @@ def check_numeric(field: Field, k: int, samples=None,
     worst residual against the threshold; failure records the witness
     point.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _require_count("k", k)
     _require_threshold(threshold)
     points = sample_points(field.dimension, samples)
     worst, witness, skipped = _orbit_residuals(field, k, points)
@@ -279,8 +273,7 @@ def scan_k(field: Field, k_max: int, mode: str = "auto",
     sampled numeric path otherwise; mode "numeric" forces sampling.  Every
     k is read off one orbit walk per sample, or one exact tower: O(k_max).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _require_count("k_max", k_max)
     if mode not in ("auto", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_threshold(threshold)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import IterfieldError, rationals
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
-                     Sum, as_matrix, as_vector)
+                     Sum, _require_count, as_matrix, as_vector)
 from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
 
 if TYPE_CHECKING:
@@ -169,12 +169,11 @@ def _dimension(clients) -> int:
 
 def _check_steps(gamma: float, k: int, rounds: int = 1):
     """Refuse a step size or count no run takes: gamma must be finite and
-    positive, and k and rounds ints or numpy integers, not bools, >= 1."""
+    positive, and k and rounds counts as ``fields._require_count`` takes."""
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be finite and positive")
-    for name, count in (("k", k), ("rounds", rounds)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    _require_count("k", k)
+    _require_count("rounds", rounds)
 
 
 def build_server_field_only(clients, gamma: float, k: int) -> Field:
@@ -770,7 +769,7 @@ def verify_rate(trace: FedAvgTrace, alpha: float, beta: float, k: int,
     vacuously.
     """
     config = trace.config
-    if k != config.k:
+    if _require_count("k", k) != config.k:
         raise HyperparameterError(f"trace used k={config.k}, not {k}")
     if config.eta != 1.0:
         raise HyperparameterError(f"rate guarantees assume eta=1, trace used {config.eta}")
@@ -832,7 +831,7 @@ class MinimizerComparison:
                 "average_method": self.average_method}
 
 
-def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerComparison:
+def compare_minimizers(clients, gamma: float, k: int) -> MinimizerComparison:
     """The server's limit point versus the minimizer of the plain average loss.
 
     They coincide at k = 1 (the algorithm is then gradient descent on the
@@ -842,7 +841,7 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     sum A_c x = sum A_c b_c, labelled "float-solve".  The oracle, called
     first, refuses a step size or count as ``_check_steps`` does.
     """
-    x_s, method_s = oracle_fixed_point(clients, gamma, k, x0=x0)
+    x_s, method_s = oracle_fixed_point(clients, gamma, k)
     if method_s == "float-solve":
         x_star = _float_solve(sum(c.matrix for c in clients),
                               sum(c.matrix @ c.center for c in clients))
@@ -858,7 +857,7 @@ def compare_minimizers(clients, gamma: float, k: int, x0=None) -> MinimizerCompa
     else:
         fields = [c.gradient_field() for c in clients]
         avg_grad = Sum(fields, weights=[1.0 / len(fields)] * len(fields))
-        x_star, method_star = _descend(avg_grad, avg_grad.dimension, gamma, x0), "iterative"
+        x_star, method_star = _descend(avg_grad, avg_grad.dimension, gamma), "iterative"
     return MinimizerComparison(np.asarray(x_s), np.asarray(x_star),
                                float(np.linalg.norm(np.asarray(x_s) - np.asarray(x_star))),
                                method_s, method_star)

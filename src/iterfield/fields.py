@@ -88,6 +88,15 @@ def as_matrix(M, dim: int | None = None) -> np.ndarray:
     return A
 
 
+def _require_count(name: str, count) -> int:
+    """An iteration count or order as an int: an int or numpy integer, not
+    a bool, and >= 1.  Every public entry that takes one checks it here, so
+    a fraction, a string or True is refused, not truncated or read as 1."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 # ----- Jacobian methods -----
 
 @dataclass(frozen=True)
@@ -334,9 +343,7 @@ class Rotation2D(Field):
     """
 
     def __init__(self, j: int):
-        if not isinstance(j, (int, np.integer)) or j < 1:
-            raise ValueError("rotation order j must be a positive integer")
-        self.j = int(j)
+        self.j = _require_count("rotation order j", j)
         self.dimension = 2
         theta = math.pi / self.j
         c, s = math.cos(theta), math.sin(theta)
@@ -458,9 +465,7 @@ class Iterate(Field):
     """
 
     def __init__(self, inner: Field, k: int):
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError("iteration count k must be a positive integer")
-        k = int(k)
+        k = _require_count("k", k)
         while isinstance(inner, Iterate):
             k *= inner.k
             inner = inner.inner
@@ -811,7 +816,7 @@ def _split_rows(rows_fn, X: np.ndarray, err: NonFiniteValueError | None = None):
 
 
 def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
-              base: Analytic | CentralDifference | None = None, dropped: dict | None = None):
+              dropped: dict | None = None):
     """Walk the orbits x, F(x), ..., F^k_max(x) of every row of an (N, n)
     array of points together, in one pass.
 
@@ -820,13 +825,12 @@ def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
     ``jacobians`` ``(live, step, prefix)``: the stacked pairs (J(F) at
     F^(j-1)(x), J(F^j)(x)), accumulated per step of V as ``step @ prefix``
     (forward-mode chain accumulation).  Step Jacobians are analytic when V
-    has one, else central differences; ``base`` forces a method as in
-    ChainProduct.  A Jacobian walk never evaluates F^k_max(x).  ``live``
-    holds the indices of the rows still walking, in order.  A row whose
-    value or chain Jacobian is not finite leaves ``live`` at that step and
-    stays out; its NonFiniteValueError, a value's tagged with the 1-based
-    step of V, goes into ``dropped``, when given, by row: what walking
-    that row alone records.  Each step makes one batched value evaluation,
+    has one, else central differences.  A Jacobian walk never evaluates
+    F^k_max(x).  ``live`` holds the indices of the rows still walking, in
+    order.  A row whose value or chain Jacobian is not finite leaves
+    ``live`` at that step and stays out; its NonFiniteValueError, a value's
+    tagged with the 1-based step of V, goes into ``dropped``, when given,
+    by row: what walking that row alone records.  Each step makes one batched value evaluation,
     one stack of step Jacobians and one stacked chain product.
     Composites take the step Jacobians per batch, from their parts'
     stacks; leaves take them per point, one leaf Jacobian call per live
@@ -835,7 +839,7 @@ def walk_rows(field: Field, points, k_max: int, jacobians: bool = False,
     evaluations for f failing rows.
     """
     return _walk_rows(field, as_points(points, field.dimension), k_max,
-                      {} if dropped is None else dropped, jacobians, base)
+                      {} if dropped is None else dropped, jacobians)
 
 
 def _walk_rows(field: Field, X: np.ndarray, k_max: int, dropped: dict,

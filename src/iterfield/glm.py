@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import IterfieldError
-from .fields import (Field, GdMap, NonFiniteValueError, _all_finite, _row_times, as_points,
-                     as_vector, walk_rows)
+from .fields import (Field, GdMap, NonFiniteValueError, _all_finite, _require_count,
+                     _row_times, as_points, as_vector, walk_rows)
 
 ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
@@ -72,8 +72,9 @@ def _entrywise(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_residual(activation: Activation, ts: Sequence[float], h: float = 1e-6) -> float:
+def derivative_residual(activation: Activation, ts: Sequence[float]) -> float:
     """Max deviation between the stored derivative and a central difference."""
+    h = 1e-6
     worst = 0.0
     for t in ts:
         fd = (activation.fn(t + h) - activation.fn(t - h)) / (2.0 * h)
@@ -189,8 +190,7 @@ class GlmSpec:
     silently invoke them.
     """
 
-    def __init__(self, directions, activation: Activation | str,
-                 check_derivative: bool = True):
+    def __init__(self, directions, activation: Activation | str):
         if isinstance(activation, str):
             activation = get_activation(activation)
         self.activation = activation
@@ -210,12 +210,9 @@ class GlmSpec:
         self._norms = norms.tolist()
         self._outers = Z[:, :, None] * Z[:, None, :]
         self.gram_residual = orthogonality_check(Z)
-        if check_derivative:
-            ts = np.linspace(-2.0, 2.0, 9)
-            res = derivative_residual(activation, ts)
-            if res > DERIVATIVE_CHECK_TOL:
-                raise ValueError(
-                    f"activation {activation.name!r}: derivative mismatch {res:.3e}")
+        res = derivative_residual(activation, np.linspace(-2.0, 2.0, 9))
+        if res > DERIVATIVE_CHECK_TOL:
+            raise ValueError(f"activation {activation.name!r}: derivative mismatch {res:.3e}")
 
     @property
     def dimension(self) -> int:
@@ -397,10 +394,8 @@ class GlmIterate(Field):
 
     def __init__(self, spec: GlmSpec, k: int):
         _require_orthogonal(spec)
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.spec = spec
-        self.k = int(k)
+        self.k = _require_count("k", k)
         self.dimension = spec.dimension
 
     def _eval(self, x):
@@ -440,11 +435,9 @@ class GlmGdIterate(Field):
         _require_orthogonal(spec)
         if not (gamma > 0):
             raise ValueError("step size gamma must be positive")
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.spec = spec
         self.gamma = float(gamma)
-        self.k = int(k)
+        self.k = _require_count("k", k)
         self.dimension = spec.dimension
         self._eye = np.eye(self.dimension)
 
@@ -501,8 +494,7 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     gradient (or of its descent map) gives V^1 .. V^k_max at every point,
     and one walk of the scalar orbits gives every closed form's weights."""
     _require_orthogonal(spec)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _require_count("k_max", k_max)
     if gamma is not None and not (gamma > 0):
         raise ValueError("step size gamma must be positive")
     X = as_points(points, spec.dimension)
@@ -543,8 +535,7 @@ def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterat
     from .quadrature import integrate_batch
 
     _require_orthogonal(spec)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _require_count("k", k)
     if mode == "grad-iterate":
         gamma = None
     elif mode != "gd-iterate":

@@ -31,9 +31,11 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import IterfieldError
+from .fields import _require_count
 from .rationals import to_fraction
 
-DEFAULT_MAX_TERMS = 10**6
+# The term-count ceiling of every product and composition, read at each call
+MAX_TERMS = 10**6
 EXPONENT_BITS = 16
 MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # also the mask of one exponent field
 
@@ -221,9 +223,10 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other, max_terms: int = DEFAULT_MAX_TERMS) -> "RationalPoly":
+    def mul(self, other) -> "RationalPoly":
         other = self._coerce(other)
         _require_degree(self.degree() + other.degree(), "product")
+        max_terms = MAX_TERMS
         terms: dict[int, Fraction] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
@@ -268,10 +271,10 @@ class RationalPoly:
                 terms[key - unit] = coeff * e
         return RationalPoly._trusted(self.nvars, terms)
 
-    def compose(self, subs: Sequence["RationalPoly"], max_terms: int = DEFAULT_MAX_TERMS) -> "RationalPoly":
+    def compose(self, subs: Sequence["RationalPoly"]) -> "RationalPoly":
         """Substitute variable i by ``subs[i]``; exact.  The one-component
         case of ``PolyField.compose``."""
-        return PolyField([self]).compose(subs, max_terms=max_terms).components[0]
+        return PolyField([self]).compose(subs).components[0]
 
     def evaluate(self, point: Sequence) -> object:
         """Evaluate at a point; exact for Fraction/int inputs, float for floats."""
@@ -461,7 +464,7 @@ class PolyField:
     def evaluate(self, point: Sequence) -> list:
         return [p.evaluate(point) for p in self.components]
 
-    def compose(self, subs: Sequence[RationalPoly], max_terms: int = DEFAULT_MAX_TERMS) -> "PolyField":
+    def compose(self, subs: Sequence[RationalPoly]) -> "PolyField":
         """Substitute variable i by ``subs[i]`` in every component; exact.
 
         All substituted polynomials must share a variable count, which
@@ -479,6 +482,7 @@ class PolyField:
         if any(p.nvars != out_nvars for p in subs):
             raise ValueError("substituted polynomials must share a variable count")
         n = self.nvars
+        max_terms = MAX_TERMS
         _require_degree(max(p.degree() for p in self.components)
                         * max(p.degree() for p in subs), "composition")
         # every monomial to form, and how many others are formed from each
@@ -502,7 +506,7 @@ class PolyField:
                 value = subs[_peel(key, n)[0]]
             else:
                 var, prefix = _peel(key, n)
-                value = formed[prefix].mul(subs[var], max_terms=max_terms)
+                value = formed[prefix].mul(subs[var])
                 extenders[prefix] -= 1
                 if not extenders[prefix]:
                     del formed[prefix]
@@ -539,20 +543,18 @@ def _resolve_coords(field: PolyField, coord_vars: Sequence[int] | None) -> tuple
     return coords
 
 
-def iterate_poly_field(field: PolyField, k: int, coord_vars: Sequence[int] | None = None,
-                       max_terms: int = DEFAULT_MAX_TERMS) -> PolyField:
+def iterate_poly_field(field: PolyField, k: int,
+                       coord_vars: Sequence[int] | None = None) -> PolyField:
     """The k-fold self-composition of a polynomial field, exactly.
 
     Variables outside ``coord_vars`` are carried along unchanged, which
     is how symbolic coefficients ride through the composition.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return next(itertools.islice(poly_iterates(field, coord_vars, max_terms), k - 1, None))
+    k = _require_count("k", k)
+    return next(itertools.islice(poly_iterates(field, coord_vars), k - 1, None))
 
 
-def poly_iterates(field: PolyField, coord_vars: Sequence[int] | None = None,
-                  max_terms: int = DEFAULT_MAX_TERMS) -> Iterator[PolyField]:
+def poly_iterates(field: PolyField, coord_vars: Sequence[int] | None = None) -> Iterator[PolyField]:
     """Yield V, V o V, V o V o V, ... exactly, each composed as V o V^(k-1)
     from the one before; the next iterate is built only when asked for."""
     coords = _resolve_coords(field, coord_vars)
@@ -562,7 +564,7 @@ def poly_iterates(field: PolyField, coord_vars: Sequence[int] | None = None,
         yield current
         for i, v in enumerate(coords):
             subs[v] = current.components[i]
-        current = field.compose(subs, max_terms=max_terms)
+        current = field.compose(subs)
 
 
 def jacobian_polys(field: PolyField, coord_vars: Sequence[int] | None = None) -> list[list[RationalPoly]]:
@@ -571,19 +573,19 @@ def jacobian_polys(field: PolyField, coord_vars: Sequence[int] | None = None) ->
     return [[comp.partial(v) for v in coords] for comp in field.components]
 
 
-def asymmetry_pairs(field: PolyField, k: int, coord_vars: Sequence[int] | None = None,
-                    max_terms: int = DEFAULT_MAX_TERMS) -> Iterator[tuple[int, int, RationalPoly]]:
+def asymmetry_pairs(field: PolyField, k: int,
+                    coord_vars: Sequence[int] | None = None) -> Iterator[tuple[int, int, RationalPoly]]:
     """(i, j, J(V^k)[i][j] - J(V^k)[j][i]) for every i < j, in row order;
     each entry and its two partials are formed only when asked for."""
-    iterated = iterate_poly_field(field, k, coord_vars=coord_vars, max_terms=max_terms)
+    iterated = iterate_poly_field(field, k, coord_vars=coord_vars)
     coords = _resolve_coords(iterated, coord_vars)
     comps = iterated.components
     for i, j in itertools.combinations(range(len(comps)), 2):
         yield i, j, comps[i].partial(coords[j]) - comps[j].partial(coords[i])
 
 
-def asymmetry_polys(field: PolyField, k: int, coord_vars: Sequence[int] | None = None,
-                    max_terms: int = DEFAULT_MAX_TERMS) -> list[list[RationalPoly]]:
+def asymmetry_polys(field: PolyField, k: int,
+                    coord_vars: Sequence[int] | None = None) -> list[list[RationalPoly]]:
     """J(V^k) - J(V^k)^T as a matrix of exact polynomials.
 
     The iterated field is a gradient field over all of R^n exactly when
@@ -594,30 +596,18 @@ def asymmetry_polys(field: PolyField, k: int, coord_vars: Sequence[int] | None =
     n = field.ncomponents
     zero = RationalPoly.zero(field.nvars)
     D = [[zero] * n for _ in range(n)]
-    for i, j, entry in asymmetry_pairs(field, k, coord_vars=coord_vars, max_terms=max_terms):
+    for i, j, entry in asymmetry_pairs(field, k, coord_vars=coord_vars):
         D[i][j], D[j][i] = entry, -entry
     return D
 
 
 # ----- 2-D linear fields with exact or symbolic coefficients -----
 
-def linear_asymmetry(a, b, c, d, k: int) -> Fraction:
-    """Off-diagonal asymmetry of the k-th power of [[a, b], [c, d]], exactly.
-
-    Zero exactly when the 2-D linear field x -> A x is k-conservative.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    from .rationals import mat_power
-    A = [[to_fraction(a), to_fraction(b)], [to_fraction(c), to_fraction(d)]]
-    P = mat_power(A, k)
-    return P[0][1] - P[1][0]
-
-
-def linear_asymmetry_symbolic(k: int, names: Sequence[str] = ("a", "b", "c", "d")) -> RationalPoly:
-    """Same as linear_asymmetry but over the polynomial ring in the four entries."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def linear_asymmetry_symbolic(k: int) -> RationalPoly:
+    """Off-diagonal asymmetry P[0][1] - P[1][0] of the k-th power P of
+    [[a, b], [c, d]], over the polynomial ring in the four entries: zero at
+    exactly the entries whose linear field x -> A x is k-conservative."""
+    k = _require_count("k", k)
     a, b, c, d = (RationalPoly.variable(4, i) for i in range(4))
     A = [[a, b], [c, d]]
     P = [[RationalPoly.constant(4, 1), RationalPoly.zero(4)],
@@ -658,7 +648,7 @@ def cubic_gate_symbolic() -> RationalPoly:
     return 3 * a * c - b * b + 3 * b * d - c * c
 
 
-def cubic_asymmetry_coefficients(k: int, max_terms: int = DEFAULT_MAX_TERMS) -> dict[tuple[int, int], RationalPoly]:
+def cubic_asymmetry_coefficients(k: int) -> dict[tuple[int, int], RationalPoly]:
     """Coefficient polynomials (in a, b, c, d) of the cubic family's asymmetry at k.
 
     Keys are (x-exponent, y-exponent) of the scalar asymmetry entry
@@ -666,5 +656,5 @@ def cubic_asymmetry_coefficients(k: int, max_terms: int = DEFAULT_MAX_TERMS) -> 
     cubic coefficients.
     """
     field = cubic_gradient_symbolic()
-    D = asymmetry_polys(field, k, coord_vars=CUBIC_COORD_VARS, max_terms=max_terms)
+    D = asymmetry_polys(field, k, coord_vars=CUBIC_COORD_VARS)
     return group_by_vars(D[0][1], CUBIC_COORD_VARS)

@@ -6,8 +6,9 @@ integrates many intervals together, evaluating the integrand once per
 round at the 21 nodes of every open subinterval, and bisects only the
 subintervals of intervals that have not converged.  An interval converges
 when the error estimates of its subintervals sum to at most
-max(tol, 1e-12 |integral|); one that would need more than ``limit``
-subintervals raises QuadratureError naming it.  Each interval's
+max(ABS_TOL, REL_TOL |integral|); one that would need more than
+``SUBINTERVAL_CAP`` subintervals raises QuadratureError naming it.  Both
+constants are read at each call.  Each interval's
 subintervals, sums and decisions depend on that interval alone, so an
 integral is bit-identical whatever else shares its batch.  Overflow or a
 non-finite value, in the integrand or in the integral, raises
@@ -108,8 +109,7 @@ def _checked(fn: Integrand, t: np.ndarray, rows: np.ndarray, a, b) -> np.ndarray
     return f
 
 
-def integrate_batch(fn: Integrand, a, b, tol: float = ABS_TOL,
-                    limit: int = SUBINTERVAL_CAP) -> np.ndarray:
+def integrate_batch(fn: Integrand, a, b) -> np.ndarray:
     """The integrals of fn over the intervals [a_i, b_i], as an array.
 
     ``fn(t, rows)`` gets nodes t of shape (R, q) and, for each row of
@@ -147,7 +147,7 @@ def integrate_batch(fn: Integrand, a, b, tol: float = ABS_TOL,
                 i = int(np.argmax(broken))
                 raise NonFiniteValueError(
                     f"integral or its error estimate overflowed on [{a[i]}, {b[i]}]")
-            target = np.maximum(tol, REL_TOL * np.abs(total))
+            target = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
             still = total_err > target
             done = (count > 0) & ~still
             value[done] = total[done]
@@ -155,11 +155,12 @@ def integrate_batch(fn: Integrand, a, b, tol: float = ABS_TOL,
             # half its target shared evenly over its subintervals
             split = still[rows] & (err > 0.5 * target[rows] / count[rows])
             keep = still[rows] & ~split
-            over = np.flatnonzero(count + np.bincount(rows[split], minlength=a.size) > limit)
+            over = np.flatnonzero(
+                count + np.bincount(rows[split], minlength=a.size) > SUBINTERVAL_CAP)
             if over.size:
                 i = over[0]
                 raise QuadratureError(f"quadrature did not converge on [{a[i]}, {b[i]}]: "
-                                      f"more than {limit} subintervals needed")
+                                      f"more than {SUBINTERVAL_CAP} subintervals needed")
             s_lo, s_hi, s_rows = lo[split], hi[split], rows[split]
             mid = 0.5 * (s_lo + s_hi)
             stuck = (mid == s_lo) | (mid == s_hi)
@@ -174,8 +175,7 @@ def integrate_batch(fn: Integrand, a, b, tol: float = ABS_TOL,
     return value
 
 
-def integrate(fn: Callable[[float], float], a: float, b: float,
-              tol: float = ABS_TOL, limit: int = SUBINTERVAL_CAP) -> float:
+def integrate(fn: Callable[[float], float], a: float, b: float) -> float:
     """The integral of a scalar callable over [a, b]: ``integrate_batch``
     on one interval, calling fn once per node."""
     def on_nodes(t, _rows):
@@ -184,4 +184,4 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         except OverflowError as err:
             raise NonFiniteValueError(f"integrand overflowed on [{a}, {b}]") from err
 
-    return float(integrate_batch(on_nodes, [a], [b], tol, limit)[0])
+    return float(integrate_batch(on_nodes, [a], [b])[0])

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import IterfieldError
 from .conservatism import DEFAULT_THRESHOLD, _require_threshold, sample_points
-from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, as_points, as_vector,
-                     identity_field, jacobian, walk_rows)
+from .fields import (Field, GdMap, Iterate, Sum, _asymmetry, _require_count, as_points,
+                     as_vector, identity_field, jacobian, walk_rows)
 
 ZERO_BAND = 1e-10
 PROPAGATION_TOL = 1e-8
@@ -79,12 +79,12 @@ def _eigen_intervals(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[:, 0], eigs[:, -1]
 
 
-def _spectra(field: Field, points, method=None) -> list[SpectrumSample]:
+def _spectra(field: Field, points) -> list[SpectrumSample]:
     """``spectrum_at`` at every point: one Jacobian per point, then one
     stacked eigen-interval and asymmetry reduction."""
     n = field.dimension
     X = as_points(points, n)
-    J = np.array([jacobian(field, x, method) for x in X]).reshape(-1, n, n)
+    J = np.array([jacobian(field, x) for x in X]).reshape(-1, n, n)
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = _asymmetry(J).tolist()
     lows, highs = (v.tolist() for v in _eigen_intervals(J))
@@ -92,10 +92,10 @@ def _spectra(field: Field, points, method=None) -> list[SpectrumSample]:
             for x, lo, hi, res in zip(X.tolist(), lows, highs, residuals)]
 
 
-def spectrum_at(field: Field, x, method=None) -> SpectrumSample:
+def spectrum_at(field: Field, x) -> SpectrumSample:
     """Eigen-interval of (J + J^T)/2 at x, with the asymmetry recorded so
     callers can notice non-conservative fields."""
-    return _spectra(field, as_vector(x, field.dimension)[None, :], method)[0]
+    return _spectra(field, as_vector(x, field.dimension)[None, :])[0]
 
 
 def classify(field: Field, samples=None, threshold: float = DEFAULT_THRESHOLD) -> ConvexityClass:
@@ -184,8 +184,7 @@ def check_propagation(f_grad: Field, k: int, samples=None,
     Iterates that fail the sampled symmetry check are a refusal, not a
     verdict: the eigenvalue-product argument needs symmetric Jacobians.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _require_count("k", k)
     _require_threshold(threshold)
     points = sample_points(f_grad.dimension, samples)
     step_low, step_high = [], []
@@ -231,7 +230,8 @@ def check_propagation(f_grad: Field, k: int, samples=None,
 
 def model_delta_field(f_grad: Field, gamma: float, j: int) -> Field:
     """The field x -> x - (x - gamma * f_grad)^j(x): one client's model delta."""
-    return Sum([identity_field(f_grad.dimension), Iterate(GdMap(f_grad, gamma), j)],
+    return Sum([identity_field(f_grad.dimension),
+                Iterate(GdMap(f_grad, gamma), _require_count("j", j))],
                weights=[1.0, -1.0])
 
 
@@ -281,8 +281,7 @@ def check_gd_propagation(f_grad: Field, gamma: float, k: int, samples=None,
     critical points of the underlying potential must stay critical for
     every delta field, to evaluation precision.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _require_count("k", k)
     if not (gamma > 0):
         raise StepSizeError("gamma must be positive")
     if claimed == "strongly-convex":

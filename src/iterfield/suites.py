@@ -22,8 +22,9 @@ from .spectral import check_gd_propagation, check_propagation
 COEFF_NAMES = ("a", "b", "c", "d")
 
 
-def _orthogonal_directions(rng, n, m, low=0.3, high=0.6):
+def _orthogonal_directions(rng, n, m):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    low, high = 0.3, 0.6
     scales = low + (high - low) * rng.random(m)
     return Q[:, :m].T * scales[:, None]
 
@@ -170,10 +171,11 @@ def glm_counterexample() -> dict:
             "gram_residual": spec.gram_residual}
 
 
-def glm_orthogonal(points: int = 100, k_max: int = 5, tol: float = 1e-9) -> dict:
+def glm_orthogonal() -> dict:
     """Closed-form iterates of orthogonal-model gradients (and of their
     descent maps) match brute-force iteration at seeded random points."""
     rng = np.random.default_rng(11)
+    points, k_max, tol = 100, 5, 1e-9
     gamma = 0.5
     worst = 0.0
     checks = 0
@@ -211,10 +213,11 @@ def glm_opposite() -> dict:
             "verdicts": {str(k): v for k, v in verdicts.items()}}
 
 
-def surrogate_gradient(points: int = 50, k_max: int = 4, tol: float = 1e-6) -> dict:
+def surrogate_gradient() -> dict:
     """Central-difference gradients of the integral potentials reproduce the
     closed-form iterates."""
     rng = np.random.default_rng(23)
+    points, k_max, tol = 50, 4, 1e-6
     gamma = 0.4
     h = 1e-6
     worst = 0.0

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import iterfield
-from iterfield import reports
+from iterfield import polynomials, reports
 from iterfield.cli import main
 from iterfield.polynomials import EXPONENT_BITS, MAX_DEGREE
 
@@ -343,7 +343,7 @@ class TestBoundaryRefusals:
     instead of a traceback (exit 1) or a pass that checked nothing."""
 
     @pytest.mark.parametrize("argv, reason", [
-        (["scan", *LINEAR, "--k-max", "0"], "k_max must be >= 1"),
+        (["scan", *LINEAR, "--k-max", "0"], "k_max must be an integer >= 1"),
         (["scan", *LINEAR, "--k-max", "3", "--samples", "-3"], "sample count must be at least 1"),
         (["scan", *LINEAR, "--k-max", "3", "--samples", "0"], "sample count must be at least 1"),
         (["scan", "--field", '{"variant":"glm","activation":"exp","directions":[[1,0],[0,1]]}',
@@ -353,7 +353,7 @@ class TestBoundaryRefusals:
         (["scan", "--rotation", "0", "--k-max", "3"], "rotation order"),
         (["glm-verify", *DIRECTIONS, "--k", "2", "--gamma", "-1"], "gamma must be positive"),
         (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "-2"], "--points must be at least 1"),
-        (["glm-verify", *DIRECTIONS, "--k", "0"], "k_max must be >= 1"),
+        (["glm-verify", *DIRECTIONS, "--k", "0"], "k_max must be an integer >= 1"),
         (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "0"], "--points must be at least 1"),
         (["spectral", *DIAGONAL, "--k", "2", "--gd", "--gamma", "0.5", "--alpha", "1",
           "--beta", "3", "--samples", "0"], "sample count must be at least 1"),
@@ -433,6 +433,14 @@ class TestBoundaryRefusals:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert reason in lines[0]
+
+    def test_the_term_ceiling_exits_two_with_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 10)
+        assert main(["scan", "--poly", "x0^3 + x0*x1^2; x1^3 + x0^2*x1", "--k-max", "3"]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "term ceiling (10 terms)" in lines[0]
 
     def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"

@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from iterfield.conservatism import check_poly
+from iterfield import polynomials, rationals
+from iterfield.conservatism import check_linear, check_poly
 from iterfield.polynomials import (EXPONENT_BITS, MAX_DEGREE, PolyField, PolynomialSizeError,
                                    RationalPoly, asymmetry_polys, cubic_asymmetry_coefficients,
                                    cubic_gate, cubic_gate_symbolic, divide_exact,
                                    group_by_vars, iterate_poly_field, jacobian_polys,
-                                   linear_asymmetry, linear_asymmetry_symbolic,
-                                   parse_poly, poly_iterates)
+                                   linear_asymmetry_symbolic, parse_poly, poly_iterates)
+
+
+def power_asymmetry(a, b, c, d, k):
+    """P[0][1] - P[1][0] of the k-th power P of [[a, b], [c, d]], from the
+    exact integer power."""
+    P, den = rationals.power(*rationals.numerators([[a, b], [c, d]]), k)
+    return Fraction(P[0][1] - P[1][0], den)
 
 
 def randpoly(rng, nvars=2, terms=4, max_deg=3):
@@ -96,22 +103,33 @@ class TestComposition:
         with pytest.raises(ValueError):
             p.compose([RationalPoly.variable(2, 0)])
 
-    def test_term_ceiling(self):
-        dense = sum((RationalPoly.monomial(2, 1, (i, j))
-                     for i in range(6) for j in range(6)),
-                    RationalPoly.zero(2))
-        with pytest.raises(PolynomialSizeError):
-            dense.mul(dense, max_terms=10)
-        with pytest.raises(PolynomialSizeError):
-            iterate_poly_field(PolyField([dense, dense]), 2, max_terms=10)
+    def test_term_ceiling(self, monkeypatch):
         # x0 + x1 forms no product, so only the sum can pass the ceiling
         x, y = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
         low = sum((RationalPoly.monomial(2, 1, (i, 0)) for i in range(6)), RationalPoly.zero(2))
         high = sum((RationalPoly.monomial(2, 1, (0, j)) for j in range(1, 7)),
                    RationalPoly.zero(2))
-        assert (x + y).compose([low, high], max_terms=12) == low + high
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 12)
+        assert (x + y).compose([low, high]) == low + high
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 11)
         with pytest.raises(PolynomialSizeError):
-            (x + y).compose([low, high], max_terms=11)
+            (x + y).compose([low, high])
+
+    @pytest.mark.parametrize("entry", [
+        lambda dense: dense.mul(dense),
+        lambda dense: PolyField([dense, dense]).compose([dense, dense]),
+        lambda dense: iterate_poly_field(PolyField([dense, dense]), 2),
+        lambda dense: check_poly(PolyField([dense, dense]), 2),
+        lambda dense: cubic_asymmetry_coefficients(2),
+    ], ids=["mul", "PolyField.compose", "iterate_poly_field", "check_poly",
+            "cubic_asymmetry_coefficients"])
+    def test_the_term_ceiling_is_read_at_every_entry(self, monkeypatch, entry):
+        dense = sum((RationalPoly.monomial(2, 1, (i, j))
+                     for i in range(6) for j in range(6)),
+                    RationalPoly.zero(2))
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 10)
+        with pytest.raises(PolynomialSizeError, match=r"term ceiling \(10 terms\)"):
+            entry(dense)
 
     def test_each_monomial_is_formed_once_per_step(self, monkeypatch):
         # grad(x0^2 x1) = (2 x0 x1, x0^2): one product for x0 x1 and one for
@@ -181,13 +199,12 @@ class TestDivision:
 
 class TestLinearAsymmetry:
     def test_example_matrix(self):
-        assert linear_asymmetry(1, 2, 1, -1, 2) == 0
-        assert linear_asymmetry(1, 2, 1, -1, 3) != 0
-        assert linear_asymmetry(1, 2, 1, -1, 4) == 0
+        kinds = [check_linear([[1, 2], [1, -1]], k).kind for k in (2, 3, 4)]
+        assert kinds == ["exact-yes", "exact-no", "exact-yes"]
 
     def test_symmetric_matrix_all_k(self):
         for k in range(1, 8):
-            assert linear_asymmetry(0, 1, 1, 0, k) == 0
+            assert check_linear([[0, 1], [1, 0]], k).kind == "exact-yes"
 
     def test_symbolic_factorizations(self):
         a, b, c, d = (RationalPoly.variable(4, i) for i in range(4))
@@ -201,7 +218,7 @@ class TestLinearAsymmetry:
         for k in (1, 2, 3, 4, 5):
             sym = linear_asymmetry_symbolic(k)
             entries = [Fraction(int(v)) for v in rng.integers(-4, 5, size=4)]
-            assert sym.evaluate(entries) == linear_asymmetry(*entries, k)
+            assert sym.evaluate(entries) == power_asymmetry(*entries, k)
 
 
 class TestAsymmetryMatrix:
@@ -227,7 +244,7 @@ class TestAsymmetryMatrix:
             entries = [int(v) for v in rng.integers(-3, 4, size=4)]
             V = PolyField.linear([[entries[0], entries[1]], [entries[2], entries[3]]])
             D = asymmetry_polys(V, k)
-            expected = linear_asymmetry(*entries, k)
+            expected = power_asymmetry(*entries, k)
             assert D[0][1] == RationalPoly.constant(2, expected)
 
     def test_diagonal_field_all_k(self):

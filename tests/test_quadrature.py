@@ -1,13 +1,16 @@
 """The numpy Gauss-Kronrod integrator: analytic antiderivatives, bisection
-of a peaked integrand, the subinterval cap, the overflow policy, and
-batches that give each interval the value it gets alone."""
+of a peaked integrand, the subinterval cap (also through the potentials
+that integrate), the overflow policy, and batches that give each interval
+the value it gets alone."""
 
 import math
 
 import numpy as np
 import pytest
 
+from iterfield import quadrature
 from iterfield.fields import NonFiniteValueError
+from iterfield.glm import GlmSpec, surrogate_potentials
 from iterfield.quadrature import (SUBINTERVAL_CAP, QuadratureError, integrate,
                                   integrate_batch)
 
@@ -44,11 +47,21 @@ def test_peaked_integrand_is_bisected():
     assert len(nodes) > 21 * 10  # one qk21 panel per subinterval, many subintervals
 
 
-def test_subinterval_cap():
+def test_subinterval_cap(monkeypatch):
     with pytest.raises(QuadratureError, match=rf"on \[0\.0, 1\.0\].*{SUBINTERVAL_CAP}"):
         integrate(lambda t: math.sin(1e6 * t), 0.0, 1.0)
+    monkeypatch.setattr(quadrature, "SUBINTERVAL_CAP", 3)
     with pytest.raises(QuadratureError, match="more than 3 subintervals"):
-        integrate(lambda t: 1.0 / (1e-4 + t * t), -1.0, 1.0, limit=3)
+        integrate(lambda t: 1.0 / (1e-4 + t * t), -1.0, 1.0)
+
+
+def test_the_subinterval_cap_is_read_by_surrogate_potentials(monkeypatch):
+    # exp's k = 3 potential at x0 = 1.5 needs 7 subintervals
+    spec = GlmSpec([[1.0, 0.0], [0.0, 1.0]], "exp")
+    assert np.isfinite(surrogate_potentials(spec, [[1.5, 0.0]], 3)).all()
+    monkeypatch.setattr(quadrature, "SUBINTERVAL_CAP", 6)
+    with pytest.raises(QuadratureError, match="more than 6 subintervals"):
+        surrogate_potentials(spec, [[1.5, 0.0]], 3)
 
 
 def test_overflow_raises():
