@@ -37,9 +37,11 @@ def _need(obj: dict, key: str, context: str):
 
 
 def _integer(value, what: str) -> int:
-    """A count or seed as an int.  A boolean or a fractional number is
-    refused: truncating it would run another value than the one the
-    config, and its hash, names."""
+    """A seed or a variable count as an int.  A boolean or a fractional
+    number is refused: truncating it would run another value than the one
+    the config, and its hash, names.  Iteration counts (run k and rounds,
+    rotation j, iterate k) are not read here: the library's one count rule,
+    ``fields._require_count``, takes them as the config gives them."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -81,7 +83,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
         if variant == "affine":
             return Affine(_need(obj, "matrix", variant), _need(obj, "offset", variant))
         if variant == "rotation":
-            return Rotation2D(_integer(_need(obj, "j", variant), "rotation j"))
+            return Rotation2D(_need(obj, "j", variant))
         if variant in ("glm", "glm_gradient"):
             return glm_gradient(glm_spec_from_obj(obj))
         if variant in ("gd", "gd_map"):
@@ -89,7 +91,7 @@ def field_from_obj(obj, depth: int = 1) -> Field:
                          float(_need(obj, "gamma", variant)))
         if variant == "iterate":
             return Iterate(field_from_obj(_need(obj, "inner", variant), depth + 1),
-                           _integer(_need(obj, "k", variant), "iterate k"))
+                           _need(obj, "k", variant))
         if variant == "sum":
             fields = [field_from_obj(f, depth + 1) for f in _need(obj, "fields", variant)]
             return Sum(fields, obj.get("weights"))
@@ -149,8 +151,8 @@ def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAv
             clients=clients,
             gamma=float(_need(obj, "gamma", "run config")),
             eta=float(obj.get("eta", 1.0)),
-            k=_integer(_need(obj, "k", "run config"), "k"),
-            rounds=_integer(rounds, "rounds"),
+            k=_need(obj, "k", "run config"),
+            rounds=rounds,
             x0=_need(obj, "x0", "run config"),
             seed=seed,
             mode=obj.get("mode"),

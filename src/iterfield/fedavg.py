@@ -648,8 +648,13 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     that fails raises its own error.  With eta = 1 the run is verified
     against the plain model-average recursion, which the delta update must
     reproduce to 1e-12 times max(1, |model average|_inf, |x_t|_inf): once
-    per run, after the rounds, over every completed round's kept models,
+    per run, after the rounds, over every computed round's kept models,
     raising at the first round that disagrees (``_check_model_average``).
+    A round reads only its iterate's bits, so once a round returns its own
+    iterate bit for bit (the float fixed point; bytes compared, so -0.0
+    never stands in for +0.0) every later round repeats it: those rounds
+    are copied, iterate and server value, not computed, and the trace is
+    the same as computing all of them.
     A non-finite model or iterate truncates the trace with a diagnostic
     instead of poisoning it, and numpy's overflow warnings are off for the
     whole run.
@@ -673,19 +678,28 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
                 # cumsum adds the rows in client order, where sum may pair them.
                 ys = models(x)
                 v = (weight * (x - ys)).cumsum(axis=0)[-1]
-                x = x - config.eta * v
-                if not np.isfinite(x).all():
+                step = x - config.eta * v
+                if not np.isfinite(step).all():
                     raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
             except NonFiniteValueError as err:
                 note = f"trace truncated at round {t}: {err}"
                 break
             round_models.append(ys)
             values.append(v)
-            xs.append(x)
+            xs.append(step)
+            if step.tobytes() == x.tobytes():
+                # A round reads only its iterate's bits, so every later
+                # round repeats this one: copy it instead of computing it.
+                left = config.rounds - 1 - t
+                xs.extend([step] * left)
+                values.extend([v] * left)
+                break
+            x = step
     finally:
-        # also when a round raised: an earlier round that disagrees comes first
+        # also when a round raised: an earlier round that disagrees comes
+        # first; a copied round is bit-equal to the last one checked
         if config.eta == 1.0 and round_models:
-            _check_model_average(np.array(xs), np.array(round_models))
+            _check_model_average(np.array(xs[:len(round_models) + 1]), np.array(round_models))
     trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, n)),
                         note=note)
 

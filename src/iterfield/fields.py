@@ -254,6 +254,13 @@ class Field:
         """Exact polynomial representation, or None."""
         return None
 
+    def _has_polyfield(self) -> bool:
+        """Whether ``as_polyfield`` gives a polynomial, told from the tree's
+        classes without forming one: a leaf has one when its class defines
+        ``as_polyfield``, a combinator when every operand has one.  So a
+        combinator forms no operand's polynomial unless all have one."""
+        return type(self).as_polyfield is not Field.as_polyfield
+
     def describe(self) -> str:
         return type(self).__name__.lower()
 
@@ -440,6 +447,9 @@ class GdMap(Field):
         identity = rationals.affine_numerators(self._eye, np.zeros(self.dimension))
         return rationals.affine_combination([(1, identity), (-self.gamma, inner)])
 
+    def _has_polyfield(self):
+        return self.inner._has_polyfield()
+
     def as_polyfield(self):
         inner = self.inner.as_polyfield()
         if inner is None:
@@ -508,6 +518,9 @@ class Iterate(Field):
         inner = self.inner._affine_form()
         return None if inner is None else rationals.power(*inner, self.k)
 
+    def _has_polyfield(self):
+        return self.inner._has_polyfield()
+
     def as_polyfield(self):
         from .polynomials import iterate_poly_field
         inner = self.inner.as_polyfield()
@@ -562,7 +575,12 @@ class Sum(Field):
             parts.append((w, part))
         return rationals.affine_combination(parts)
 
+    def _has_polyfield(self):
+        return all(f._has_polyfield() for f in self.fields)
+
     def as_polyfield(self):
+        if not self._has_polyfield():
+            return None
         parts = []
         for f in self.fields:
             part = f.as_polyfield()
@@ -600,6 +618,9 @@ class Scale(Field):
     def _affine_form(self):
         part = self.inner._affine_form()
         return None if part is None else rationals.affine_combination([(self.c, part)])
+
+    def _has_polyfield(self):
+        return self.inner._has_polyfield()
 
     def as_polyfield(self):
         part = self.inner.as_polyfield()
@@ -643,10 +664,16 @@ class Compose(Field):
         o = None if i is None else self.outer._affine_form()
         return None if o is None else rationals.affine_compose(o, i)
 
+    def _has_polyfield(self):
+        return self.outer._has_polyfield() and self.inner._has_polyfield()
+
     def as_polyfield(self):
-        i = self.inner.as_polyfield()
-        o = None if i is None else self.outer.as_polyfield()
-        if o is None:
+        # a GLM after a Linear, or a Linear after a GLM, is refused before
+        # the Linear's polynomial is formed
+        if not self._has_polyfield():
+            return None
+        o, i = self.outer.as_polyfield(), self.inner.as_polyfield()
+        if o is None or i is None:
             return None
         return o.compose(i.components)
 

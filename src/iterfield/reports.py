@@ -30,8 +30,8 @@ class ConfigError(IterfieldError, ValueError):
 # Deeper than any config needs: a field definition MAX_FIELD_DEPTH = 100
 # levels deep nests at most 201 JSON levels (a chain of sums around a
 # matrix leaf).  The recursive walks over a loaded document
-# (``jsonable`` takes two frames a level) stay far inside Python's default
-# recursion limit.
+# (``canonical_json``'s ``_emit`` takes one frame a level) stay far inside
+# Python's default recursion limit.
 MAX_JSON_DEPTH = 256
 
 
@@ -74,70 +74,82 @@ def load_json_file(path: str):
     return load_json_text(text, origin=path)
 
 
-def jsonable(obj):
-    """Normalize numpy scalars/arrays, fractions, and containers for JSON."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+def _float_text(x: float) -> str:
+    """A float as 17 significant digits, null when not finite."""
+    if not math.isfinite(x):
+        return "null"
+    text = format(x, ".17g")
+    # "-0" would read back as the integer 0
+    return "-0.0" if text == "-0" else text
 
 
-def _emit(obj, pieces: list, indent: int):
-    pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        text = format(obj, ".17g") if math.isfinite(obj) else "null"
-        # "-0" would read back as the integer 0
-        pieces.append("-0.0" if text == "-0" else text)
-    elif isinstance(obj, str):
+def _emit(obj, pieces: list, pad: str):
+    """Append obj's canonical text, indented by pad, to pieces.  numpy
+    scalars and arrays, Fractions (as their text) and non-str keys (as
+    str(key), the last of equal texts kept) are normalized on the way, so
+    each nesting level takes one frame and each value one type dispatch;
+    a list whose items are all floats is joined in one call."""
+    cls = type(obj)
+    if cls is float:
+        pieces.append(_float_text(obj))
+    elif cls is str:
         pieces.append(json.dumps(obj, ensure_ascii=True))
+    elif obj is None:
+        pieces.append("null")
+    elif obj is True or obj is False:
+        pieces.append("true" if obj else "false")
+    elif cls is int:
+        pieces.append(str(obj))
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")
             return
+        items = {str(key): value for key, value in obj.items()}
+        inner = pad + "  "
         pieces.append("{\n")
-        keys = sorted(obj)
-        for idx, key in enumerate(keys):
-            pieces.append(pad + "  " + json.dumps(str(key), ensure_ascii=True) + ": ")
-            _emit(obj[key], pieces, indent + 1)
-            pieces.append(",\n" if idx < len(keys) - 1 else "\n")
-        pieces.append(pad + "}")
+        for idx, key in enumerate(sorted(items)):
+            pieces.append(("" if idx == 0 else ",\n") + inner
+                          + json.dumps(key, ensure_ascii=True) + ": ")
+            _emit(items[key], pieces, inner)
+        pieces.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
             return
+        inner = pad + "  "
+        if all(type(item) is float for item in obj):
+            pieces.append("[\n" + inner + (",\n" + inner).join(map(_float_text, obj))
+                          + "\n" + pad + "]")
+            return
         pieces.append("[\n")
         for idx, item in enumerate(obj):
-            pieces.append(pad + "  ")
-            _emit(item, pieces, indent + 1)
-            pieces.append(",\n" if idx < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+            pieces.append(inner if idx == 0 else ",\n" + inner)
+            _emit(item, pieces, inner)
+        pieces.append("\n" + pad + "]")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), pieces, pad)
+    elif isinstance(obj, np.floating):
+        pieces.append(_float_text(float(obj)))
+    elif isinstance(obj, np.integer):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, np.bool_):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, Fraction):
+        pieces.append(json.dumps(str(obj), ensure_ascii=True))
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        pieces.append(_float_text(obj))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj, ensure_ascii=True))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 def canonical_json(obj) -> str:
     """Canonical JSON text: sorted keys, 17-significant-digit floats."""
     pieces: list[str] = []
-    _emit(jsonable(obj), pieces, 0)
+    _emit(obj, pieces, "")
     return "".join(pieces) + "\n"
 
 
@@ -175,32 +187,26 @@ def write_json(path: str, obj) -> None:
     write_text(path, canonical_json(obj))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    v = float(value)
-    if not math.isfinite(v):
-        return ""
-    return format(v, ".17g")
+def _cells(values) -> list[str]:
+    """Each value of a float array as a CSV cell: 17 significant digits,
+    blank when not finite."""
+    return [format(v, ".17g") if math.isfinite(v) else "" for v in values.tolist()]
 
 
 def trace_csv(trace) -> str:
     """Per-round CSV: round, iterate components, distance, contraction ratio,
-    surrogate loss.  Unavailable cells are blank."""
-    n = trace.xs.shape[1]
+    surrogate loss.  Unavailable cells are blank.  Every round of the trace
+    is a row, the rounds ``run_fedavg`` copied after a float fixed point
+    too.  Each column is formatted from one ``tolist()``, then the rows are
+    joined."""
+    rows, n = trace.xs.shape
+    blank = [""] * rows
+    columns = [[str(t) for t in range(rows)]] + [_cells(x) for x in trace.xs.T]
+    columns.append(blank if trace.dists is None else _cells(trace.dists))
+    columns.append(blank if trace.ratios is None else [""] + _cells(trace.ratios))
+    columns.append(blank if trace.fs is None else _cells(trace.fs))
     header = "round," + ",".join(f"x{i}" for i in range(n)) + ",dist,ratio,fs"
-    lines = [header]
-    for t in range(trace.xs.shape[0]):
-        cells = [str(t)]
-        cells.extend(_cell(v) for v in trace.xs[t])
-        cells.append(_cell(trace.dists[t]) if trace.dists is not None else "")
-        ratio = None
-        if trace.ratios is not None and t >= 1:
-            ratio = trace.ratios[t - 1]
-        cells.append(_cell(ratio))
-        cells.append(_cell(trace.fs[t]) if trace.fs is not None else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header] + [",".join(row) for row in zip(*columns)]) + "\n"
 
 
 def write_trace_csv(path: str, trace) -> None:

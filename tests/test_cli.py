@@ -263,14 +263,15 @@ class TestFedavg:
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
         assert not empty.exists()
 
-    def test_integral_float_counts_run_as_integers(self, tmp_path):
-        blobs = []
-        for k, rounds in ((2, 15), (2.0, 15.0)):
-            outdir = tmp_path / f"run-{k}"
-            config = write_config(tmp_path, {**FED_CONFIG, "k": k, "rounds": rounds})
-            assert main(["fedavg", "--config", config, "--outdir", str(outdir)]) == 0
-            blobs.append((outdir / "fedavg_trace.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_integral_float_counts_are_refused(self, tmp_path):
+        # "k": 2.0 is refused as FedAvgConfig(k=2.0) is, and writes no file
+        outdir = tmp_path / "run"
+        for changes in ({"k": 2.0}, {"rounds": 15.0}):
+            config = write_config(tmp_path, {**FED_CONFIG, **changes})
+            assert main(["fedavg", "--config", config, "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
+        config = write_config(tmp_path, {**FED_CONFIG, "k": 2, "rounds": 15})
+        assert main(["fedavg", "--config", config, "--outdir", str(outdir)]) == 0
 
     def test_eta_one_run_far_from_the_model_average_exits_zero(self, tmp_path):
         # x_t - (x_t - y) keeps y only to x_t's last place, 1.2e-10 near 1e6:
@@ -403,16 +404,9 @@ class TestBoundaryRefusals:
         (_scan_field({**LINEAR_FIELD, "note": _nested_lists(700)}),
          "JSON nested deeper than 256 levels"),
         (_fedavg(note=_nested_lists(700)), "JSON nested deeper than 256 levels"),
-        # a fractional or boolean count would be truncated to another run
-        # than the one the config names
-        (_fedavg(k=2.7), "k must be an integer, got 2.7"),
-        (_fedavg(rounds=3.9), "rounds must be an integer, got 3.9"),
+        # a fractional or boolean seed or variable count would be truncated
+        # to another run than the one the config names
         (_fedavg(seed=1.5), "seed must be an integer, got 1.5"),
-        (_fedavg(k=True), "k must be an integer, got True"),
-        (_scan_field({"variant": "iterate", "k": 1.5, "inner": LINEAR_FIELD}),
-         "iterate k must be an integer, got 1.5"),
-        (_scan_field({"variant": "rotation", "j": 2.5}), "rotation j must be an integer"),
-        (_scan_field({"variant": "rotation", "j": False}), "rotation j must be an integer"),
         (_scan_field({"variant": "poly", "components": ["x0", "x1"], "nvars": 2.5}),
          "poly nvars must be an integer"),
         # a degree past the exponent width of the polynomial ring
@@ -423,16 +417,40 @@ class TestBoundaryRefusals:
                       "nvars": 2}), "exceeds the exponent width"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
-        if argv[0] == "fedavg":
-            config = tmp_path / "config.json"
-            config.write_text(argv[2])
-            argv = ["fedavg", "--config", str(config), "--outdir", str(tmp_path)]
-        assert main(argv) == 2
+        assert main(self._config_argv(argv, tmp_path)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert reason in lines[0]
+
+    @pytest.mark.parametrize("count", [2.0, 2.7, True, "2"],
+                             ids=["integral-float", "fraction", "bool", "string"])
+    @pytest.mark.parametrize("argv, message", [
+        (lambda c: _fedavg(k=c), "bad run config: k must be an integer >= 1, got {!r}"),
+        (lambda c: _fedavg(rounds=c), "bad run config: rounds must be an integer >= 1, got {!r}"),
+        (lambda c: _scan_field({"variant": "rotation", "j": c}),
+         "bad rotation field definition: rotation order j must be an integer >= 1, got {!r}"),
+        (lambda c: _scan_field({"variant": "iterate", "k": c, "inner": LINEAR_FIELD}),
+         "bad iterate field definition: k must be an integer >= 1, got {!r}"),
+    ], ids=["run-k", "rounds", "rotation-j", "iterate-k"])
+    def test_a_config_count_follows_the_library_count_rule(self, argv, message, count,
+                                                           tmp_path, capsys):
+        # a config count is refused as the library refuses it, an integral
+        # float or a numeric string too: neither runs as another value
+        # than the one the config, and its hash, names
+        assert main(self._config_argv(argv(count), tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(count)}\n"
+
+    @staticmethod
+    def _config_argv(argv, tmp_path):
+        """argv with a fedavg run's JSON text written to a config file."""
+        if argv[0] != "fedavg":
+            return argv
+        config = tmp_path / "config.json"
+        config.write_text(argv[2])
+        return ["fedavg", "--config", str(config), "--outdir", str(tmp_path)]
 
     def test_the_term_ceiling_exits_two_with_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(polynomials, "MAX_TERMS", 10)

@@ -39,6 +39,25 @@ class CallbackClient:
         return self.field
 
 
+def count_server_models(monkeypatch) -> list:
+    """Wrap ``fa._server_models``: the list returned gets one entry per
+    operator built, counting that operator's evaluations."""
+    counts, build = [], fa._server_models
+
+    def counted(*args):
+        models, slot = build(*args), len(counts)
+        counts.append(0)
+
+        def evaluate(x):
+            counts[slot] += 1
+            return models(x)
+
+        return evaluate
+
+    monkeypatch.setattr(fa, "_server_models", counted)
+    return counts
+
+
 def hetero_clients():
     return [fa.QuadraticClient(np.diag([1.0, 3.0]), [1.0, 2.0]),
             fa.QuadraticClient(np.diag([3.0, 1.0]), [-1.0, 0.0])]
@@ -413,20 +432,29 @@ class TestOracleFixedPoint:
         assert str(info.value) == (
             "fixed-point iteration repeats from step 3 with period 2 above 1e-12")
 
-    def test_a_drifting_hunt_stops_at_its_rate(self):
+    def test_a_drifting_hunt_stops_at_its_rate(self, monkeypatch):
         # One logistic client has no minimizer: the hunt drifts off without
-        # repeating an iterate while |V_s| shrinks far too slowly.
+        # repeating an iterate while |V_s| shrinks far too slowly.  Its cost
+        # is bounded by counting server-model evaluations, not by wall time,
+        # so the bound holds under a tracer and on a slow host.
+        evaluations = count_server_models(monkeypatch)
         clients = [fa.GlmClient(GlmSpec([[1.0, 0.5]], "logistic"))]
-        start = time.perf_counter()
         trace = fa.run_fedavg(fa.FedAvgConfig(clients, gamma=0.3, eta=1.0, k=3, rounds=5,
                                               x0=[0.0, 0.0]))
-        assert time.perf_counter() - start < 3.0
         assert trace.fixed_point is None and trace.fixed_point_method is None
         with pytest.raises(fa.ConvergenceError) as info:
             fa.oracle_fixed_point(clients, 0.3, 3)
         message = str(info.value)
         assert message.startswith("fixed-point iteration cannot reach 1e-12 within 1000000 steps")
-        assert "at step " in message and " q = " in message
+        assert " q = " in message
+        stop = int(message.split("at step ")[1].split(" ")[0])
+        # one operator for the rounds and one for each hunt: the rounds
+        # evaluate theirs once a round, and a hunt evaluates |V| at every
+        # step up to the window where its rate check fires (58,000 steps
+        # here, against 10^6 for the cap)
+        window = fa.FIXED_POINT_WINDOW
+        assert stop % window == 0 and 0 < stop <= 60 * window
+        assert evaluations == [5, stop + 1, stop + 1]
 
     def test_a_slow_contraction_still_finds_its_point(self):
         # The mean gradient 0.0005 (x - 1000) contracts by 0.9995 per unit
@@ -879,3 +907,168 @@ class TestStepChecks:
                                                 rounds=np.int32(5), x0=np.ones(3)))
         assert counted.xs.tobytes() == plain.xs.tobytes()
         assert counted.fixed_point.tobytes() == plain.fixed_point.tobytes()
+
+
+# ----- FedAvg: rounds copied after the float fixed point -----
+
+def reference_run(config):
+    """What ``run_fedavg`` gave before it stopped at the float fixed point:
+    every one of the T rounds computed from its own models, then the same
+    eta = 1 check, oracle, distances, ratios and surrogate values.  Returns
+    (arrays by name, note); raises what the eta = 1 check raises."""
+    clients = config.clients
+    models, weight = fa._server_models(clients, config.gamma, config.k), 1.0 / len(clients)
+    xs, values, kept, note = [config.x0.copy()], [], [], None
+    x = xs[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t in range(config.rounds):
+                try:
+                    ys = models(x)
+                    v = (weight * (x - ys)).cumsum(axis=0)[-1]
+                    x = x - config.eta * v
+                    if not np.isfinite(x).all():
+                        raise NonFiniteValueError(f"iterate became non-finite at round {t + 1}")
+                except NonFiniteValueError as err:
+                    note = f"trace truncated at round {t}: {err}"
+                    break
+                kept.append(ys)
+                values.append(v)
+                xs.append(x)
+        finally:
+            if config.eta == 1.0 and kept:
+                fa._check_model_average(np.array(xs), np.array(kept))
+        xs = np.array(xs)
+        out = {"xs": xs, "server_values": np.array(values) if values else np.zeros((0, len(x))),
+               "fixed_point": None, "dists": None, "ratios": None, "fs": None}
+        if fa._oracle_eligible(clients):
+            try:
+                out["fixed_point"], _ = fa.oracle_fixed_point(clients, config.gamma, config.k)
+            except (fa.ConvergenceError, NonFiniteValueError, fa.rationals.SingularMatrixError):
+                pass
+        point = out["fixed_point"]
+        if point is not None:
+            dists = fa._distances(xs, point)
+            before, after = dists[:-1], dists[1:]
+            out["dists"] = dists
+            out["ratios"] = np.divide(
+                after, before, out=np.full(len(before), np.nan),
+                where=(1e-10 < before) & (before < math.inf) & (after < math.inf))
+        if fa._surrogate_available(clients):
+            points = list(xs) + ([] if point is None else [point])
+            index = {}
+            for p in points:
+                index.setdefault(p.tobytes(), len(index))
+            f_s = fa.server_surrogate(clients, config.gamma, config.k)
+            fs = f_s(np.array([np.frombuffer(key) for key in index]))
+            out["fs"] = fs[[index[p.tobytes()] for p in xs]]
+    return out, note
+
+
+def first_fixed_round(xs) -> int | None:
+    """The first round t with x_(t+1) bit-equal to x_t, or None."""
+    return next((t for t in range(len(xs) - 1) if xs[t + 1].tobytes() == xs[t].tobytes()),
+                None)
+
+
+@st.composite
+def stop_configs(draw):
+    """Quadratic (small-rational or float-entered), GLM-group, mixed and
+    truncating FedAvg configs, with eta in {0.5, 1, 1.5}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("quadratic", "glm-group", "mixed", "truncating")))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    make = draw(st.sampled_from((spd_clients, integer_spd_clients)))
+    gamma = draw(st.sampled_from((0.3, 0.5, 0.9)))
+    x0 = rng.uniform(-3, 3, n)
+    if kind == "truncating":
+        # expanding local maps, from far out: the iterates leave float range
+        gamma, x0 = 6.0, x0 * 10.0 ** draw(st.integers(290, 305))
+    if kind in ("quadratic", "truncating"):
+        clients = make(rng, m, n)
+    else:
+        # one stacked group: opposed logistic direction sets of norm at
+        # most 1.5, so the average loss has a minimizer that the hunt
+        # reaches in a few hundred steps at these step sizes
+        gamma = draw(st.sampled_from((1.0, 2.0, 3.0)))
+        Z = rng.standard_normal((draw(st.integers(1, 2)), n))
+        Z /= np.linalg.norm(Z, axis=1)[:, None]
+        clients = [fa.GlmClient(GlmSpec(Z * rng.uniform(0.5, 1.5), "logistic")),
+                   fa.GlmClient(GlmSpec(-Z * rng.uniform(0.5, 1.5), "logistic"))]
+        if kind == "mixed":
+            clients = make(rng, 1, n) + clients
+    return fa.FedAvgConfig(clients, gamma=gamma, eta=draw(st.sampled_from((0.5, 1.0, 1.5))),
+                           k=draw(st.integers(1, 4)), x0=x0,
+                           rounds=draw(st.sampled_from((400, 200, 30, 7, 2, 1))))
+
+
+def outcome(run):
+    """run() as ("ok", value) or ("raised", type, message)."""
+    try:
+        return ("ok", run())
+    except Exception as err:  # the reference and the run must raise alike
+        return ("raised", type(err), str(err))
+
+
+class TestFixedPointStop:
+    @settings(max_examples=200, deadline=None)
+    @given(stop_configs(), st.sampled_from((fa.EQUIVALENCE_TOL, 1e-16, 0.0)))
+    def test_the_stop_gives_the_full_run(self, config, tol):
+        # a tolerance below rounding makes the eta = 1 check fail on some
+        # round, so the first failing round is compared as well
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fa, "EQUIVALENCE_TOL", tol)
+            got, want = outcome(lambda: fa.run_fedavg(config)), outcome(
+                lambda: reference_run(config))
+        if want[0] == "raised":
+            assert got == want
+            return
+        assert got[0] == "ok", got
+        trace, (arrays, note) = got[1], want[1]
+        assert trace.note == note
+        for name, array in arrays.items():
+            ours = getattr(trace, name)
+            assert (ours is None) == (array is None), name
+            if array is not None:
+                assert ours.shape == array.shape and ours.tobytes() == array.tobytes(), name
+
+    def test_the_stop_is_taken_and_the_rest_copied(self, monkeypatch):
+        # the two fedavg-convex suite runs stop moving after 19 (k = 3) and
+        # 36 (k = 1) of their 200 rounds: only those rounds are computed
+        from iterfield.suites import fedavg_convex
+        evaluations = count_server_models(monkeypatch)
+        assert fedavg_convex()["passed"]
+        # per run, the rounds' operator and then the hunt's
+        assert len(evaluations) == 4
+        assert (evaluations[0], evaluations[2]) == (19, 36)
+
+    def test_a_stopped_trace_keeps_every_round(self, monkeypatch):
+        evaluations = count_server_models(monkeypatch)
+        c1 = fa.GlmClient(GlmSpec([[1.0, 0.0], [0.0, 0.8]], "logistic"))
+        c2 = fa.GlmClient(GlmSpec([[-1.0, 0.0], [0.0, -0.8]], "logistic"))
+        config = fa.FedAvgConfig([c1, c2], gamma=4.0, eta=1.0, k=3, rounds=200,
+                                 x0=[1.5, -0.75])
+        trace = fa.run_fedavg(config)
+        stop = first_fixed_round(trace.xs)
+        assert evaluations[0] == stop + 1 < 200
+        assert trace.rounds_completed == 200 and trace.server_values.shape == (200, 2)
+        assert {x.tobytes() for x in trace.xs[stop:]} == {trace.xs[stop].tobytes()}
+        assert {v.tobytes() for v in trace.server_values[stop:]} == {
+            trace.server_values[stop].tobytes()}
+
+    def test_a_sign_change_of_zero_is_not_a_fixed_point(self):
+        # -0.0 goes to +0.0, equal as numbers but not as bytes, and a round
+        # from +0.0 moves on: had the stop compared values, it would have
+        # copied +0.0 through round T
+        seen = []
+
+        def model(x):
+            seen.append(x.tobytes())
+            return np.where(x == 0, np.where(np.signbit(x), 0.0, 1.0), 0.5 * x)
+
+        client = CallbackClient(lambda x: x - model(x), 1)
+        trace = fa.run_fedavg(fa.FedAvgConfig([client], gamma=1.0, eta=1.0, k=1, rounds=6,
+                                              x0=[-0.0]))
+        assert len(seen) == 6
+        assert trace.xs.ravel().tolist() == [-0.0, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert math.copysign(1.0, trace.xs[0, 0]) == -1.0

@@ -310,6 +310,43 @@ class TestExactRepresentations:
         pf = composed.as_polyfield()
         assert pf.to_texts() == ["4*x0^3*x1^1", "4*x0^2*x1^2"]
 
+    def test_compose_polyfield_substitutes_the_inner_into_the_outer(self):
+        # outer and inner differ, so the order of the substitution shows
+        outer = PolyExact(PolyField.gradient_of(RationalPoly(2, {(2, 1): 1})))
+        inner = Affine([[1.0, 2.0], [0.0, 1.0]], [0.5, -1.0])
+        pf = Compose(outer, inner).as_polyfield()
+        assert pf == outer.polyfield.compose(inner.as_polyfield().components)
+        # grad(x0^2 x1) at (x0 + 2 x1 + 1/2, x1 - 1)
+        assert pf.to_texts() == [
+            "2*x0^1*x1^1 + 4*x1^2 + -2*x0^1 + -3*x1^1 + -1",
+            "1*x0^2 + 4*x0^1*x1^1 + 4*x1^2 + 1*x0^1 + 2*x1^1 + 1/4"]
+        x = np.array([0.3, -0.7])
+        np.testing.assert_allclose(PolyExact(pf)(x), outer(inner(x)), atol=1e-15)
+
+    def test_no_operand_polynomial_is_formed_unless_all_have_one(self):
+        # a Linear after a GLM, a GLM after a Linear, and sums and descent
+        # maps over them: the GLM has no polynomial form, so the Linear's
+        # is never formed
+        asked = []
+
+        class Counted(Linear):
+            def as_polyfield(self):
+                asked.append(self)
+                return super().as_polyfield()
+
+        glm = glm_gradient(GlmSpec([[0.5, 0.0], [0.0, 0.4]], "logistic"))
+        linear = Counted([[0.8, 0.1], [-0.1, 0.7]])
+        for field in (Compose(glm, linear), Compose(linear, glm), Sum([linear, glm]),
+                      Compose(GdMap(glm, 0.5), linear), Compose(linear, Iterate(glm, 2)),
+                      Scale(2.0, Compose(linear, Sum([linear, glm])))):
+            assert not field._has_polyfield()
+            assert field.as_polyfield() is None
+        assert asked == []
+        # with a polynomial on every side, each operand's is formed once
+        field = Compose(linear, Sum([linear, GdMap(linear, 0.5)]))
+        assert field._has_polyfield() and field.as_polyfield() is not None
+        assert asked == [linear] * 3
+
     def test_rotation_has_no_exact_affine(self):
         assert Rotation2D(3).as_affine() is None
         assert Rotation2D(3).as_polyfield() is None

@@ -38,6 +38,16 @@ itf.check_propagation(grad, k=3)
 assert {"glm", "spectral"} <= loaded(), loaded()
 assert not loaded() & {"fedavg", "quadrature", "polynomials"}, loaded()
 """,
+    "numeric-glm-and-linear": """
+# a GLM has no polynomial form, so a composition with a Linear, on either
+# side, never forms the Linear's
+grad = itf.glm_gradient(itf.GlmSpec([[0.5, 0.0], [0.0, 0.4]], "logistic"))
+linear = itf.Linear([[0.8, 0.1], [-0.1, 0.7]])
+itf.scan_k(itf.compose(grad, linear), k_max=3)
+itf.scan_k(itf.compose(linear, grad), k_max=3)
+assert "glm" in loaded(), loaded()
+assert not loaded() & {"fedavg", "quadrature", "polynomials"}, loaded()
+""",
     "fedavg-run": """
 quadratic = [itf.QuadraticClient([[2, 0], [0, 1]], [1, -1]),
              itf.QuadraticClient([[1, 0], [0, 3]], [0, 2])]
