@@ -141,9 +141,11 @@ def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAv
     if not isinstance(clients, list):
         raise ConfigError(f"run config: clients must be a list, got {type(clients).__name__}")
     clients = [client_from_obj(c) for c in clients]
-    rounds = obj.get("rounds", obj.get("T"))
-    if rounds is None:
+    # a present rounds key, null too, goes to the count rule; T stands in
+    # only for an absent one
+    if "rounds" not in obj and "T" not in obj:
         raise ConfigError("run config: missing key 'rounds'")
+    rounds = obj["rounds"] if "rounds" in obj else obj["T"]
     try:
         seed = (_integer(obj.get("seed", 0), "seed") if seed_override is None
                 else int(seed_override))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import IterfieldError, rationals
 from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
-                     Sum, _require_count, as_matrix, as_vector)
+                     Sum, _require_count, _require_step, as_matrix, as_vector)
 from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
 
 if TYPE_CHECKING:
@@ -168,10 +168,10 @@ def _dimension(clients) -> int:
 
 
 def _check_steps(gamma: float, k: int, rounds: int = 1):
-    """Refuse a step size or count no run takes: gamma must be finite and
-    positive, and k and rounds counts as ``fields._require_count`` takes."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be finite and positive")
+    """Refuse a step size or count no run takes: gamma as
+    ``fields._require_step`` takes it, and k and rounds counts as
+    ``fields._require_count`` takes."""
+    _require_step(gamma)
     _require_count("k", k)
     _require_count("rounds", rounds)
 

@@ -97,6 +97,15 @@ def _require_count(name: str, count) -> int:
     return int(count)
 
 
+def _require_step(gamma) -> float:
+    """A step size as a float, finite and > 0.  Every public entry that
+    takes one checks it here, so an infinite step, which defines no map,
+    is refused with the others."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"step size gamma must be finite and positive, got {gamma!r}")
+    return float(gamma)
+
+
 # ----- Jacobian methods -----
 
 @dataclass(frozen=True)
@@ -417,10 +426,8 @@ class GdMap(Field):
     failing field raises its own message (the step's own, if G passes)."""
 
     def __init__(self, inner: Field, gamma: float):
-        if not (gamma > 0):
-            raise ValueError("step size gamma must be positive")
         self.inner = inner
-        self.gamma = float(gamma)
+        self.gamma = _require_step(gamma)
         self.dimension = inner.dimension
         self._eye = np.eye(self.dimension)
 
@@ -748,7 +755,7 @@ def compose(outer: Field, inner: Field) -> Field:
 
 
 def gd_map(f_grad: Field, gamma: float) -> GdMap:
-    """The gradient-descent map x -> x - gamma * f_grad(x); gamma must be positive."""
+    """The gradient-descent map x -> x - gamma * f_grad(x); gamma must be finite and positive."""
     return GdMap(f_grad, gamma)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import IterfieldError
 from .fields import (Field, GdMap, NonFiniteValueError, _all_finite, _require_count,
-                     _row_times, as_points, as_vector, walk_rows)
+                     _require_step, _row_times, as_points, as_vector, walk_rows)
 
 ORTHOGONALITY_TOL = 1e-12
 DERIVATIVE_CHECK_TOL = 1e-6
@@ -389,7 +389,39 @@ def _orbit_weight(deriv, t, w, k: int, gamma: float | None = None):
     return total
 
 
-class GlmIterate(Field):
+class _GlmClosedForm(Field):
+    """The row kernel the two closed forms share; ``gamma`` is the descent
+    map's step size, None on the plain map."""
+
+    gamma: float | None = None
+
+    def _rows(self, X):
+        """One point keeps the float path of ``_eval``.  A batch walks the
+        scalar orbits of every row and direction together: one
+        ``_row_times`` for the inner products, the scalar sigma' mapped over
+        them in row order at each step (numpy's exp rounds differently from
+        math's), and one ``_row_times`` for the sums of directions, so each
+        row is bit-equal to its one-point value.  A batch whose orbits fail
+        anywhere raises what its first failing row raises alone."""
+        if X.shape[0] == 1:
+            try:
+                return self._eval(X[0])[None, :]
+            except OverflowError as err:
+                raise self._overflowed(X[0]) from err
+        Z = self.spec.directions
+        try:
+            W = _orbit_weight(functools.partial(_entrywise, self.spec.activation.deriv),
+                              _row_times(X, Z.T), np.array(self.spec._norms), self.k,
+                              self.gamma)
+        except (ArithmeticError, ValueError, NonFiniteValueError):
+            for x in X:
+                self._evaluate(x)
+            raise
+        Y = _row_times(W, Z)
+        return Y if self.gamma is None else X - self.gamma * Y
+
+
+class GlmIterate(_GlmClosedForm):
     """Closed form of the k-fold self-composition of an orthogonal model gradient."""
 
     def __init__(self, spec: GlmSpec, k: int):
@@ -423,7 +455,7 @@ class GlmIterate(Field):
         return f"glm-iterate(k={self.k}, {self.spec.describe()})"
 
 
-class GlmGdIterate(Field):
+class GlmGdIterate(_GlmClosedForm):
     """Closed form of the k-fold gradient-descent map for an orthogonal model.
 
     Per direction, the inner product follows the scalar recursion
@@ -433,10 +465,8 @@ class GlmGdIterate(Field):
 
     def __init__(self, spec: GlmSpec, gamma: float, k: int):
         _require_orthogonal(spec)
-        if not (gamma > 0):
-            raise ValueError("step size gamma must be positive")
         self.spec = spec
-        self.gamma = float(gamma)
+        self.gamma = _require_step(gamma)
         self.k = _require_count("k", k)
         self.dimension = spec.dimension
         self._eye = np.eye(self.dimension)
@@ -495,8 +525,8 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     and one walk of the scalar orbits gives every closed form's weights."""
     _require_orthogonal(spec)
     k_max = _require_count("k_max", k_max)
-    if gamma is not None and not (gamma > 0):
-        raise ValueError("step size gamma must be positive")
+    if gamma is not None:
+        gamma = _require_step(gamma)
     X = as_points(points, spec.dimension)
     if X.shape[0] == 0:
         raise ValueError("need at least one point")
@@ -540,8 +570,10 @@ def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterat
         gamma = None
     elif mode != "gd-iterate":
         raise ValueError(f"unknown mode {mode!r}; use 'grad-iterate' or 'gd-iterate'")
-    elif gamma is None or not (gamma > 0):
+    elif gamma is None:
         raise ValueError("gd-iterate mode needs a positive gamma")
+    else:
+        gamma = _require_step(gamma)
     X = as_points(points, spec.dimension)
     derivs = spec.activation.derivs
     w = np.tile(spec._norms, X.shape[0])

@@ -352,7 +352,8 @@ class TestBoundaryRefusals:
         (["scan", *LINEAR, "--k-max", "3", "--radius", "inf"], "radius must be finite"),
         (["scan", *LINEAR, "--k-max", "3", "--radius", "0"], "radius must be finite"),
         (["scan", "--rotation", "0", "--k-max", "3"], "rotation order"),
-        (["glm-verify", *DIRECTIONS, "--k", "2", "--gamma", "-1"], "gamma must be positive"),
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--gamma", "-1"],
+         "gamma must be finite and positive"),
         (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "-2"], "--points must be at least 1"),
         (["glm-verify", *DIRECTIONS, "--k", "0"], "k_max must be an integer >= 1"),
         (["glm-verify", *DIRECTIONS, "--k", "2", "--points", "0"], "--points must be at least 1"),
@@ -415,6 +416,9 @@ class TestBoundaryRefusals:
          "exceeds the exponent width"),
         (_scan_field({"variant": "poly", "components": [f"x0*x1^{MAX_DEGREE}", "x1"],
                       "nvars": 2}), "exceeds the exponent width"),
+        # an infinite step defines no descent map
+        (["glm-verify", *DIRECTIONS, "--k", "2", "--gamma", "inf"],
+         "gamma must be finite and positive"),
     ])
     def test_exits_two_with_one_error_line(self, argv, reason, tmp_path, capsys):
         assert main(self._config_argv(argv, tmp_path)) == 2
@@ -424,16 +428,22 @@ class TestBoundaryRefusals:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert reason in lines[0]
 
-    @pytest.mark.parametrize("count", [2.0, 2.7, True, "2"],
-                             ids=["integral-float", "fraction", "bool", "string"])
+    @pytest.mark.parametrize("count", [2.0, 2.7, True, "2", None],
+                             ids=["integral-float", "fraction", "bool", "string", "null"])
     @pytest.mark.parametrize("argv, message", [
         (lambda c: _fedavg(k=c), "bad run config: k must be an integer >= 1, got {!r}"),
         (lambda c: _fedavg(rounds=c), "bad run config: rounds must be an integer >= 1, got {!r}"),
+        # T stands in for rounds only when rounds is absent
+        (lambda c: _fedavg(rounds=c, T=5),
+         "bad run config: rounds must be an integer >= 1, got {!r}"),
+        (lambda c: ["fedavg", "--config", json.dumps(
+            {**{key: v for key, v in FED_CONFIG.items() if key != "rounds"}, "T": c})],
+         "bad run config: rounds must be an integer >= 1, got {!r}"),
         (lambda c: _scan_field({"variant": "rotation", "j": c}),
          "bad rotation field definition: rotation order j must be an integer >= 1, got {!r}"),
         (lambda c: _scan_field({"variant": "iterate", "k": c, "inner": LINEAR_FIELD}),
          "bad iterate field definition: k must be an integer >= 1, got {!r}"),
-    ], ids=["run-k", "rounds", "rotation-j", "iterate-k"])
+    ], ids=["run-k", "rounds", "rounds-over-T", "T", "rotation-j", "iterate-k"])
     def test_a_config_count_follows_the_library_count_rule(self, argv, message, count,
                                                            tmp_path, capsys):
         # a config count is refused as the library refuses it, an integral

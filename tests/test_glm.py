@@ -8,9 +8,11 @@ import pytest
 from iterfield.conservatism import check_numeric
 from iterfield.fields import Iterate, NonFiniteValueError, gd_map, jacobian
 from iterfield.glm import (ACTIVATIONS, Activation, GlmSpec, NonOrthogonalError,
-                           _orbit_weight, _scalar_orbit, derivative_residual, get_activation, glm_gradient,
+                           _orbit_weight, _scalar_orbit, closed_form_deviation,
+                           derivative_residual, get_activation, glm_gradient,
                            iterated_glm, iterated_glm_gd, orthogonality_check,
                            surrogate_potential, surrogate_potentials)
+from iterfield.suites import surrogate_gradient
 from iterfield.quadrature import integrate
 
 
@@ -389,3 +391,72 @@ class TestOverflowPolicy:
         verdict = check_numeric(field, 1, [[3.0, 0.0], [0.1, 0.2], [0.2, 0.1]])
         assert verdict.kind == "numeric-pass"
         assert verdict.skipped_samples == 1
+
+
+STEP_ENTRIES = {
+    "gd_map": lambda spec, gamma: gd_map(glm_gradient(spec), gamma),
+    "iterated_glm_gd": lambda spec, gamma: iterated_glm_gd(spec, gamma, 2),
+    "closed_form_deviation": lambda spec, gamma: closed_form_deviation(
+        spec, [[0.1, 0.2]], 2, gamma),
+    "surrogate_potential": lambda spec, gamma: surrogate_potential(
+        spec, [0.1, 0.2], 2, "gd-iterate", gamma),
+    "surrogate_potentials": lambda spec, gamma: surrogate_potentials(
+        spec, [[0.1, 0.2]], 2, "gd-iterate", gamma),
+}
+
+
+class TestStepRule:
+    """One rule for a step size at every entry that takes one: finite and
+    positive.  An infinite step defines no map, so it is refused with the
+    others instead of giving a value or failing every sample."""
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", list(STEP_ENTRIES))
+    def test_refused(self, entry, gamma):
+        spec = GlmSpec(np.eye(2), "exp")
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            STEP_ENTRIES[entry](spec, gamma)
+
+    @pytest.mark.parametrize("entry", list(STEP_ENTRIES))
+    def test_a_large_finite_step_is_taken(self, entry):
+        STEP_ENTRIES[entry](GlmSpec(np.eye(2), "quadratic"), 1e6)
+
+
+def reference_surrogate_gradient():
+    """The surrogate-gradient entry's worst deviation with one closed-form
+    call per point, the loop the entry's batches replace."""
+    from iterfield.suites import _orthogonal_directions
+    rng = np.random.default_rng(23)
+    points, k_max = 50, 4
+    gamma = 0.4
+    h = 1e-6
+    worst = 0.0
+    steps = h * np.eye(3)
+    for act in ("quadratic", "exp", "logistic"):
+        spec = GlmSpec(_orthogonal_directions(rng, 3, 2), act)
+        for k in range(1, k_max + 1):
+            closed = iterated_glm(spec, k)
+            closed_gd = iterated_glm_gd(spec, gamma, k)
+            xs = []
+            for _ in range(points // k_max):
+                x = rng.standard_normal(3)
+                xs.append(x / max(1.0, float(np.linalg.norm(x))))
+            X = np.array(xs)[:, None, :]
+            stencil = np.concatenate([X + steps, X - steps]).reshape(-1, 3)
+            for mode in ("grad-iterate", "gd-iterate"):
+                plus, minus = surrogate_potentials(spec, stencil, k, mode, gamma).reshape(2, -1, 3)
+                for x, grad_fd in zip(xs, (plus - minus) / (2 * h)):
+                    if mode == "grad-iterate":
+                        ref = closed(x)
+                    else:
+                        ref = (x - closed_gd(x)) / gamma
+                    dev = np.linalg.norm(grad_fd - ref) / max(1.0, np.linalg.norm(ref))
+                    worst = max(worst, dev)
+    return worst
+
+
+def test_surrogate_gradient_entry_matches_its_per_point_loop():
+    result = surrogate_gradient()
+    assert result["passed"]
+    assert float(result["worst_relative_deviation"]).hex() == \
+        float(reference_surrogate_gradient()).hex()

@@ -1,10 +1,10 @@
 """Property tests for the per-point float path: a leaf's stack of analytic
-Jacobians, the model Jacobians every GLM leaf builds, and the value of an
-iterate, each against the reference it must equal bit for bit and message
-for message.  The references are the loops these paths replace: the
-stacked outer products reduced in one ``np.add.reduce``, one
-``jacobian_analytic`` call per row stacked by hand, and each row's orbit
-walked alone."""
+Jacobians, the model Jacobians every GLM leaf builds, the value of an
+iterate and the closed forms' row kernels, each against the reference it
+must equal bit for bit and message for message.  The references are the
+loops these paths replace: the stacked outer products reduced in one
+``np.add.reduce``, one ``jacobian_analytic`` call per row stacked by hand,
+each row's orbit walked alone, and one closed-form call per point."""
 
 import math
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from iterfield import fedavg as fa
 from iterfield.fields import (Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
-                              Scale)
+                              Scale, walk_rows)
 from iterfield.glm import GlmGdIterate, GlmGradient, GlmIterate, GlmSpec
 from walks import walk_alone
 
@@ -236,6 +236,101 @@ class TestIterateValues:
                 raise AssertionError("evaluated an empty batch")
 
         assert Iterate(Refusing(np.eye(2)), 3)._evaluate_rows(np.zeros((0, 2))).shape == (0, 2)
+
+
+@st.composite
+def closed_forms(draw, activations=ACTIVATIONS):
+    """(field, X): the plain or descent closed form of an orthogonal spec,
+    m <= n <= 4 directions along the axes or along the columns of a drawn
+    orthogonal matrix, k = 1..6, gamma in (0, 1], and N = 1, 2 or 17 points
+    of [-3, 3]^n, scaled by 1, 30 or 800 so that exp orbits overflow."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    scales = np.array(draw(st.lists(st.floats(0.3, 1.2) | st.floats(-1.2, -0.3),
+                                    min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        Z = np.zeros((m, n))
+        Z[range(m), draw(st.permutations(range(n)))[:m]] = scales
+    else:
+        M = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+        Q, _ = np.linalg.qr(M.reshape(n, n) + 2.0 * np.eye(n))
+        Z = Q[:, :m].T * scales[:, None]
+    spec = GlmSpec(Z, draw(st.sampled_from(activations)))
+    k = draw(st.integers(1, 6))
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+    field = GlmIterate(spec, k) if draw(st.booleans()) else GlmGdIterate(spec, gamma, k)
+    N = draw(st.sampled_from((1, 2, 17)))
+    rows = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n)
+    spread = draw(st.sampled_from((1.0, 30.0, 800.0)))
+    return field, spread * np.array(draw(st.lists(rows, min_size=N, max_size=N)))
+
+
+def hexes(Y):
+    return [[v.hex() for v in row] for row in Y.tolist()]
+
+
+def called(fn):
+    """("ok", the rows' float hex texts) or the message and iterate index
+    of the NonFiniteValueError fn raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", hexes(fn())
+    except NonFiniteValueError as err:
+        return str(err), err.iterate_index
+
+
+def batch_reference(field, X):
+    """What a batch must give: every row's one-point value, or what the
+    first row that fails alone raises."""
+    alone = [called(lambda: field(x)[None, :]) for x in X]
+    failing = [want for want in alone if want[0] != "ok"]
+    return failing[0] if failing else ("ok", [row for _, (row,) in alone])
+
+
+class TestClosedFormRows:
+    @SETTINGS
+    @given(closed_forms())
+    def test_rows_are_the_one_point_calls(self, case):
+        field, X = case
+        assert called(lambda: field._evaluate_rows(X)) == batch_reference(field, X)
+
+    @SETTINGS
+    @given(closed_forms(activations=("exp",)), st.data())
+    def test_an_overflowing_row_raises_as_it_does_alone(self, case, data):
+        # small rows keep every orbit finite (a plain tower up to k = 3);
+        # one row far along a direction overflows sigma' at its first step
+        field, X = case
+        if isinstance(field, GlmIterate) and field.k > 3:
+            field = GlmIterate(field.spec, 3)
+        X = 0.1 * np.clip(X, -3.0, 3.0)
+        i = data.draw(st.integers(0, field.spec.n_directions - 1))
+        r = data.draw(st.integers(0, X.shape[0] - 1))
+        X[r] = data.draw(st.floats(1e4, 1e6)) * field.spec.directions[i]
+        want = batch_reference(field, X)
+        assert want == called(lambda: field(X[r])[None, :])
+        assert want[0] != "ok"
+        assert called(lambda: field._evaluate_rows(X)) == want
+
+    @SETTINGS
+    @given(closed_forms(), st.integers(1, 3), st.integers(1, 3))
+    def test_a_walk_drops_the_rows_that_fail_alone(self, case, m, k_max):
+        field, X = case
+        walked = Iterate(field, m)
+        dropped = {}
+        steps = [(live.tolist(), hexes(Y)) for live, Y in walk_rows(walked, X, k_max,
+                                                                     dropped=dropped)]
+        errors, values = {}, {}
+        for r, x in enumerate(X):
+            values[r] = []
+            try:
+                for y in walk_alone(walked, x, k_max):
+                    values[r].append(hexes(y[None, :])[0])
+            except NonFiniteValueError as err:
+                errors[r] = (str(err), err.iterate_index)
+        assert {r: (str(e), e.iterate_index) for r, e in dropped.items()} == errors
+        for j, (live, rows) in enumerate(steps):
+            assert live == [r for r in values if len(values[r]) > j]
+            assert rows == [values[r][j] for r in live]
 
 
 def first_repeat(xs):
