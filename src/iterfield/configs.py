@@ -40,8 +40,9 @@ def _integer(value, what: str) -> int:
     """A seed or a variable count as an int.  A boolean or a fractional
     number is refused: truncating it would run another value than the one
     the config, and its hash, names.  Iteration counts (run k and rounds,
-    rotation j, iterate k) are not read here: the library's one count rule,
-    ``fields._require_count``, takes them as the config gives them."""
+    rotation j, iterate k) and run step sizes (gamma, eta) are not read
+    here: the library's count and step rules, ``fields._require_count``
+    and ``fields._require_step``, take them as the config gives them."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -151,8 +152,8 @@ def fedavg_config_from_obj(obj: dict, seed_override: int | None = None) -> FedAv
                 else int(seed_override))
         return FedAvgConfig(
             clients=clients,
-            gamma=float(_need(obj, "gamma", "run config")),
-            eta=float(obj.get("eta", 1.0)),
+            gamma=_need(obj, "gamma", "run config"),
+            eta=obj.get("eta", 1.0),
             k=_need(obj, "k", "run config"),
             rounds=rounds,
             x0=_need(obj, "x0", "run config"),

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import IterfieldError, rationals
-from .fields import (Affine, Compose, Field, GdMap, Iterate, Linear, NonFiniteValueError,
-                     Sum, _require_count, _require_step, as_matrix, as_vector)
+from .fields import (Affine, Field, GdMap, Iterate, NonFiniteValueError, Sum, _require_count,
+                     _require_step, as_matrix, as_vector)
 from .glm import GlmGradient, GlmGradientStack, GlmSpec, glm_gradient, surrogate_potentials
 
 if TYPE_CHECKING:
@@ -50,7 +50,26 @@ class ConvergenceError(IterfieldError, RuntimeError):
     pass
 
 
-class QuadraticClient:
+class _Client:
+    """The questions the FedAvg oracles ask a client (``_answers``), with
+    the answers of one that only walks its descent steps, as any client
+    without this base gives them.  ``_exact_form(gamma, k)`` and
+    ``_float_map(gamma, k)``: its k-step map, exact and as floats, when
+    affine (a quadratic loss, with ``matrix``, ``center`` and
+    ``float_entered``).  ``_surrogate_term(gamma, k)``: N values, over an
+    (N, n) array, of a term whose gradient is its model delta.
+    ``_curvature_bounded``: a fixed-point hunt cannot run away silently."""
+
+    _exact_form = _float_map = _surrogate_term = None
+    _curvature_bounded = False
+
+
+def _answers(clients, question: str) -> list:
+    """Every client's answer to one of ``_Client``'s questions, in order."""
+    return [getattr(c, question, getattr(_Client, question)) for c in clients]
+
+
+class QuadraticClient(_Client):
     """Loss 0.5 (x - b)^T A (x - b) with symmetric positive semi-definite A.
 
     The client keeps read-only copies of A and b, so the descent maps it
@@ -73,6 +92,8 @@ class QuadraticClient:
         self.float_entered = any(x.as_integer_ratio()[1] > SMALL_DENOMINATOR
                                  for x in A.ravel().tolist())
         self._forms, self._maps = {}, {}
+
+    _curvature_bounded = True
 
     def _exact_form(self, gamma: float, k: int):
         """The map of k descent steps of step gamma in ``rationals``'
@@ -100,6 +121,18 @@ class QuadraticClient:
             self._maps[key] = form
         return self._maps[key]
 
+    def _surrogate_term(self, gamma: float, k: int):
+        """x -> 0.5 (x - b)^T (I - B) (x - b) over the rows of an (N, n)
+        array, with B = (I - gamma A)^k by ``np.linalg.matrix_power``."""
+        n, b = self.dimension, self.center
+        Q = np.eye(n) - np.linalg.matrix_power(np.eye(n) - gamma * self.matrix, k)
+
+        def term(X):
+            D = X - b
+            return 0.5 * np.einsum("ij,ij->i", D @ Q, D)
+
+        return term
+
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
@@ -118,12 +151,22 @@ class QuadraticClient:
         return f"quadratic(A={self.matrix.tolist()}, b={self.center.tolist()})"
 
 
-class GlmClient:
+class GlmClient(_Client):
     """Loss given by a generalized linear model spec."""
 
     def __init__(self, spec: GlmSpec, label: str = ""):
         self.spec = spec
         self.label = label or spec.describe()
+        self._curvature_bounded = spec.activation.curvature_bound is not None
+
+    @property
+    def _surrogate_term(self):
+        """Only orthogonal directions integrate, one recursion each, to a term."""
+        return self._orthogonal_term if self.spec.orthogonal else None
+
+    def _orthogonal_term(self, gamma: float, k: int):
+        spec = self.spec
+        return lambda X: gamma * surrogate_potentials(spec, X, k, "gd-iterate", gamma)
 
     @property
     def dimension(self) -> int:
@@ -167,13 +210,11 @@ def _dimension(clients) -> int:
     return dims.pop()
 
 
-def _check_steps(gamma: float, k: int, rounds: int = 1):
-    """Refuse a step size or count no run takes: gamma as
-    ``fields._require_step`` takes it, and k and rounds counts as
-    ``fields._require_count`` takes."""
-    _require_step(gamma)
+def _check_steps(gamma: float, k: int):
+    """Refuse a step size gamma or a count k no run takes, as
+    ``fields._require_step`` and ``fields._require_count`` do."""
+    _require_step("gamma", gamma)
     _require_count("k", k)
-    _require_count("rounds", rounds)
 
 
 def build_server_field_only(clients, gamma: float, k: int) -> Field:
@@ -196,10 +237,16 @@ class ServerFieldInfo:
                 "surrogate_available": self.surrogate_available}
 
 
+def _affine(clients) -> bool | None:
+    """Whether every client has an exact k-step form (True) or none has
+    (False); None for a mix, which gets no surrogate and no fixed point."""
+    kinds = {form is not None for form in _answers(clients, "_exact_form")}
+    return None if len(kinds) > 1 else all(kinds)
+
+
 def _surrogate_available(clients) -> bool:
-    if all(isinstance(c, QuadraticClient) for c in clients):
-        return True
-    return all(isinstance(c, GlmClient) and c.spec.orthogonal for c in clients)
+    """Every client has a surrogate term, and the set is not mixed."""
+    return _affine(clients) is not None and all(_answers(clients, "_surrogate_term"))
 
 
 def build_server_field(clients, gamma: float, k: int,
@@ -212,8 +259,7 @@ def build_server_field(clients, gamma: float, k: int,
     _check_steps(gamma, k)
     field = build_server_field_only(clients, gamma, k)
     verdict = check_numeric(field, 1, sampling or SamplingConfig())
-    return ServerFieldInfo(field, field.dimension, verdict,
-                           _surrogate_available(clients))
+    return ServerFieldInfo(field, field.dimension, verdict, _surrogate_available(clients))
 
 
 @dataclass
@@ -232,9 +278,8 @@ class FedAvgConfig:
     def __post_init__(self):
         if not self.clients:
             raise ValueError("need at least one client")
-        _check_steps(self.gamma, self.k, self.rounds)
-        if not 0 < self.eta < math.inf:
-            raise ValueError("eta must be finite and positive")
+        self.gamma, self.eta = _require_step("gamma", self.gamma), _require_step("eta", self.eta)
+        self.k, self.rounds = _require_count("k", self.k), _require_count("rounds", self.rounds)
         self.x0 = as_vector(self.x0, _dimension(self.clients))
 
 
@@ -271,16 +316,16 @@ def _server_models(clients, gamma: float, k: int):
     steps, an (m, n) array in client order; the rounds, the "float-solve"
     residual and the iterative oracle all read it.
 
-    The models come in batches.  Every quadratic client with a finite float
-    k-step map (``QuadraticClient._float_map``: its exact form rounded
-    once, or k float descent steps for a float-entered matrix) is one block
+    The models come in batches.  Every client with a finite float k-step
+    map (``_Client._float_map``: a quadratic's exact form rounded once, or
+    its k float descent steps for a float-entered matrix) is one block
     of a stacked (s n, n) operator, so one product gives all their models.
     The C-ordered ``GlmGradient`` clients that share an activation and a
     direction count, two or more, walk as one ``GlmGradientStack`` orbit
     whose blocks are bit-equal to their own walks.  When a batch raises,
     or a stacked row is not finite, its clients walk alone, in index order
-    with every client no batch covers: a quadratic one as ``Affine`` of its
-    map, any other its k descent steps.  So the first client that fails
+    with every client no batch covers: one with a map as ``Affine`` of it,
+    any other its k descent steps.  So the first client that fails
     alone raises its own error and no later one walks.  A batch that covers
     every client, the common case, gives its rows with no copy.  x is a
     finite point of the right dimension, and the caller silences numpy's
@@ -288,8 +333,8 @@ def _server_models(clients, gamma: float, k: int):
     """
     m, n = len(clients), _dimension(clients)
     alone, maps, stacks = [], {}, {}
-    for i, c in enumerate(clients):
-        form = c._float_map(gamma, k) if isinstance(c, QuadraticClient) else None
+    for i, (c, float_map) in enumerate(zip(clients, _answers(clients, "_float_map"))):
+        form = None if float_map is None else float_map(gamma, k)
         if form is not None:
             maps[i] = form
             # an Affine is built only when the stack fails, to name the map
@@ -336,14 +381,14 @@ def _server_models(clients, gamma: float, k: int):
 
 def _server_system(clients, gamma: float, k: int):
     """(P, r, d) with the server field V_s(x) = w (P x - r) / d exactly,
-    w = 1.0/m as a Fraction; quadratic clients only.
+    w = 1.0/m as a Fraction; clients with exact forms only.
 
     The clients' exact k-step forms G_c(x) = A_c x + b_c (kept on each
     client, see ``QuadraticClient._exact_form``) are summed in integer
     numerators over one denominator, sum A_c = N / d and sum b_c = r / d;
     then P = m d I - N, with no Fraction made.
     """
-    if not all(isinstance(c, QuadraticClient) for c in clients):
+    if not _affine(clients):
         raise SurrogateUnavailableError("server field is not affine")
     N, r, d = rationals.affine_split(rationals.affine_combination(
         [(1, c._exact_form(gamma, k)) for c in clients]))
@@ -353,7 +398,7 @@ def _server_system(clients, gamma: float, k: int):
 
 
 def _affine_server_parts(clients, gamma: float, k: int):
-    """(M, v) with V_s(x) = M x + v as floats; quadratic clients only.
+    """(M, v) with V_s(x) = M x + v as floats; clients with exact forms only.
 
     V_s averages x - G_c(x) with the weights of ``build_server_field_only``'s
     Sum (1 and -1 inside a client's delta, w = 1.0/m across clients, each
@@ -368,23 +413,18 @@ def _affine_server_parts(clients, gamma: float, k: int):
     return [[wn * p / den for p in row] for row in P], [-wn * x / den for x in r]
 
 
-def _float_maps(clients, gamma: float, k: int):
-    """Every client's float k-step map (``QuadraticClient._float_map``)
-    when the set is solved in floats: all clients quadratic, at least one
-    of them float-entered, and every map finite.  None otherwise, and the
-    set keeps its exact forms."""
-    if not (all(isinstance(c, QuadraticClient) for c in clients)
-            and any(c.float_entered for c in clients)):
+def _float_server_parts(clients, gamma: float, k: int):
+    """(M, v) with V_s(x) = M x + v as floats, M = I - mean A_c and
+    v = -mean b_c, from the clients' float k-step maps (A_c, b_c), when the
+    set is solved in floats: every client with an exact form, one of them
+    float-entered, and every map finite.  None otherwise, and the set keeps
+    its exact forms."""
+    if not (_affine(clients) and any(c.float_entered for c in clients)):
         return None
     maps = [c._float_map(gamma, k) for c in clients]
-    return None if any(f is None for f in maps) else maps
-
-
-def _float_server_parts(maps):
-    """(M, v) with V_s(x) = M x + v as floats, from the clients' float
-    k-step maps (A_c, b_c): M = I - mean A_c and v = -mean b_c."""
-    n = maps[0][1].shape[0]
-    return (np.eye(n) - sum(A for A, _ in maps) / len(maps),
+    if any(f is None for f in maps):
+        return None
+    return (np.eye(_dimension(clients)) - sum(A for A, _ in maps) / len(maps),
             -(sum(b for _, b in maps) / len(maps)))
 
 
@@ -406,18 +446,18 @@ def _float_solve(M, rhs) -> np.ndarray:
 def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     """Zero of the server field.
 
-    A set of quadratic clients with a float-entered matrix and finite float
-    k-step maps (``_float_maps``) solves (I - mean A_c) x = mean b_c on
-    those maps with ``np.linalg.solve``, labelled "float-solve".  Any other
-    all-quadratic set gets the exact affine solve of M x = -v, posed as
-    P x = r on ``_server_system``'s integers (the same equations scaled by
+    Clients with exact forms, one float-entered, and finite float k-step
+    maps (``_float_server_parts``) solve (I - mean A_c) x = mean b_c on them
+    with ``np.linalg.solve``, labelled "float-solve".  Any other set with
+    exact forms gets the exact affine solve of M x = -v, posed as P x = r
+    on ``_server_system``'s integers (the same equations scaled by
     d / w, so the same solution); anything else is refined iteratively with
     the unit-step server recursion x -> x - V_s(x) from x0 (default 0)
     until the field norm drops below FIXED_POINT_TOL (``_descend``).  Its
     rounds read the clients' models through the rounds' own operator
     (``_server_models``) and average their deltas as a round does, so a
     model that fails raises what a round raises there.  A set with no
-    quadratic client is walked as ``build_server_field_only``'s Sum walks
+    float k-step map is walked as ``build_server_field_only``'s Sum walks
     it, and the point is bit-equal to descending that Sum; a total that is
     not finite is left to the Sum, which raises the first failing client's
     error.
@@ -425,11 +465,10 @@ def oracle_fixed_point(clients, gamma: float, k: int, x0=None):
     raises ValueError.
     """
     _check_steps(gamma, k)
-    maps = _float_maps(clients, gamma, k)
-    if maps is not None:
-        M, v = _float_server_parts(maps)
-        return _float_solve(M, -v), "float-solve"
-    if all(isinstance(c, QuadraticClient) for c in clients):
+    parts = _float_server_parts(clients, gamma, k)
+    if parts is not None:
+        return _float_solve(parts[0], -parts[1]), "float-solve"
+    if _affine(clients):
         P, r, _ = _server_system(clients, gamma, k)
         try:
             solution = rationals.solve_linear(P, r)
@@ -515,66 +554,37 @@ def _descend(value, dimension: int, step: float, x0=None) -> np.ndarray:
 
 
 def _oracle_eligible(clients) -> bool:
-    """Families where the automatic fixed-point hunt makes sense: exact
-    affine solves, or models whose curvature is bounded (a minimizer is at
-    least plausible and the iteration cannot run away silently)."""
-    if all(isinstance(c, QuadraticClient) for c in clients):
-        return True
-    return all(isinstance(c, GlmClient)
-               and c.spec.activation.curvature_bound is not None
-               for c in clients)
-
-
-def _points_or_one(batch):
-    """f over the rows of an (N, n) array, or at one point as a float, from
-    a function of (N, n) arrays."""
-    def f(x):
-        X = np.asarray(x, dtype=float)
-        if X.ndim == 1:
-            return float(batch(X[None, :])[0])
-        return batch(X)
-
-    return f
+    """Sets where the automatic fixed point makes sense: clients with exact
+    forms, solved, or clients without them whose curvature is bounded (a
+    minimizer is plausible and the hunt cannot run away silently)."""
+    affine = _affine(clients)
+    return affine or (affine is False and all(_answers(clients, "_curvature_bounded")))
 
 
 def server_surrogate(clients, gamma: float, k: int):
     """Scalar function f_s with grad f_s equal to the server field.
 
-    Quadratic clients have the closed form 0.5 (x-b)^T (I - B) (x-b)
-    per client with B the k-th descent-matrix power; orthogonal model
-    clients integrate their per-direction scalar recursions.  Constants
-    are fixed so each client's term vanishes where its own delta does.
-    f_s takes one point, giving a float, or an (N, n) array of points,
-    giving N values; a point's value is the same either way.
+    f_s is the mean of the clients' ``_surrogate_term``s: a quadratic's
+    0.5 (x-b)^T (I - B) (x-b) with B the k-th descent-matrix power, an
+    orthogonal model's integrated per-direction scalar recursions, each 0
+    where its own delta is.  f_s takes one point, giving a float, or an
+    (N, n) array of points, giving N values; a point's value is the same
+    either way.
     """
     _check_steps(gamma, k)
-    if all(isinstance(c, QuadraticClient) for c in clients):
-        parts = []
-        for c in clients:
-            n = c.dimension
-            B = np.linalg.matrix_power(np.eye(n) - gamma * c.matrix, k)
-            parts.append((np.eye(n) - B, c.center))
+    if not _surrogate_available(clients):
+        raise SurrogateUnavailableError(
+            "surrogate needs all-quadratic or all-orthogonal-model clients")
+    terms = [c._surrogate_term(gamma, k) for c in clients]
 
-        def f_quad(X):
-            total = np.zeros(X.shape[0])
-            for (Q, b) in parts:
-                D = X - b
-                total = total + 0.5 * np.einsum("ij,ij->i", D @ Q, D)
-            return total / len(parts)
+    def f_s(x):
+        X = np.asarray(x, dtype=float)
+        points, total = np.atleast_2d(X), 0.0
+        for term in terms:
+            total = total + term(points)
+        return float(total[0] / len(terms)) if X.ndim == 1 else total / len(terms)
 
-        return _points_or_one(f_quad)
-    if all(isinstance(c, GlmClient) and c.spec.orthogonal for c in clients):
-        specs = [c.spec for c in clients]
-
-        def f_glm(X):
-            total = 0.0
-            for spec in specs:
-                total = total + gamma * surrogate_potentials(spec, X, k, "gd-iterate", gamma)
-            return total / len(specs)
-
-        return _points_or_one(f_glm)
-    raise SurrogateUnavailableError(
-        "surrogate needs all-quadratic or all-orthogonal-model clients")
+    return f_s
 
 
 def _lowered(form):
@@ -667,8 +677,7 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     n = config.x0.shape[0]
     models, weight = _server_models(clients, config.gamma, config.k), 1.0 / len(clients)
     xs = [np.array(config.x0, dtype=float)]
-    values, round_models = [], []
-    note = None
+    values, round_models, note = [], [], None
     x = xs[0]
     try:
         for t in range(config.rounds):
@@ -703,21 +712,19 @@ def run_fedavg(config: FedAvgConfig) -> FedAvgTrace:
     trace = FedAvgTrace(config, np.array(xs), np.array(values) if values else np.zeros((0, n)),
                         note=note)
 
-    fixed_point, method = None, None
+    fixed_point = None
     if _oracle_eligible(clients):
         try:
             fixed_point, method = oracle_fixed_point(clients, config.gamma, config.k)
         except (ConvergenceError, NonFiniteValueError, rationals.SingularMatrixError):
-            fixed_point, method = None, None
+            pass
     if fixed_point is not None:
-        trace.fixed_point = fixed_point
-        trace.fixed_point_method = method
+        trace.fixed_point, trace.fixed_point_method = fixed_point, method
         if method == "float-solve":
             v = (weight * (fixed_point - models(fixed_point))).cumsum(axis=0)[-1]
             trace.fixed_point_residual = float(np.abs(v).max())
-        dists = _distances(trace.xs, fixed_point)
+        trace.dists = dists = _distances(trace.xs, fixed_point)
         before, after = dists[:-1], dists[1:]
-        trace.dists = dists
         trace.ratios = np.divide(after, before, out=np.full(len(before), np.nan),
                                  where=(1e-10 < before) & (before < math.inf) & (after < math.inf))
     if _surrogate_available(clients):
@@ -741,14 +748,12 @@ def closed_form_affine_trace(clients, config: FedAvgConfig) -> np.ndarray:
 
     Float reference for all-quadratic configurations; used to cross-check
     the simulated trace.  (M, v) come from the float k-step maps on a set
-    the oracle solves in floats (``_float_maps``), else from the exact
+    the oracle solves in floats (``_float_server_parts``), else from the exact
     forms.
     """
-    maps = _float_maps(clients, config.gamma, config.k)
-    Mf, vf = (_float_server_parts(maps) if maps is not None
-              else map(np.array, _affine_server_parts(clients, config.gamma, config.k)))
-    n = Mf.shape[0]
-    step = np.eye(n) - config.eta * Mf
+    Mf, vf = (_float_server_parts(clients, config.gamma, config.k)
+              or map(np.array, _affine_server_parts(clients, config.gamma, config.k)))
+    step = np.eye(Mf.shape[0]) - config.eta * Mf
     xs = [np.array(config.x0, dtype=float)]
     for _ in range(config.rounds):
         xs.append(step @ xs[-1] - config.eta * vf)
@@ -799,15 +804,9 @@ def verify_rate(trace: FedAvgTrace, alpha: float, beta: float, k: int,
             raise ValueError("trace has no oracle distances")
         rho = (beta - alpha) / (beta + alpha)
         d0 = float(trace.dists[0])
-        bounds, observed, margins = [], [], []
-        for t in range(len(trace.dists)):
-            bound = (rho ** (k * t)) * d0 + RATE_SLACK
-            bounds.append(bound)
-            observed.append(float(trace.dists[t]))
-            margins.append(bound - float(trace.dists[t]))
-        worst = min(margins)
-        return RateReport(mode, rho, bounds, observed, margins, worst, worst >= 0.0)
-    if mode == "convex":
+        observed = [float(d) for d in trace.dists]
+        bounds = [(rho ** (k * t)) * d0 + RATE_SLACK for t in range(len(observed))]
+    elif mode == "convex":
         if not (beta > 0):
             raise ValueError("need beta > 0")
         expected = 1.0 / beta
@@ -816,17 +815,14 @@ def verify_rate(trace: FedAvgTrace, alpha: float, beta: float, k: int,
                 f"convex rate assumes gamma=1/beta={expected}, trace used {config.gamma}")
         if trace.fs is None or trace.fs_star is None or trace.dists is None:
             raise ValueError("trace has no surrogate values or fixed point")
-        d0sq = float(trace.dists[0]) ** 2
-        bounds, observed, margins = [], [], []
-        for t in range(1, len(trace.fs)):
-            bound = d0sq / (2.0 * t) + RATE_SLACK
-            gap = float(trace.fs[t]) - trace.fs_star
-            bounds.append(bound)
-            observed.append(gap)
-            margins.append(bound - gap)
-        worst = min(margins) if margins else 0.0
-        return RateReport(mode, None, bounds, observed, margins, worst, worst >= 0.0)
-    raise ValueError(f"unknown mode {mode!r}")
+        rho, d0sq = None, float(trace.dists[0]) ** 2
+        observed = [float(f) - trace.fs_star for f in trace.fs[1:]]
+        bounds = [d0sq / (2.0 * t) + RATE_SLACK for t in range(1, len(trace.fs))]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    margins = [bound - gap for bound, gap in zip(bounds, observed)]
+    worst = min(margins) if margins else 0.0
+    return RateReport(mode, rho, bounds, observed, margins, worst, worst >= 0.0)
 
 
 @dataclass
@@ -860,18 +856,18 @@ def compare_minimizers(clients, gamma: float, k: int) -> MinimizerComparison:
         x_star = _float_solve(sum(c.matrix for c in clients),
                               sum(c.matrix @ c.center for c in clients))
         method_star = "float-solve"
-    elif all(isinstance(c, QuadraticClient) for c in clients):
+    elif _affine(clients):
         # the average gradient sum A_c (x - b_c), exactly, is zero at x*
         n = clients[0].dimension
-        S, v, _ = rationals.affine_split(Sum(
-            [Compose(Linear(c.matrix), Affine(np.eye(n), -c.center)) for c in clients]
-        )._affine_form())
+        S, v, _ = rationals.affine_split(rationals.affine_combination(
+            [(1, rationals.affine_compose(rationals.affine_numerators(c.matrix, np.zeros(n)),
+                                          rationals.affine_numerators(np.eye(n), -c.center)))
+             for c in clients]))
         x_star = rationals.to_float_vector(rationals.solve_linear(S, [-x for x in v]))
         method_star = "affine-solve"
     else:
         fields = [c.gradient_field() for c in clients]
         avg_grad = Sum(fields, weights=[1.0 / len(fields)] * len(fields))
         x_star, method_star = _descend(avg_grad, avg_grad.dimension, gamma), "iterative"
-    return MinimizerComparison(np.asarray(x_s), np.asarray(x_star),
-                               float(np.linalg.norm(np.asarray(x_s) - np.asarray(x_star))),
-                               method_s, method_star)
+    return MinimizerComparison(x_s, x_star, float(np.linalg.norm(x_s - x_star)), method_s,
+                               method_star)

@@ -15,6 +15,7 @@ until the failing points stand alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -97,13 +98,13 @@ def _require_count(name: str, count) -> int:
     return int(count)
 
 
-def _require_step(gamma) -> float:
-    """A step size as a float, finite and > 0.  Every public entry that
-    takes one checks it here, so an infinite step, which defines no map,
-    is refused with the others."""
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"step size gamma must be finite and positive, got {gamma!r}")
-    return float(gamma)
+def _require_step(name: str, step) -> float:
+    """A step size as a float: a real number, not a bool, finite and > 0.
+    Every public entry that takes one checks it here, so a string, True or
+    an infinite step, which defines no map, is refused."""
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
+        raise ValueError(f"step size {name} must be finite and positive, got {step!r}")
+    return float(step)
 
 
 # ----- Jacobian methods -----
@@ -427,7 +428,7 @@ class GdMap(Field):
 
     def __init__(self, inner: Field, gamma: float):
         self.inner = inner
-        self.gamma = _require_step(gamma)
+        self.gamma = _require_step("gamma", gamma)
         self.dimension = inner.dimension
         self._eye = np.eye(self.dimension)
 

@@ -466,7 +466,7 @@ class GlmGdIterate(_GlmClosedForm):
     def __init__(self, spec: GlmSpec, gamma: float, k: int):
         _require_orthogonal(spec)
         self.spec = spec
-        self.gamma = _require_step(gamma)
+        self.gamma = _require_step("gamma", gamma)
         self.k = _require_count("k", k)
         self.dimension = spec.dimension
         self._eye = np.eye(self.dimension)
@@ -526,7 +526,7 @@ def closed_form_deviation(spec: GlmSpec, points, k_max: int,
     _require_orthogonal(spec)
     k_max = _require_count("k_max", k_max)
     if gamma is not None:
-        gamma = _require_step(gamma)
+        gamma = _require_step("gamma", gamma)
     X = as_points(points, spec.dimension)
     if X.shape[0] == 0:
         raise ValueError("need at least one point")
@@ -573,7 +573,7 @@ def surrogate_potentials(spec: GlmSpec, points, k: int, mode: str = "grad-iterat
     elif gamma is None:
         raise ValueError("gd-iterate mode needs a positive gamma")
     else:
-        gamma = _require_step(gamma)
+        gamma = _require_step("gamma", gamma)
     X = as_points(points, spec.dimension)
     derivs = spec.activation.derivs
     w = np.tile(spec._norms, X.shape[0])

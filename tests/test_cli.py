@@ -388,6 +388,7 @@ class TestBoundaryRefusals:
         (_fedavg(clients=[{"kind": "quadratic", "matrix": [[1.0]], "center": [B]}], x0=[1.0]),
          "too large to convert"),
         (_fedavg(alpha=B), "too large to convert"),
+        (_fedavg(gamma=B), "too large to convert"),
         (["check", "--field", '{"variant":"glm","activation":"exp","directions":[[1,0],[1,1]]}',
           "--k", "2", "--box", "--seed", "3", "--expect", "yes", "--threshold", "nan"],
          "threshold must be finite and >= 0"),
@@ -452,6 +453,17 @@ class TestBoundaryRefusals:
         assert main(self._config_argv(argv(count), tmp_path)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message.format(count)}\n"
+
+    @pytest.mark.parametrize("step", [True, "0.5", None, 0, -0.5, [0.5]],
+                             ids=["bool", "string", "null", "zero", "negative", "list"])
+    @pytest.mark.parametrize("key", ["gamma", "eta"])
+    def test_a_config_step_follows_the_library_step_rule(self, key, step, tmp_path, capsys):
+        # a config step size is refused as the library refuses it: a
+        # numeric string or a boolean is not read as a number
+        assert main(self._config_argv(_fedavg(**{key: step}), tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: bad run config: step size {key} must be finite and positive, "
+                       f"got {step!r}\n")
 
     @staticmethod
     def _config_argv(argv, tmp_path):

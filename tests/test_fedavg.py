@@ -1,5 +1,7 @@
 """Server fields, traces, oracle fixed points, surrogates, rate checks."""
 
+import ast
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -866,6 +868,8 @@ class TestFloatPath:
 
 BAD_STEPS = [(-0.5, 2, "gamma must be finite"), (0.0, 2, "gamma must be finite"),
              (math.nan, 2, "gamma must be finite"), (math.inf, 2, "gamma must be finite"),
+             (True, 2, "gamma must be finite"), ("0.5", 2, "gamma must be finite"),
+             (None, 2, "gamma must be finite"),
              (0.3, 0, "k must be an integer >= 1"), (0.3, 2.5, "k must be an integer >= 1"),
              (0.3, 2.0, "k must be an integer >= 1"), (0.3, True, "k must be an integer >= 1")]
 
@@ -894,6 +898,17 @@ class TestStepChecks:
     def test_config_refuses_bad_steps(self, clients, gamma, k, message):
         with pytest.raises(ValueError, match=message):
             fa.FedAvgConfig(clients, gamma=gamma, eta=1.0, k=k, rounds=5, x0=np.zeros(3))
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf, True, "1.0", None])
+    def test_config_refuses_bad_server_steps(self, clients, eta):
+        with pytest.raises(ValueError, match="step size eta must be finite and positive"):
+            fa.FedAvgConfig(clients, gamma=0.3, eta=eta, k=2, rounds=5, x0=np.zeros(3))
+
+    def test_config_keeps_the_checked_values(self, clients):
+        config = fa.FedAvgConfig(clients, gamma=np.float32(0.25), eta=1, k=np.int64(2),
+                                 rounds=np.int32(5), x0=np.zeros(3))
+        assert [(type(v), v) for v in (config.gamma, config.eta, config.k, config.rounds)] == [
+            (float, 0.25), (float, 1.0), (int, 2), (int, 5)]
 
     @pytest.mark.parametrize("rounds", [0, -3, 2.0, 2.5, False])
     def test_config_refuses_bad_round_counts(self, clients, rounds):
@@ -1072,3 +1087,93 @@ class TestFixedPointStop:
         assert len(seen) == 6
         assert trace.xs.ravel().tolist() == [-0.0, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
         assert math.copysign(1.0, trace.xs[0, 0]) == -1.0
+
+
+# ----- FedAvg: the client protocol against the class rules it replaced -----
+
+def class_rules(clients, gamma, k):
+    """The set-level answers as they were decided from each client's class,
+    before the clients answered for themselves: (solve label, surrogate
+    available, fixed point eligible, minimizer methods)."""
+    quadratic = all(isinstance(c, fa.QuadraticClient) for c in clients)
+    glm = all(isinstance(c, fa.GlmClient) for c in clients)
+    surrogate = quadratic or (glm and all(c.spec.orthogonal for c in clients))
+    eligible = quadratic or (glm and all(c.spec.activation.curvature_bound is not None
+                                         for c in clients))
+    label = "iterative"
+    if quadratic:
+        maps = [fa._descent_map(c.matrix, c.center, gamma, k) if c.float_entered
+                else fa._lowered(c._exact_form(gamma, k)) for c in clients]
+        float_solved = (any(c.float_entered for c in clients)
+                        and all(f is not None for f in maps))
+        label = "float-solve" if float_solved else "affine-solve"
+    # the average loss's minimizer is found the way the server's is
+    return label, surrogate, eligible, (label, label)
+
+
+def protocol_answers(clients, gamma, k):
+    """The same answers from ``fedavg``, with the fixed-point hunt stubbed
+    out: an iterative set is labelled without being hunted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fa, "_descend", lambda value, dimension, step, x0=None: np.zeros(dimension))
+        _, label = fa.oracle_fixed_point(clients, gamma, k)
+        comparison = fa.compare_minimizers(clients, gamma, k)
+    return (label, fa._surrogate_available(clients), fa._oracle_eligible(clients),
+            (comparison.surrogate_method, comparison.average_method))
+
+
+@st.composite
+def protocol_sets(draw):
+    """Sets of one to four clients, each small-rational or float-entered
+    quadratic, orthogonal or tilted GLM (a built-in activation or
+    log(1+t^2)), or duck-typed with only ``dimension`` and
+    ``gradient_field``: every kind alone and mixed with the others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    clients = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("small-rational", "float-entered", "orthogonal", "tilted", "duck")),
+            min_size=1, max_size=4)):
+        if kind == "small-rational":
+            clients += integer_spd_clients(rng, 1, n)
+        elif kind == "float-entered":
+            clients += spd_clients(rng, 1, n)
+        elif kind == "duck":
+            clients.append(CallbackClient(np.tanh, n))
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Z = Q[:draw(st.integers(1, n))] * rng.uniform(0.5, 1.5)
+            if kind == "tilted":
+                Z = Z + 0.3 * rng.standard_normal(Z.shape)
+            activation = draw(st.sampled_from(("logistic", "exp", "quadratic", "log(1+t^2)")))
+            clients.append(fa.GlmClient(GlmSpec(Z, activation)))
+    return clients, draw(st.sampled_from((0.1, 0.3, 0.5))), draw(st.integers(1, 3))
+
+
+class TestClientProtocol:
+    @settings(max_examples=150, deadline=None)
+    @given(protocol_sets())
+    def test_the_answers_decide_sets_as_the_classes_did(self, drawn):
+        clients, gamma, k = drawn
+        assert protocol_answers(clients, gamma, k) == class_rules(clients, gamma, k)
+
+    def test_no_client_class_dispatch_outside_the_clients(self):
+        # fedavg asks each client for its answers (``_Client``): no function
+        # outside the two client classes tests a client's class
+        classes = {"QuadraticClient", "GlmClient"}
+        found = []
+
+        def visit(node, inside):
+            for child in ast.iter_child_nodes(node):
+                here = inside or (isinstance(child, ast.ClassDef) and child.name in classes)
+                if (not here and isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name) and child.func.id == "isinstance"):
+                    names = {n.id if isinstance(n, ast.Name) else n.attr
+                             for arg in child.args[1:] for n in ast.walk(arg)
+                             if isinstance(n, (ast.Name, ast.Attribute))}
+                    if names & classes:
+                        found.append(child.lineno)
+                visit(child, here)
+
+        visit(ast.parse(inspect.getsource(fa)), False)
+        assert found == []
